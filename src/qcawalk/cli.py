@@ -210,6 +210,8 @@ def _cmd_simulate_qca(args) -> tuple[int, dict]:
 def _cmd_simulate_qw(args) -> tuple[int, dict]:
     params, angles = _resolve_params(args)
     qubit = _resolve_qubit(args)
+    if args.steps < 0:
+        raise UsageError(f"--steps must be nonnegative, got {args.steps}")
     blocks = generalized_blocks_from_qca(params, args.family)
     state = WalkState.origin(qubit, blocks.order)
     for _ in range(args.steps):
@@ -332,6 +334,8 @@ def _cmd_factorize(args) -> tuple[int, dict]:
 
 
 def _cmd_limit_compare(args) -> tuple[int, dict]:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise UsageError(f"--tolerance must be finite and nonnegative, got {args.tolerance!r}")
     args.default_reference = True
     params, angles = _resolve_params(args)
     qubit = _resolve_qubit(args)
@@ -400,7 +404,7 @@ def _add_qubit_flag(parser: argparse.ArgumentParser, default=(1.0, 0.0)) -> None
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcawalk",
-        description="Exact lattice automaton and coined-walk simulations "
+        description="Lattice automaton and coined-walk simulations "
         "with machine-checked equivalences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -508,7 +512,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(_render(envelope, args.format), args.out)
+    try:
+        _emit(_render(envelope, args.format), args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(f"duration_ms={elapsed_ms:.3f}", file=sys.stderr)
     return code

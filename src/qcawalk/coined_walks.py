@@ -16,14 +16,23 @@ orderings instead of silently reordering.
 from __future__ import annotations
 
 import cmath
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .amplitudes import PRUNE_TOLERANCE, Distribution
+from .amplitudes import (
+    Distribution,
+    _coalesced,
+    _distribution_from_arrays,
+    _flatten,
+    _pruned,
+    _run_at,
+    _runs_from_sorted,
+    _runs_norm_sq,
+    _sq_modulus,
+)
 from .qca_core import RESIDUAL_TOLERANCE, QcaParams, normalized_qubit
 
 __all__ = [
@@ -96,10 +105,13 @@ class QubitState:
 class WalkState:
     """Finitely supported chirality 2-vectors on walk sites.
 
-    ``order`` records which chirality sits in the upper component.
+    ``order`` records which chirality sits in the upper component.  Stored
+    as runs of (upper, lower) arrays like ``AmplitudeField``; components
+    below ``PRUNE_TOLERANCE`` are zeroed at construction and iteration is
+    in ascending site order.
     """
 
-    __slots__ = ("_sites", "order")
+    __slots__ = ("_runs", "order")
 
     def __init__(self, sites: Mapping[int, tuple[complex, complex]], order: str):
         if order not in _ORDERS:
@@ -110,13 +122,10 @@ class WalkState:
             u, l = complex(pair[0]), complex(pair[1])
             if not (cmath.isfinite(u) and cmath.isfinite(l)):
                 raise ValueError(f"non-finite amplitude at site {site}")
-            if abs(u) < PRUNE_TOLERANCE:
-                u = 0j
-            if abs(l) < PRUNE_TOLERANCE:
-                l = 0j
-            if u != 0j or l != 0j:
-                stored[operator.index(site)] = (u, l)
-        self._sites = stored
+            stored[operator.index(site)] = (u, l)
+        keys = sorted(stored)
+        values = np.array([stored[k] for k in keys], dtype=np.complex128).reshape(-1, 2)
+        self._runs = _runs_from_sorted(np.array(keys, dtype=np.int64), values.T.copy())
         self.order = order
 
     @classmethod
@@ -126,30 +135,44 @@ class WalkState:
         pair = (alpha, beta) if order == L_UPPER else (beta, alpha)
         return cls({0: pair}, order)
 
+    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
+        return _flatten(self._runs, (2,))
+
     def __getitem__(self, site: int) -> tuple[complex, complex]:
-        return self._sites.get(site, (0j, 0j))
+        hit = _run_at(self._runs, site)
+        if hit is None:
+            return (0j, 0j)
+        arr, i = hit
+        return (complex(arr[0, i]), complex(arr[1, i]))
 
     def __len__(self) -> int:
-        return len(self._sites)
+        return sum(int(np.count_nonzero(arr.any(axis=0))) for _, arr in self._runs)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._sites)
+        return iter(self._flat()[0].tolist())
 
-    def items(self):
-        return self._sites.items()
+    def items(self) -> list[tuple[int, tuple[complex, complex]]]:
+        """(site, (upper, lower)) pairs in ascending site order."""
+        sites, (upper, lower) = self._flat()
+        return list(zip(sites.tolist(), zip(upper.tolist(), lower.tolist())))
 
     def support(self) -> set[int]:
-        return set(self._sites)
+        return set(self._flat()[0].tolist())
 
     def norm_sq(self) -> float:
-        return math.fsum(
-            u.real * u.real + u.imag * u.imag + l.real * l.real + l.imag * l.imag
-            for u, l in self._sites.values()
-        )
+        return _runs_norm_sq(self._runs)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v!r}" for k, v in sorted(self._sites.items()))
+        inner = ", ".join(f"{k}: {v!r}" for k, v in self.items())
         return f"WalkState({{{inner}}}, order={self.order!r})"
+
+
+def _walk_from_runs(runs, order: str) -> WalkState:
+    """Internal fast path: wrap runs that are already pruned and sorted."""
+    state = WalkState.__new__(WalkState)
+    state._runs = tuple(runs)
+    state.order = order
+    return state
 
 
 def _as_block(m) -> np.ndarray:
@@ -262,49 +285,26 @@ def walk_step(state: WalkState, blocks: CoinBlocks) -> WalkState:
             f"state is {state.order} but blocks are written {blocks.order}; "
             "reorder explicitly before stepping"
         )
-    p11, p12 = complex(blocks.P[0, 0]), complex(blocks.P[0, 1])
-    p21, p22 = complex(blocks.P[1, 0]), complex(blocks.P[1, 1])
-    q11, q12 = complex(blocks.Q[0, 0]), complex(blocks.Q[0, 1])
-    q21, q22 = complex(blocks.Q[1, 0]), complex(blocks.Q[1, 1])
-    has_stay = blocks.has_stay()
-    if has_stay:
-        t11, t12 = complex(blocks.T[0, 0]), complex(blocks.T[0, 1])
-        t21, t22 = complex(blocks.T[1, 0]), complex(blocks.T[1, 1])
+    # new[k] takes P from old[k + side]; the entry at `site` therefore
+    # lands at site - side through P and at site + side through Q.  Output
+    # index i is site lo - 1 + i, so a move by s lands at offset 1 + s.
     side = blocks.p_side
-
-    acc: dict[int, list[complex]] = {}
-    for site, (u, l) in state.items():
-        # new[k] takes P from old[k + side]; the entry at `site` therefore
-        # lands at site - side through P and at site + side through Q.
-        k = site - side
-        e = acc.get(k)
-        if e is None:
-            acc[k] = [p11 * u + p12 * l, p21 * u + p22 * l]
-        else:
-            e[0] += p11 * u + p12 * l
-            e[1] += p21 * u + p22 * l
-        if has_stay:
-            e = acc.get(site)
-            if e is None:
-                acc[site] = [t11 * u + t12 * l, t21 * u + t22 * l]
-            else:
-                e[0] += t11 * u + t12 * l
-                e[1] += t21 * u + t22 * l
-        k = site + side
-        e = acc.get(k)
-        if e is None:
-            acc[k] = [q11 * u + q12 * l, q21 * u + q22 * l]
-        else:
-            e[0] += q11 * u + q12 * l
-            e[1] += q21 * u + q22 * l
-    return WalkState({k: (v[0], v[1]) for k, v in acc.items()}, state.order)
+    moves = [(blocks.P, 1 - side), (blocks.Q, 1 + side)]
+    if blocks.has_stay():
+        moves.append((blocks.T, 1))
+    runs = []
+    for lo, x in _coalesced(state._runs):
+        width = x.shape[1]
+        out = np.zeros((2, width + 2), dtype=np.complex128)
+        for block, offset in moves:
+            out[:, offset : offset + width] += block @ x
+        run = _pruned(lo - 1, out)
+        if run is not None:
+            runs.append(run)
+    return _walk_from_runs(runs, state.order)
 
 
 def walk_distribution(state: WalkState) -> Distribution:
     """Site masses: squared modulus of the 2-vector at each site."""
-    return Distribution(
-        {
-            k: u.real * u.real + u.imag * u.imag + l.real * l.real + l.imag * l.imag
-            for k, (u, l) in state.items()
-        }
-    )
+    sites, (upper, lower) = state._flat()
+    return _distribution_from_arrays(sites, _sq_modulus(upper) + _sq_modulus(lower))

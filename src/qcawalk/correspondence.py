@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeField
+from .amplitudes import AmplitudeField, _sq_modulus
 from .coined_walks import (
     L_UPPER,
     R_UPPER,
@@ -70,107 +70,93 @@ class CorrespondenceReport:
         return max(self.max_amplitude_error, self.max_probability_error)
 
 
+@dataclass(frozen=True)
+class _Pairing:
+    """How one walk family sits on the lattice.
+
+    Walk site k holds lattice sites 2k + ``upper_offset`` (upper component)
+    and the site after it (lower component).  The paired branch combination
+    starts at sites 0 and ``second_start``.
+    """
+
+    name: str
+    upper_offset: int
+    second_start: int
+    order: str
+
+
+_PAIRINGS = {
+    "A": _Pairing("A-type", upper_offset=-1, second_start=-1, order=R_UPPER),
+    "B": _Pairing("B-type", upper_offset=0, second_start=1, order=L_UPPER),
+}
+
+
 def _check_pairing(
-    walk: WalkState,
-    eta_first: AmplitudeField,
-    eta_second: AmplitudeField,
-    alpha: complex,
-    beta: complex,
-    upper_site,
-    lower_site,
-    site_to_walk,
+    walk: WalkState, eta: AmplitudeField, upper_offset: int
 ) -> tuple[float, float]:
-    """Compare walk amplitudes/masses against the paired combination fields."""
-    ks = set(walk.support())
-    for j in eta_first.support() | eta_second.support():
-        ks.add(site_to_walk(j))
+    """Largest amplitude and mass mismatch between the walk and the paired field."""
+    w_sites, w_vals = walk._flat()
+    e_sites, e_vals = eta._flat()
+    j = e_sites - upper_offset
+    ks = np.union1d(w_sites, j // 2)
+    got = np.zeros((2, ks.size), dtype=np.complex128)
+    want = np.zeros((2, ks.size), dtype=np.complex128)
+    got[:, np.searchsorted(ks, w_sites)] = w_vals
+    want[j % 2, np.searchsorted(ks, j // 2)] = e_vals
+    amp_err = float(np.abs(got - want).max(initial=0.0))
+    prob_err = float(np.abs(_sq_modulus(want) - _sq_modulus(got)).max(initial=0.0))
+    return amp_err, prob_err
+
+
+def _verify_pairing(
+    family: str, params: QcaParams, qubit, n_max: int
+) -> CorrespondenceReport:
+    """Advance the walk and the paired lattice field in lockstep and compare.
+
+    The walk starts from the state the pairing identities dictate at step
+    zero, and the lattice side from the qubit-weighted combination of the
+    two basis fields, which by linearity evolves as their combination.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    spec = _PAIRINGS[family]
+    alpha, beta = normalized_qubit(qubit)
+    blocks = generalized_blocks_from_qca(params, family)
+    eta = AmplitudeField({0: alpha, spec.second_start: beta})
+    walk = WalkState.origin((alpha, beta), spec.order)
+
     amp_err = 0.0
     prob_err = 0.0
-    for k in ks:
-        u, l = walk[k]
-        ju, jl = upper_site(k), lower_site(k)
-        want_u = alpha * eta_first[ju] + beta * eta_second[ju]
-        want_l = alpha * eta_first[jl] + beta * eta_second[jl]
-        amp_err = max(amp_err, abs(u - want_u), abs(l - want_l))
-        prob_err = max(
-            prob_err,
-            abs(abs(want_u) ** 2 - (u.real * u.real + u.imag * u.imag)),
-            abs(abs(want_l) ** 2 - (l.real * l.real + l.imag * l.imag)),
-        )
-    return amp_err, prob_err
+    for n in range(n_max + 1):
+        step_amp, step_prob = _check_pairing(walk, eta, spec.upper_offset)
+        amp_err = max(amp_err, step_amp)
+        prob_err = max(prob_err, step_prob)
+        if n < n_max:
+            eta = qca_step(eta, params)
+            walk = walk_step(walk, blocks)
+    return CorrespondenceReport(amp_err, prob_err, n_max, spec.name)
 
 
 def verify_A_correspondence(
     params: QcaParams, qubit, n_max: int
 ) -> CorrespondenceReport:
-    """Certify the A-family walk against the banded lattice evolution.
-
-    The walk starts from the state the pairing identities dictate at step
-    zero; both sides are then advanced in lockstep and compared at every
-    step up to ``n_max``.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    alpha, beta = normalized_qubit(qubit)
-    blocks = generalized_blocks_from_qca(params, "A")
-    eta0 = AmplitudeField.delta(0)
-    eta_left = AmplitudeField.delta(-1)
-    walk = WalkState.origin((alpha, beta), R_UPPER)
-
-    amp_err = 0.0
-    prob_err = 0.0
-    for n in range(n_max + 1):
-        step_amp, step_prob = _check_pairing(
-            walk,
-            eta0,
-            eta_left,
-            alpha,
-            beta,
-            upper_site=lambda k: 2 * k - 1,
-            lower_site=lambda k: 2 * k,
-            site_to_walk=lambda j: (j + 1) // 2,
-        )
-        amp_err = max(amp_err, step_amp)
-        prob_err = max(prob_err, step_prob)
-        if n < n_max:
-            eta0 = qca_step(eta0, params)
-            eta_left = qca_step(eta_left, params)
-            walk = walk_step(walk, blocks)
-    return CorrespondenceReport(amp_err, prob_err, n_max, "A-type")
+    """Certify the A-family walk against the banded lattice evolution."""
+    return _verify_pairing("A", params, qubit, n_max)
 
 
 def verify_B_correspondence(
     params: QcaParams, qubit, n_max: int
 ) -> CorrespondenceReport:
     """Certify the B-family walk against the banded lattice evolution."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    alpha, beta = normalized_qubit(qubit)
-    blocks = generalized_blocks_from_qca(params, "B")
-    eta0 = AmplitudeField.delta(0)
-    eta_right = AmplitudeField.delta(1)
-    walk = WalkState.origin((alpha, beta), L_UPPER)
+    return _verify_pairing("B", params, qubit, n_max)
 
-    amp_err = 0.0
-    prob_err = 0.0
-    for n in range(n_max + 1):
-        step_amp, step_prob = _check_pairing(
-            walk,
-            eta0,
-            eta_right,
-            alpha,
-            beta,
-            upper_site=lambda k: 2 * k,
-            lower_site=lambda k: 2 * k + 1,
-            site_to_walk=lambda j: j // 2,
-        )
-        amp_err = max(amp_err, step_amp)
-        prob_err = max(prob_err, step_prob)
-        if n < n_max:
-            eta0 = qca_step(eta0, params)
-            eta_right = qca_step(eta_right, params)
-            walk = walk_step(walk, blocks)
-    return CorrespondenceReport(amp_err, prob_err, n_max, "B-type")
+
+def _reduced_phase(name: str, value: float) -> float:
+    """A free phase angle reduced mod 2*pi; non-finite values are rejected."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite angle {name}={v!r}")
+    return v % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -194,8 +180,11 @@ class TwoStepFactors:
         object.__setattr__(self, "Q1", np.asarray(self.Q1, dtype=np.complex128))
         object.__setattr__(self, "P2", np.asarray(self.P2, dtype=np.complex128))
         object.__setattr__(self, "Q2", np.asarray(self.Q2, dtype=np.complex128))
-        object.__setattr__(self, "theta1", float(self.theta1) % TWO_PI)
-        object.__setattr__(self, "theta2", float(self.theta2) % TWO_PI)
+        object.__setattr__(self, "theta1", _reduced_phase("theta1", self.theta1))
+        object.__setattr__(self, "theta2", _reduced_phase("theta2", self.theta2))
+        for name in ("P1", "Q1", "P2", "Q2"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"non-finite entry in half-step block {name}")
         if self.family not in ("A", "B"):
             raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
         for n in (1, 2):
@@ -256,8 +245,8 @@ def two_step_factorize(
     tuple generated by ``angles``, for every choice of the two free phase
     angles.
     """
-    theta1 = float(theta1) % TWO_PI
-    theta2 = float(theta2) % TWO_PI
+    theta1 = _reduced_phase("theta1", theta1)
+    theta2 = _reduced_phase("theta2", theta2)
     u1, u2 = _half_step_coins(angles, theta1, theta2)
     zero_row = np.zeros(2, dtype=np.complex128)
     if family == "A":
@@ -297,10 +286,7 @@ class PatelParams:
 
     def __post_init__(self):
         for name in ("phi1", "phi2"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite angle {name}={v!r}")
-            object.__setattr__(self, name, v % TWO_PI)
+            object.__setattr__(self, name, _reduced_phase(name, getattr(self, name)))
 
 
 def patel_coin(phi: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""One-dimensional QCA: coefficient validation, taxonomy, and exact banded steps.
+"""One-dimensional QCA: coefficient validation, taxonomy, and banded steps.
 
 The single step operator is a band-4 unitary acting on the whole integer
 lattice.  Its row pattern, pinned once here and used everywhere:
@@ -17,11 +17,11 @@ from enum import Enum
 import numpy as np
 
 from .amplitudes import (
-    PRUNE_TOLERANCE,
     AmplitudeField,
     Distribution,
-    _field_from_pruned,
-    superpose,
+    _coalesced,
+    _field_from_runs,
+    _pruned,
     to_distribution,
 )
 
@@ -43,10 +43,6 @@ __all__ = [
 RESIDUAL_TOLERANCE = 1e-12
 ZERO_TOLERANCE = 1e-12
 TWO_PI = 2.0 * math.pi
-
-# Above this support span the dense-window step would allocate too much;
-# fall back to the per-entry scatter.
-_SPAN_LIMIT = 1 << 22
 
 
 def unitarity_residuals(
@@ -187,78 +183,45 @@ def params_from_angles(angles: AngleTriple) -> QcaParams:
 
 
 def qca_step(field: AmplitudeField, params: QcaParams) -> AmplitudeField:
-    """One exact application of the banded step operator."""
-    entries = field._entries
-    if not entries:
-        return field
-    lo = min(entries)
-    hi = max(entries)
-    if hi - lo <= _SPAN_LIMIT:
-        return _step_dense_window(entries, params, lo, hi)
-    return _step_scatter(entries, params)
+    """One application of the banded step operator, run by run.
 
-
-def _step_dense_window(
-    entries: dict[int, complex], params: QcaParams, lo: int, hi: int
-) -> AmplitudeField:
-    """Vectorized step over the bounding window of the support."""
+    Runs that have come within ``_RUN_GAP`` sites of each other are joined
+    first, so outputs of separately stepped runs never overlap.
+    """
     a, b, c, d = params.astuple()
-    base = (lo - 2) & ~1            # even-aligned left edge of the output range
-    last = hi + 2
-    if (last - base) % 2 == 0:      # make [base, last] an integral number of pairs
-        last += 1
-    npairs = (last - base + 1) // 2
+    runs = []
+    for lo, x in _coalesced(field._runs):
+        base = (lo - 2) & ~1            # even-aligned left edge of the output range
+        npairs = (lo + x.size + 3 - base) // 2
+        # buf[j] holds the input amplitude at site base - 1 + j.
+        buf = np.zeros(2 * npairs + 3, dtype=np.complex128)
+        buf[lo - base + 1 : lo - base + 1 + x.size] = x
 
-    # buf[j] holds the input amplitude at site base - 1 + j.
-    buf = np.zeros(last - base + 4, dtype=np.complex128)
-    idx = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
-    val = np.fromiter(entries.values(), dtype=np.complex128, count=len(entries))
-    buf[idx - (base - 1)] = val
+        x1 = buf[0 : 2 * npairs : 2]        # in[2k-1]
+        x2 = buf[1 : 2 * npairs + 1 : 2]    # in[2k]
+        x3 = buf[2 : 2 * npairs + 2 : 2]    # in[2k+1]
+        x4 = buf[3 : 2 * npairs + 3 : 2]    # in[2k+2]
 
-    x1 = buf[0 : 2 * npairs : 2]        # in[2k-1]
-    x2 = buf[1 : 2 * npairs + 1 : 2]    # in[2k]
-    x3 = buf[2 : 2 * npairs + 2 : 2]    # in[2k+1]
-    x4 = buf[3 : 2 * npairs + 3 : 2]    # in[2k+2]
-
-    out = np.empty(2 * npairs, dtype=np.complex128)
-    out[0::2] = a * x1 + b * x2 + c * x3 + d * x4
-    out[1::2] = d * x1 + c * x2 + b * x3 + a * x4
-
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite amplitude produced by step")
-    keep = np.abs(out) >= PRUNE_TOLERANCE
-    sites = (np.nonzero(keep)[0] + base).tolist()
-    values = out[keep].tolist()
-    return _field_from_pruned(dict(zip(sites, values)))
+        out = np.empty(2 * npairs, dtype=np.complex128)
+        out[0::2] = a * x1 + b * x2 + c * x3 + d * x4
+        out[1::2] = d * x1 + c * x2 + b * x3 + a * x4
+        run = _pruned(base, out)
+        if run is not None:
+            runs.append(run)
+    return _field_from_runs(runs)
 
 
-def _step_scatter(entries: dict[int, complex], params: QcaParams) -> AmplitudeField:
-    """Per-entry scatter step; used when the support span is very wide."""
-    a, b, c, d = params.astuple()
-    out: dict[int, complex] = {}
-    get = out.get
-    for j, v in entries.items():
-        if j & 1:
-            out[j - 1] = get(j - 1, 0j) + c * v
-            out[j] = get(j, 0j) + b * v
-            out[j + 1] = get(j + 1, 0j) + a * v
-            out[j + 2] = get(j + 2, 0j) + d * v
-        else:
-            out[j - 2] = get(j - 2, 0j) + d * v
-            out[j - 1] = get(j - 1, 0j) + a * v
-            out[j] = get(j, 0j) + b * v
-            out[j + 1] = get(j + 1, 0j) + c * v
-    return AmplitudeField(out)
+def _evolve(field: AmplitudeField, n: int, params: QcaParams) -> AmplitudeField:
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
+    for _ in range(n):
+        field = qca_step(field, params)
+    return field
 
 
 def evolve_eta(m: int, n: int, params: QcaParams) -> AmplitudeField:
     """State after ``n`` steps from the basis field concentrated at ``m``."""
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
-    field = AmplitudeField.delta(m)
-    for _ in range(n):
-        field = qca_step(field, params)
-    return field
+    return _evolve(AmplitudeField.delta(m), n, params)
 
 
 def normalized_qubit(qubit) -> tuple[complex, complex]:
@@ -279,11 +242,13 @@ def qca_distribution(
     """Site masses of the combination of two neighbouring basis evolutions.
 
     ``sign`` selects whether the second branch starts at ``m + 1`` or
-    ``m - 1``; the combination weights are the qubit amplitudes.
+    ``m - 1``; the combination weights are the qubit amplitudes.  The
+    combined start field is evolved once.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     alpha, beta = normalized_qubit(qubit)
-    eta_m = evolve_eta(m, n, params)
-    eta_pm = evolve_eta(m + (1 if sign == "+" else -1), n, params)
-    return to_distribution(superpose(eta_m, eta_pm, alpha, beta))
+    second = m + (1 if sign == "+" else -1)
+    # By linearity this is the combination of the two basis evolutions.
+    start = AmplitudeField({m: alpha, second: beta})
+    return to_distribution(_evolve(start, n, params))

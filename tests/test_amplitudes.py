@@ -150,3 +150,57 @@ def test_distribution_drops_zero_mass():
 
 def test_prune_tolerance_well_below_mass_tolerance():
     assert PRUNE_TOLERANCE < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Array-backed storage keeps the mapping API
+# ---------------------------------------------------------------------------
+
+def test_construction_prunes_dust_inside_and_at_the_ends_of_runs():
+    field = AmplitudeField({-3: 1e-16, 0: 0.6, 1: 5e-16, 2: 0.8j, 9: 1e-17})
+    assert support(field) == {0, 2}
+    assert len(field) == 2
+    assert field[1] == 0j and 1 not in field
+    assert field[-3] == 0j and field[9] == 0j
+
+
+def test_iteration_and_items_are_ascending():
+    entries = {50: 0.5, -7: 0.5j, 3: -0.5, 400: 0.5}
+    field = AmplitudeField(entries)
+    assert list(field) == [-7, 3, 50, 400]
+    assert field.items() == sorted(entries.items())
+    assert all(isinstance(k, int) and isinstance(v, complex) for k, v in field.items())
+
+
+def test_len_counts_support_not_span():
+    field = AmplitudeField({0: 1.0, 10: 1.0, 1_000_000: 1.0})
+    assert len(field) == 3
+    assert len(AmplitudeField()) == 0
+
+
+def test_equality_ignores_construction_order_and_pruned_dust():
+    f = AmplitudeField({0: 0.6, 1: 0.8j})
+    g = AmplitudeField([(1, 0.8j), (5, 1e-17), (0, 0.6)])
+    assert f == g
+    assert f != AmplitudeField({0: 0.6, 1: 0.8})
+    assert f != f.shifted(2)
+    assert AmplitudeField() == AmplitudeField({3: 0.0})
+
+
+def test_shifted_keeps_far_apart_entries():
+    field = AmplitudeField({-1: 1j, 5_000_000: 0.5})
+    moved = field.shifted(-4)
+    assert moved.items() == [(-5, 1j), (4_999_996, 0.5)]
+    assert field.items() == [(-1, 1j), (5_000_000, 0.5)]
+
+
+def test_repr_lists_entries_in_site_order():
+    field = AmplitudeField({2: 0.5, -1: 1j})
+    assert repr(field) == "AmplitudeField({-1: 1j, 2: (0.5+0j)})"
+    assert repr(AmplitudeField()) == "AmplitudeField({})"
+
+
+def test_getitem_returns_python_complex():
+    field = AmplitudeField.delta(3, 0.25j)
+    assert type(field[3]) is complex and field[3] == 0.25j
+    assert type(field[4]) is complex and field[4] == 0j

@@ -189,3 +189,41 @@ def test_help_lists_all_commands():
 def test_verify_two_step_requires_angles():
     result = run_cli("verify", "--kind", "two-step")
     assert result.returncode == 2
+
+
+def run_inprocess(capsys, *args):
+    from qcawalk.cli import main
+
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+REFERENCE = ("--theta", "pi/4", "--phi", "pi/4", "--delta", "pi/2")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("simulate-qw", *REFERENCE, "--steps", "-5"),
+        ("verify", "--kind", "two-step", *REFERENCE, "--theta1", "nan"),
+        ("factorize", "--kind", "two-step", *REFERENCE, "--theta2", "inf"),
+        ("limit-compare", "--steps", "20", "--tolerance", "nan"),
+        ("limit-compare", "--steps", "20", "--tolerance", "inf"),
+        ("limit-compare", "--steps", "20", "--tolerance", "-0.1"),
+    ],
+)
+def test_invalid_inputs_exit_two(capsys, args):
+    code, out, err = run_inprocess(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_out_to_unwritable_path_exits_two(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.csv"
+    code, out, err = run_inprocess(capsys, "classify", *REFERENCE, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()

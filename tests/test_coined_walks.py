@@ -250,3 +250,44 @@ def test_balanced_coin_symmetric_distribution():
     dist = walk_distribution(state)
     for k in dist.support():
         assert dist[k] == pytest.approx(dist[-k], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Array-backed walk states keep the mapping API
+# ---------------------------------------------------------------------------
+
+def test_walk_state_prunes_each_component():
+    state = WalkState({0: (0.6, 1e-16), 1: (1e-17, 0.0), 2: (0.0, 0.8j)}, L_UPPER)
+    assert state.support() == {0, 2}
+    assert len(state) == 2
+    assert state[0] == (0.6, 0j)
+    assert state[1] == (0j, 0j)
+
+
+def test_walk_state_iterates_in_ascending_order():
+    state = WalkState({7: (0.6, 0.0), -3: (0.0, 0.8), 2_000_000: (0.0, 0.0)}, R_UPPER)
+    assert list(state) == [-3, 7]
+    assert state.items() == [(-3, (0j, 0.8 + 0j)), (7, (0.6 + 0j, 0j))]
+    assert repr(state) == "WalkState({-3: (0j, (0.8+0j)), 7: ((0.6+0j), 0j)}, order='R-upper')"
+
+
+def test_walk_step_prunes_dust_it_produces():
+    blocks = generalized_blocks_from_qca(PATEL, "B")
+    state = WalkState({0: (0.6, 0.0), 10: (1.5e-15, 0.0), 20: (0.8, 0.0)}, L_UPPER)
+    assert walk_step(state, blocks).support() == {-1, 0, 19, 20}
+    assert len(walk_step(state, blocks)) == 4
+    assert len(walk_step(WalkState({5: (1.5e-15, 0.0)}, L_UPPER), blocks)) == 0
+
+
+def test_walk_step_keeps_far_apart_walkers_separate():
+    blocks = generalized_blocks_from_qca(PATEL, "B")
+    far = 3_000_000
+    state = WalkState({0: (INV_SQRT2, 0.0), far: (INV_SQRT2, 0.0)}, L_UPPER)
+    near = WalkState({0: (INV_SQRT2, 0.0)}, L_UPPER)
+    for _ in range(3):
+        state = walk_step(state, blocks)
+        near = walk_step(near, blocks)
+    assert len(state) == 2 * len(near)
+    for k in near:
+        assert state[k] == near[k]
+        assert state[k + far] == near[k]

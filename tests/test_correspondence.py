@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qcawalk.amplitudes import AmplitudeField, max_difference, norm_sq
+from qcawalk.amplitudes import AmplitudeField, max_difference, norm_sq, superpose
 from qcawalk.coined_walks import (
     L_UPPER,
     R_UPPER,
@@ -95,6 +95,26 @@ def test_pairings_hold_for_confined_tuples():
     type_i = QcaParams(0.0, -1j * INV_SQRT2, INV_SQRT2, 0.0)
     assert verify_A_correspondence(type_i, SYMMETRIC, 20).max_error() <= 1e-12
     assert verify_B_correspondence(type_i, SYMMETRIC, 20).max_error() <= 1e-12
+
+
+@pytest.mark.parametrize("upper_offset,order", [(-1, R_UPPER), (0, L_UPPER)])
+def test_pairing_check_measures_each_mismatch(upper_offset, order):
+    from qcawalk.correspondence import _check_pairing
+
+    # walk site k holds lattice sites 2k + upper_offset and 2k + upper_offset + 1
+    eta = AmplitudeField({upper_offset: 0.6, upper_offset + 1: 0.8j, 6 + upper_offset: 0.1})
+    walk = WalkState({0: (0.6, 0.8j), 3: (0.1, 0.0)}, order)
+    assert _check_pairing(walk, eta, upper_offset) == (0.0, 0.0)
+
+    off = WalkState({0: (0.6, 0.8j + 0.25), 3: (0.1, 0.0)}, order)
+    amp, prob = _check_pairing(off, eta, upper_offset)
+    assert amp == pytest.approx(0.25)
+    assert prob == pytest.approx(abs(0.8j + 0.25) ** 2 - 0.64)
+
+    far = superpose(eta, AmplitudeField.delta(41 + upper_offset), 1.0, 0.3)
+    assert _check_pairing(walk, far, upper_offset)[0] == pytest.approx(0.3)
+    moved = WalkState({0: (0.6, 0.8j), 4: (0.1, 0.0)}, order)
+    assert _check_pairing(moved, eta, upper_offset)[0] == pytest.approx(0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Coefficient validation, taxonomy, and the banded step against a dense oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,16 +203,35 @@ def test_step_matches_dense_oracle():
         assert np.abs(got - expected).max() <= 1e-12
 
 
-def test_scatter_and_window_paths_agree():
-    from qcawalk.qca_core import _step_dense_window, _step_scatter
-
+def test_separate_runs_merge_as_they_grow_into_each_other():
     rng = np.random.default_rng(29)
     params = params_from_angles(AngleTriple(*rng.uniform(0.0, 2.0 * math.pi, 3)))
-    field = random_unit_field(rng)
-    entries = dict(field.items())
-    a = _step_dense_window(entries, params, min(entries), max(entries))
-    b = _step_scatter(entries, params)
-    assert max_difference(a, b) <= 1e-15
+    field = AmplitudeField({0: 0.6, 40: 0.8j})
+    assert len(field._runs) == 2
+    lo, hi = -60, 100
+    dense = dense_qca_matrix(*params.astuple(), lo, hi)
+    vec = field_to_vector(field, lo, hi)
+    runs_seen = set()
+    for _ in range(15):
+        field = qca_step(field, params)
+        vec = dense @ vec
+        runs_seen.add(len(field._runs))
+        assert np.abs(field_to_vector(field, lo, hi) - vec).max() <= 1e-12
+        assert support(field) == {lo + i for i in np.flatnonzero(np.abs(vec) >= 1e-15)}
+    assert runs_seen == {1, 2}
+    assert len(field._runs) == 1
+
+
+def test_wide_support_step_allocates_nothing_across_the_gap():
+    far = 5_000_000
+    field = AmplitudeField({0: INV_SQRT2, far: INV_SQRT2})
+    tracemalloc.start()
+    try:
+        qca_step(field, PATEL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_step_handles_very_wide_supports():
@@ -223,6 +243,15 @@ def test_step_handles_very_wide_supports():
     for s in support(near):
         assert out[s] == pytest.approx(near[s])
         assert out[s + far] == pytest.approx(near[s])
+
+
+def test_step_prunes_dust_it_produces():
+    # every coefficient of PATEL has modulus 1/2, so 1.5e-15 maps to 7.5e-16
+    dust = AmplitudeField({0: 0.6, 9: 1.5e-15, 20: 0.8})
+    out = qca_step(dust, PATEL)
+    assert out == qca_step(AmplitudeField({0: 0.6, 20: 0.8}), PATEL)
+    assert len(out) == 8
+    assert len(qca_step(AmplitudeField.delta(9, 1.5e-15), PATEL)) == 0
 
 
 def test_step_preserves_norm():
