@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from scipy.integrate import quad
-
 from .amplitudes import Distribution
 from .qca_core import QcaParams, qca_distribution
 
@@ -22,7 +20,6 @@ __all__ = [
 ]
 
 SQRT_2 = math.sqrt(2.0)
-_HALF_PI = math.pi / 2.0
 
 
 def limit_density(x: float) -> float:
@@ -32,24 +29,17 @@ def limit_density(x: float) -> float:
     return 4.0 / (math.pi * (4.0 - x * x) * math.sqrt(4.0 - 2.0 * x * x))
 
 
-def _cdf_integrand(u: float) -> float:
-    # After x = sqrt(2)*sin(u) the inverse-square-root endpoint singularities
-    # disappear and the integrand is smooth on [-pi/2, pi/2].
-    s = math.sin(u)
-    return SQRT_2 / (math.pi * (2.0 - s * s))
-
-
 def limit_cdf(x: float) -> float:
-    """Cumulative mass of the limit density up to ``x``, via quadrature."""
-    y = x / SQRT_2
-    if y <= -1.0:
-        y = -1.0
-    elif y >= 1.0:
-        y = 1.0
-    upper = math.asin(y)
-    value, _ = quad(_cdf_integrand, -_HALF_PI, upper, epsabs=1e-12, epsrel=1e-12)
-    # quadrature round-off may overshoot the CDF bounds by ~1e-16
-    return min(max(value, 0.0), 1.0)
+    """Cumulative mass of the limit density up to ``x``.
+
+    Closed form of the integral of :func:`limit_density`:
+    ``1/2 + atan(x / sqrt(4 - 2x^2)) / pi`` on (-sqrt(2), sqrt(2)).
+    """
+    if x <= -SQRT_2:
+        return 0.0
+    if x >= SQRT_2:
+        return 1.0
+    return 0.5 + math.atan(x / math.sqrt(4.0 - 2.0 * x * x)) / math.pi
 
 
 @dataclass(frozen=True)

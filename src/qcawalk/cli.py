@@ -39,6 +39,9 @@ from .qca_core import (
 
 VERIFY_TOLERANCE = 1e-12
 
+# limit-compare's default: the point where the closed-form limit law holds
+_REFERENCE_ANGLES = AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2)
+
 _PI_PATTERN = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi"
     r"(?:\s*/\s*(?P<den>\d+(?:\.\d*)?|\.\d+))?$"
@@ -122,7 +125,9 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_params(args) -> tuple[QcaParams, AngleTriple | None]:
+def _resolve_params(
+    args, default: AngleTriple | None = None
+) -> tuple[QcaParams, AngleTriple | None]:
     angle_flags = [args.theta, args.phi, args.delta]
     has_angles = any(v is not None for v in angle_flags)
     has_raw = getattr(args, "params", None) is not None
@@ -140,9 +145,8 @@ def _resolve_params(args) -> tuple[QcaParams, AngleTriple | None]:
             raise UsageError("--theta, --phi and --delta must be given together")
         angles = AngleTriple(args.theta, args.phi, args.delta)
         return params_from_angles(angles), angles
-    if getattr(args, "default_reference", False):
-        angles = AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2)
-        return params_from_angles(angles), angles
+    if default is not None:
+        return params_from_angles(default), default
     raise UsageError("parameters required: --theta/--phi/--delta or --params")
 
 
@@ -336,8 +340,7 @@ def _cmd_factorize(args) -> tuple[int, dict]:
 def _cmd_limit_compare(args) -> tuple[int, dict]:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise UsageError(f"--tolerance must be finite and nonnegative, got {args.tolerance!r}")
-    args.default_reference = True
-    params, angles = _resolve_params(args)
+    params, angles = _resolve_params(args, default=_REFERENCE_ANGLES)
     qubit = _resolve_qubit(args)
     sample = rescaled_qca_sample(params, qubit, args.steps)
     distance = kolmogorov_distance(sample)

@@ -120,7 +120,10 @@ def test_criterion_04_dense_oracle_equivalence():
         scale = math.sqrt(sum(abs(z) ** 2 for z in entries.values()))
         field = AmplitudeField({k: z / scale for k, z in entries.items()})
         dense = dense_qca_matrix(*params.astuple(), lo, hi)
-        expected = dense @ field_to_vector(field, lo, hi)
+        # broadcast product, not `dense @ vec`: multithreaded BLAS mat-vecs
+        # can stall for hundreds of milliseconds on a busy 2-vCPU machine,
+        # which the wall-clock bound below would count against the kernel
+        expected = (dense * field_to_vector(field, lo, hi)).sum(axis=1)
         got = field_to_vector(qca_step(field, params), lo, hi)
         worst = max(worst, float(np.abs(got - expected).max()))
     elapsed = time.perf_counter() - start

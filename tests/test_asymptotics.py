@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,13 +23,29 @@ PATEL = params_from_angles(AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2))
 SYMMETRIC = (INV_SQRT2, INV_SQRT2)
 
 
-def closed_form_cdf(x):
-    """Antiderivative in closed form; independent check on the quadrature."""
-    if x <= -SQRT_2:
-        return 0.0
-    if x >= SQRT_2:
-        return 1.0
-    return 0.5 + math.atan(x / math.sqrt(4.0 - 2.0 * x * x)) / math.pi
+def quadrature_cdf(xs):
+    """CDF at ascending points by 30-digit mpmath quadrature of the density.
+
+    Independent of the closed form in ``limit_cdf``: each step integrates the
+    density formula from the previous point, starting at -sqrt(2).
+    """
+    values = []
+    with mpmath.workdps(30):
+        root2 = mpmath.sqrt(2)
+
+        def density(u):
+            # abs(): quadrature nodes within ~1e-30 of an endpoint can round
+            # 4 - 2u^2 below zero; their weight is negligible
+            return 4 / (mpmath.pi * (4 - u * u) * mpmath.sqrt(abs(4 - 2 * u * u)))
+
+        left, total = -root2, mpmath.mpf(0)
+        for x in xs:
+            upper = min(max(mpmath.mpf(x), -root2), root2)
+            if upper > left:
+                total += mpmath.quad(density, [left, upper])
+                left = upper
+            values.append(float(total))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +83,26 @@ def test_cdf_endpoints():
 
 
 def test_cdf_matches_closed_form():
-    for x in np.linspace(-SQRT_2, SQRT_2, 101):
-        assert abs(limit_cdf(float(x)) - closed_form_cdf(float(x))) <= 1e-9
+    # the closed form against high-precision quadrature of the density
+    xs = [float(x) for x in np.linspace(-SQRT_2, SQRT_2, 101)]
+    for x, expected in zip(xs, quadrature_cdf(xs)):
+        assert abs(limit_cdf(x) - expected) <= 1e-13
+
+
+def test_cdf_derivative_is_density():
+    h = 1e-5
+    for x in np.linspace(-1.3, 1.3, 53):
+        x = float(x)
+        slope = (limit_cdf(x + h) - limit_cdf(x - h)) / (2.0 * h)
+        assert abs(slope - limit_density(x)) <= 1e-7 * limit_density(x)
+
+
+def test_cdf_finite_next_to_support_edges():
+    # 4 - 2x^2 is about 8.9e-16 one ulp inside either edge
+    for edge in (SQRT_2, -SQRT_2):
+        value = limit_cdf(math.nextafter(edge, 0.0))
+        assert math.isfinite(value)
+        assert 0.0 <= value <= 1.0
 
 
 def test_cdf_reflection_identity():
@@ -137,7 +172,7 @@ def test_distance_of_fine_discretization_is_small():
     xs = np.linspace(-SQRT_2, SQRT_2, cells + 1)
     points = []
     for left, right in zip(xs[:-1], xs[1:]):
-        mass = closed_form_cdf(float(right)) - closed_form_cdf(float(left))
+        mass = limit_cdf(float(right)) - limit_cdf(float(left))
         points.append((float(right), mass))
     total = math.fsum(m for _, m in points)
     points = [(x, m / total) for x, m in points]

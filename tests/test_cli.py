@@ -227,3 +227,19 @@ def test_out_to_unwritable_path_exits_two(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert not target.exists()
+
+
+def test_import_and_limit_compare_load_no_scipy():
+    # importing scipy would dominate the cold start of every CLI call
+    probe = (
+        "import sys, qcawalk, qcawalk.cli\n"
+        "code = qcawalk.cli.main(['limit-compare', '--steps', '20', '--tolerance', '1'])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print('scipy-modules:', loaded)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "scipy-modules: []"
