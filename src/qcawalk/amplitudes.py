@@ -284,7 +284,9 @@ def support(field: AmplitudeField) -> set[int]:
 def _on_union(f: AmplitudeField, g: AmplitudeField):
     """Union of both supports, and each field's values on it (zeros elsewhere)."""
     (fs, fv), (gs, gv) = f._flat(), g._flat()
-    sites = np.union1d(fs, gs)
+    # sorted union without np.union1d, whose first call imports numpy.ma (~15 ms)
+    both = np.sort(np.concatenate((fs, gs)))
+    sites = both[np.diff(both, prepend=both[:1] - 1) != 0]
     on_f = np.zeros(sites.size, np.complex128)
     on_g = np.zeros(sites.size, np.complex128)
     on_f[np.searchsorted(sites, fs)] = fv

@@ -29,6 +29,7 @@ from .correspondence import (
     verify_two_step,
 )
 from .qca_core import (
+    TWO_PI,
     AngleTriple,
     QcaParams,
     classify,
@@ -63,6 +64,8 @@ def parse_angle(text: str) -> float:
         if m.group("sign") == "-":
             coef = -coef
         den = float(m.group("den")) if m.group("den") else 1.0
+        if den == 0.0:
+            raise argparse.ArgumentTypeError(f"zero denominator in angle {text!r}")
         return coef * math.pi / den
     try:
         return float(s)
@@ -159,6 +162,30 @@ def _resolve_qubit(args) -> tuple[complex, complex]:
     raise UsageError("--qubit takes 2 real values or 4 re/im values")
 
 
+def _two_step_angles(args) -> AngleTriple:
+    _, angles = _resolve_params(args)
+    if angles is None:
+        raise UsageError("two-step factorization needs --theta/--phi/--delta, not --params")
+    return angles
+
+
+def _angles_payload(angles: AngleTriple) -> dict:
+    return {"theta": angles.theta, "phi": angles.phi, "delta": angles.delta}
+
+
+def _qubit_payload(qubit: tuple[complex, complex]) -> dict:
+    return {"alpha": _cnum(qubit[0]), "beta": _cnum(qubit[1])}
+
+
+def _two_step_payload(args, angles: AngleTriple) -> dict:
+    return {
+        "angles": _angles_payload(angles),
+        "theta1": args.theta1 % TWO_PI,
+        "theta2": args.theta2 % TWO_PI,
+        "family": args.family,
+    }
+
+
 def _params_payload(params: QcaParams, angles: AngleTriple | None) -> dict:
     payload = {
         "a": _cnum(params.a),
@@ -167,11 +194,7 @@ def _params_payload(params: QcaParams, angles: AngleTriple | None) -> dict:
         "d": _cnum(params.d),
     }
     if angles is not None:
-        payload["angles"] = {
-            "theta": angles.theta,
-            "phi": angles.phi,
-            "delta": angles.delta,
-        }
+        payload["angles"] = _angles_payload(angles)
     return payload
 
 
@@ -201,7 +224,7 @@ def _cmd_simulate_qca(args) -> tuple[int, dict]:
         "command": "simulate-qca",
         "params": {
             **_params_payload(params, angles),
-            "qubit": {"alpha": _cnum(qubit[0]), "beta": _cnum(qubit[1])},
+            "qubit": _qubit_payload(qubit),
             "sign": args.sign,
             "steps": args.steps,
         },
@@ -225,7 +248,7 @@ def _cmd_simulate_qw(args) -> tuple[int, dict]:
         "command": "simulate-qw",
         "params": {
             **_params_payload(params, angles),
-            "qubit": {"alpha": _cnum(qubit[0]), "beta": _cnum(qubit[1])},
+            "qubit": _qubit_payload(qubit),
             "family": args.family,
             "steps": args.steps,
         },
@@ -245,21 +268,13 @@ def _cmd_verify(args) -> tuple[int, dict]:
         report = check(params, qubit, args.steps)
         params_payload = {
             **_params_payload(params, angles),
-            "qubit": {"alpha": _cnum(qubit[0]), "beta": _cnum(qubit[1])},
+            "qubit": _qubit_payload(qubit),
             "steps": args.steps,
         }
     elif kind == "two-step":
-        angle_flags = [args.theta, args.phi, args.delta]
-        if not all(v is not None for v in angle_flags):
-            raise UsageError("two-step verification needs --theta/--phi/--delta")
-        angles = AngleTriple(args.theta, args.phi, args.delta)
+        angles = _two_step_angles(args)
         report = verify_two_step(angles, args.theta1, args.theta2, args.family)
-        params_payload = {
-            "angles": {"theta": angles.theta, "phi": angles.phi, "delta": angles.delta},
-            "theta1": args.theta1 % (2 * math.pi),
-            "theta2": args.theta2 % (2 * math.pi),
-            "family": args.family,
-        }
+        params_payload = _two_step_payload(args, angles)
     elif kind == "patel":
         pp = PatelParams(args.phi1, args.phi2)
         extracted, report = patel_factorize(pp)
@@ -289,25 +304,12 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 def _cmd_factorize(args) -> tuple[int, dict]:
     if args.kind == "two-step":
-        angle_flags = [args.theta, args.phi, args.delta]
-        if not all(v is not None for v in angle_flags):
-            raise UsageError("two-step factorization needs --theta/--phi/--delta")
-        angles = AngleTriple(args.theta, args.phi, args.delta)
+        angles = _two_step_angles(args)
         factors = two_step_factorize(angles, args.theta1, args.theta2, args.family)
         report = verify_two_step(angles, args.theta1, args.theta2, args.family)
         envelope = {
             "command": "factorize",
-            "params": {
-                "kind": "two-step",
-                "angles": {
-                    "theta": angles.theta,
-                    "phi": angles.phi,
-                    "delta": angles.delta,
-                },
-                "theta1": factors.theta1,
-                "theta2": factors.theta2,
-                "family": factors.family,
-            },
+            "params": {"kind": "two-step", **_two_step_payload(args, angles)},
             "result": {
                 "P1": _cmatrix(factors.P1),
                 "Q1": _cmatrix(factors.Q1),
@@ -349,7 +351,7 @@ def _cmd_limit_compare(args) -> tuple[int, dict]:
         "command": "limit-compare",
         "params": {
             **_params_payload(params, angles),
-            "qubit": {"alpha": _cnum(qubit[0]), "beta": _cnum(qubit[1])},
+            "qubit": _qubit_payload(qubit),
             "steps": args.steps,
             "tolerance": args.tolerance,
         },
@@ -382,6 +384,21 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         metavar=("A_RE", "A_IM", "B_RE", "B_IM", "C_RE", "C_IM", "D_RE", "D_IM"),
         help="raw coefficient tuple as re/im pairs; validated for unitarity",
     )
+
+
+def _add_factor_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--family", choices=("A", "B"), default="A",
+        help="family for two-step factors (default: A)",
+    )
+    parser.add_argument("--theta1", type=parse_angle, default=0.0,
+                        help="first free phase for two-step (default: 0)")
+    parser.add_argument("--theta2", type=parse_angle, default=0.0,
+                        help="second free phase for two-step (default: 0)")
+    parser.add_argument("--phi1", type=parse_angle, default=math.pi / 4,
+                        help="even half-step angle for patel (default: pi/4)")
+    parser.add_argument("--phi2", type=parse_angle, default=math.pi / 4,
+                        help="odd half-step angle for patel (default: pi/4)")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -447,18 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     _add_qubit_flag(p, default=(0.7071067811865476, 0.7071067811865476))
     p.add_argument("--steps", type=int, default=50, help="steps to check (default: 50)")
-    p.add_argument(
-        "--family", choices=("A", "B"), default="A",
-        help="family for two-step verification (default: A)",
-    )
-    p.add_argument("--theta1", type=parse_angle, default=0.0,
-                   help="first free phase for two-step (default: 0)")
-    p.add_argument("--theta2", type=parse_angle, default=0.0,
-                   help="second free phase for two-step (default: 0)")
-    p.add_argument("--phi1", type=parse_angle, default=math.pi / 4,
-                   help="even half-step angle for patel (default: pi/4)")
-    p.add_argument("--phi2", type=parse_angle, default=math.pi / 4,
-                   help="odd half-step angle for patel (default: pi/4)")
+    _add_factor_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_verify)
 
@@ -468,18 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which factorization (default: two-step)",
     )
     _add_param_flags(p)
-    p.add_argument(
-        "--family", choices=("A", "B"), default="A",
-        help="family for two-step factors (default: A)",
-    )
-    p.add_argument("--theta1", type=parse_angle, default=0.0,
-                   help="first free phase (default: 0)")
-    p.add_argument("--theta2", type=parse_angle, default=0.0,
-                   help="second free phase (default: 0)")
-    p.add_argument("--phi1", type=parse_angle, default=math.pi / 4,
-                   help="even half-step angle (default: pi/4)")
-    p.add_argument("--phi2", type=parse_angle, default=math.pi / 4,
-                   help="odd half-step angle (default: pi/4)")
+    _add_factor_flags(p)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_factorize)
 

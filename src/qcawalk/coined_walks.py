@@ -197,13 +197,10 @@ class CoinBlocks:
     P: np.ndarray
     T: np.ndarray
     Q: np.ndarray
-    family: str
     p_side: int = 1
     order: str = L_UPPER
 
     def __post_init__(self):
-        if self.family not in ("A", "B"):
-            raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
         if self.p_side not in (1, -1):
             raise ValueError(f"p_side must be +1 or -1, got {self.p_side!r}")
         if self.order not in _ORDERS:
@@ -238,23 +235,31 @@ class CoinBlocks:
         return bool(np.any(self.T != 0))
 
 
+def _split_coin(u: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """Move blocks P, Q with P + Q = u: family A keeps rows, family B columns.
+
+    The blocks are filled by slicing into zeros: a product with a 0/1 mask
+    could turn a zero entry into -0.0, which the JSON output would show.
+    """
+    p = np.zeros((2, 2), dtype=np.complex128)
+    q = np.zeros((2, 2), dtype=np.complex128)
+    if family == "A":
+        p[0], q[1] = u[0], u[1]
+    elif family == "B":
+        p[:, 0], q[:, 1] = u[:, 0], u[:, 1]
+    else:
+        raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    return p, q
+
+
 def plain_blocks(coin: CoinMatrix, family: str) -> CoinBlocks:
     """Split a coin into move blocks with no stay amplitude.
 
     Family A keeps rows of the coin; family B keeps columns.  Either way
     P + Q reassembles the coin exactly.
     """
-    u = coin.matrix
-    zero = np.zeros((2, 2), dtype=np.complex128)
-    if family == "A":
-        p = np.array([[u[0, 0], u[0, 1]], [0, 0]], dtype=np.complex128)
-        q = np.array([[0, 0], [u[1, 0], u[1, 1]]], dtype=np.complex128)
-    elif family == "B":
-        p = np.array([[u[0, 0], 0], [u[1, 0], 0]], dtype=np.complex128)
-        q = np.array([[0, u[0, 1]], [0, u[1, 1]]], dtype=np.complex128)
-    else:
-        raise ValueError(f"family must be 'A' or 'B', got {family!r}")
-    return CoinBlocks(p, zero, q, family=family, p_side=1, order=L_UPPER)
+    p, q = _split_coin(coin.matrix, family)
+    return CoinBlocks(p, np.zeros((2, 2), dtype=np.complex128), q, p_side=1, order=L_UPPER)
 
 
 def generalized_blocks_from_qca(params: QcaParams, family: str) -> CoinBlocks:
@@ -269,12 +274,12 @@ def generalized_blocks_from_qca(params: QcaParams, family: str) -> CoinBlocks:
         p = np.array([[d, c], [0, 0]], dtype=np.complex128)
         t = np.array([[b, a], [a, b]], dtype=np.complex128)
         q = np.array([[0, 0], [c, d]], dtype=np.complex128)
-        return CoinBlocks(p, t, q, family="A", p_side=-1, order=R_UPPER)
+        return CoinBlocks(p, t, q, p_side=-1, order=R_UPPER)
     if family == "B":
         p = np.array([[d, 0], [a, 0]], dtype=np.complex128)
         t = np.array([[b, c], [c, b]], dtype=np.complex128)
         q = np.array([[0, a], [0, d]], dtype=np.complex128)
-        return CoinBlocks(p, t, q, family="B", p_side=1, order=L_UPPER)
+        return CoinBlocks(p, t, q, p_side=1, order=L_UPPER)
     raise ValueError(f"family must be 'A' or 'B', got {family!r}")
 
 

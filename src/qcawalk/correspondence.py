@@ -19,12 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeField, _sq_modulus
+from .amplitudes import AmplitudeField, _sq_modulus, max_difference
 from .coined_walks import (
     L_UPPER,
     R_UPPER,
     CoinBlocks,
     WalkState,
+    _split_coin,
     generalized_blocks_from_qca,
     walk_step,
 )
@@ -206,7 +207,7 @@ class TwoStepFactors:
         q = self.Q1 if n == 1 else self.Q2
         order = R_UPPER if self.family == "A" else L_UPPER
         zero = np.zeros((2, 2), dtype=np.complex128)
-        return CoinBlocks(p, zero, q, family=self.family, p_side=1, order=order)
+        return CoinBlocks(p, zero, q, p_side=1, order=order)
 
 
 def _half_step_coins(
@@ -248,19 +249,8 @@ def two_step_factorize(
     theta1 = _reduced_phase("theta1", theta1)
     theta2 = _reduced_phase("theta2", theta2)
     u1, u2 = _half_step_coins(angles, theta1, theta2)
-    zero_row = np.zeros(2, dtype=np.complex128)
-    if family == "A":
-        p1 = np.vstack([u1[0], zero_row])
-        q1 = np.vstack([zero_row, u1[1]])
-        p2 = np.vstack([u2[0], zero_row])
-        q2 = np.vstack([zero_row, u2[1]])
-    elif family == "B":
-        p1 = np.column_stack([u1[:, 0], zero_row])
-        q1 = np.column_stack([zero_row, u1[:, 1]])
-        p2 = np.column_stack([u2[:, 0], zero_row])
-        q2 = np.column_stack([zero_row, u2[:, 1]])
-    else:
-        raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    p1, q1 = _split_coin(u1, family)
+    p2, q2 = _split_coin(u2, family)
     return TwoStepFactors(p1, q1, p2, q2, theta1, theta2, family)
 
 
@@ -295,79 +285,30 @@ def patel_coin(phi: float) -> np.ndarray:
     return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
 
 
-def _pair_apply(
-    field: AmplitudeField, phi: float, top_of_pair
-) -> AmplitudeField:
-    """Apply the pair coin across disjoint 2-site blocks of the lattice."""
-    c, isn = math.cos(phi), 1j * math.sin(phi)
-    tops = sorted({top_of_pair(j) for j in field.support()})
-    out: dict[int, complex] = {}
-    for t in tops:
-        zt = field[t]
-        zb = field[t + 1]
-        out[t] = c * zt + isn * zb
-        out[t + 1] = isn * zt + c * zb
-    return AmplitudeField(out)
-
-
 def patel_even_step(field: AmplitudeField, phi1: float) -> AmplitudeField:
-    """Half step acting on pairs (2k, 2k+1)."""
-    return _pair_apply(field, phi1, lambda j: j & ~1)
+    """Half step acting on pairs (2k, 2k+1): the Type I step (0, cos, i sin, 0)."""
+    return qca_step(field, QcaParams(0.0, math.cos(phi1), 1j * math.sin(phi1), 0.0))
 
 
 def patel_odd_step(field: AmplitudeField, phi2: float) -> AmplitudeField:
-    """Half step acting on pairs (2k-1, 2k)."""
-    return _pair_apply(field, phi2, lambda j: (j - 1) | 1)
-
-
-def _pair_diagonal_window(phi: float, top_parity: int, w: int) -> np.ndarray:
-    """Dense window of the block-diagonal half step on sites [-w, w]."""
-    n = 2 * w + 1
-    m = np.zeros((n, n), dtype=np.complex128)
-    u = patel_coin(phi)
-    start = -w if (-w) % 2 == top_parity else -w + 1
-    for top in range(start, w, 2):
-        i = top + w
-        m[i : i + 2, i : i + 2] = u
-    return m
-
-
-def _banded_window(a: complex, b: complex, c: complex, d: complex, w: int) -> np.ndarray:
-    """Dense window of the full banded step on sites [-w, w]."""
-    n = 2 * w + 1
-    m = np.zeros((n, n), dtype=np.complex128)
-    for row in range(-w, w + 1):
-        if row % 2 == 0:
-            k = row // 2
-            coeffs = ((2 * k - 1, a), (2 * k, b), (2 * k + 1, c), (2 * k + 2, d))
-        else:
-            k = (row - 1) // 2
-            coeffs = ((2 * k - 1, d), (2 * k, c), (2 * k + 1, b), (2 * k + 2, a))
-        for col, z in coeffs:
-            if -w <= col <= w:
-                m[row + w, col + w] = z
-    return m
+    """Half step acting on pairs (2k-1, 2k): the Type II step (i sin, cos, 0, 0)."""
+    return qca_step(field, QcaParams(1j * math.sin(phi2), math.cos(phi2), 0.0, 0.0))
 
 
 def patel_factorize(p: PatelParams) -> tuple[QcaParams, CorrespondenceReport]:
     """Compose the even and odd half steps and extract the banded tuple.
 
-    The product is formed on a finite window, the coefficient tuple is read
-    off the central row, and the report carries the worst deviation from
+    The odd-then-even composition is applied to one even and one odd site,
+    whose images (sites -2..1 and 8..11) cannot overlap; the tuple is read
+    off the image of site 0.  The report carries the worst deviation from
     (i) the closed-form tuple in the two rotation angles, (ii) the angle
     substitution that lands the tuple in the trigonometric parametrization,
-    and (iii) the full banded window rebuilt from the extracted tuple.
+    and (iii) the banded step of the extracted tuple on the same probe,
+    which compares every entry of the operator.
     """
-    w = 8
-    even = _pair_diagonal_window(p.phi1, top_parity=0, w=w)
-    odd = _pair_diagonal_window(p.phi2, top_parity=1, w=w)
-    product = even @ odd
-
-    i0 = w  # row/column index of site 0
-    a = complex(product[i0, i0 - 1])
-    b = complex(product[i0, i0])
-    c = complex(product[i0, i0 + 1])
-    d = complex(product[i0, i0 + 2])
+    probe = AmplitudeField({0: 1.0, 9: 1.0})
+    image = patel_even_step(patel_odd_step(probe, p.phi2), p.phi1)
+    a, b, c, d = image[-1], image[0], image[1], image[-2]
 
     c1, s1 = math.cos(p.phi1), math.sin(p.phi1)
     c2, s2 = math.cos(p.phi2), math.sin(p.phi2)
@@ -386,13 +327,10 @@ def patel_factorize(p: PatelParams) -> tuple[QcaParams, CorrespondenceReport]:
         abs(a - mapped.a), abs(b - mapped.b), abs(c - mapped.c), abs(d - mapped.d)
     )
 
-    rebuilt = _banded_window(a, b, c, d, w)
-    interior = slice(2, 2 * w - 1)  # rows where both windows are exact
-    err_window = float(np.abs(product[interior] - rebuilt[interior]).max())
-
     params = QcaParams(a, b, c, d)
+    err_step = max_difference(image, qca_step(probe, params))
     report = CorrespondenceReport(
-        max(err_tuple, err_angles, err_window), 0.0, 0, "even-odd-factorization"
+        max(err_tuple, err_angles, err_step), 0.0, 0, "even-odd-factorization"
     )
     return params, report
 

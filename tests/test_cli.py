@@ -2,8 +2,11 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +203,8 @@ def run_inprocess(capsys, *args):
 
 
 REFERENCE = ("--theta", "pi/4", "--phi", "pi/4", "--delta", "pi/2")
+# a valid raw tuple: b = 1, the identity step
+RAW_IDENTITY = ("0", "0", "1", "0", "0", "0", "0", "0")
 
 
 @pytest.mark.parametrize(
@@ -211,6 +216,8 @@ REFERENCE = ("--theta", "pi/4", "--phi", "pi/4", "--delta", "pi/2")
         ("limit-compare", "--steps", "20", "--tolerance", "nan"),
         ("limit-compare", "--steps", "20", "--tolerance", "inf"),
         ("limit-compare", "--steps", "20", "--tolerance", "-0.1"),
+        ("verify", "--kind", "two-step", *REFERENCE, "--params", *RAW_IDENTITY),
+        ("factorize", "--kind", "two-step", *REFERENCE, "--params", *RAW_IDENTITY),
     ],
 )
 def test_invalid_inputs_exit_two(capsys, args):
@@ -218,6 +225,17 @@ def test_invalid_inputs_exit_two(capsys, args):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("angle", ["pi/0", "0pi/0"])
+def test_zero_denominator_angle_exits_two(capsys, angle):
+    code, out, err = run_inprocess(
+        capsys, "classify", "--theta", angle, "--phi", "0", "--delta", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "zero denominator" in err
 
 
 def test_out_to_unwritable_path_exits_two(capsys, tmp_path):
@@ -243,3 +261,26 @@ def test_import_and_limit_compare_load_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "scipy-modules: []"
+
+
+def readme_commands():
+    """Every ``qcawalk ...`` line of README's sh blocks, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["qcawalk"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_commands()) >= 9
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_examples_exit_zero(capsys, argv):
+    code, out, err = run_inprocess(capsys, *argv)
+    assert code == 0, err
+    assert out

@@ -129,7 +129,7 @@ def test_generalized_blocks_unitary_for_random_angles():
 def test_coin_blocks_reject_non_unitary_assembly():
     bad = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        CoinBlocks(bad, np.zeros((2, 2)), bad, family="A")
+        CoinBlocks(bad, np.zeros((2, 2)), bad)
 
 
 def test_stay_block_weight_follows_angles():

@@ -295,6 +295,24 @@ def test_half_steps_compose_to_full_step_on_fields():
         assert abs(norm_sq(composed) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("half_step, first_top", [(patel_even_step, 0), (patel_odd_step, -1)])
+def test_half_steps_match_block_diagonal_pair_coins(half_step, first_top):
+    # even pairs are (2k, 2k+1), odd pairs (2k-1, 2k): a window starting at
+    # the top of a pair is tiled exactly by the coin blocks
+    rng = np.random.default_rng(97)
+    npairs = 12
+    window = np.arange(first_top - 10, first_top - 10 + 2 * npairs)
+    for _ in range(20):
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        sites = rng.choice(window, size=int(rng.integers(1, 2 * npairs)), replace=False)
+        field = AmplitudeField({int(k): complex(*rng.normal(size=2)) for k in sites})
+        dense = np.kron(np.eye(npairs), patel_coin(phi))
+        want = dense @ np.array([field[int(k)] for k in window])
+        got = half_step(field, phi)
+        assert got.support() <= set(window.tolist())
+        assert np.abs(np.array([got[int(k)] for k in window]) - want).max() <= 1e-13
+
+
 def test_half_step_order_matters():
     phi1, phi2 = 0.7, 0.3
     params, _ = patel_factorize(PatelParams(phi1, phi2))
