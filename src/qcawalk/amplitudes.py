@@ -5,7 +5,8 @@ is a first site and a contiguous array of the values from there on.  Nonzero
 entries that lie within ``_RUN_GAP`` sites of each other share a run, so
 memory follows the support, not the distance between its far ends.  The
 same run layout, with a leading axis for the two chirality components,
-backs ``coined_walks.WalkState``.
+backs ``coined_walks.WalkState``: both subclass ``_Runs``, which owns the
+layout and the one step driver, and no other module reads the runs.
 """
 
 from __future__ import annotations
@@ -46,14 +47,18 @@ _Entries = Mapping[int, complex] | Iterable[Tuple[int, complex]]
 _Run = Tuple[int, np.ndarray]
 
 
+def _occupied(values: np.ndarray) -> np.ndarray:
+    """Mask of sites holding a nonzero entry (either component, for pairs)."""
+    return values != 0 if values.ndim == 1 else values.any(axis=0)
+
+
 def _zero_dust(values: np.ndarray) -> np.ndarray:
     """Zero entries below ``PRUNE_TOLERANCE`` in place; mask of sites left nonzero."""
     mag = np.abs(values)
     if mag.size and not np.isfinite(mag.max()):
         raise ValueError("non-finite amplitude")
-    small = mag < PRUNE_TOLERANCE
-    values[small] = 0
-    return ~small if values.ndim == 1 else ~small.all(axis=0)
+    values[mag < PRUNE_TOLERANCE] = 0
+    return _occupied(values)
 
 
 def _runs_from_sorted(sites: np.ndarray, values: np.ndarray) -> tuple[_Run, ...]:
@@ -92,51 +97,100 @@ def _coalesced(runs: Iterable[_Run]) -> list[_Run]:
     return out
 
 
-def _pruned(lo: int, values: np.ndarray) -> _Run | None:
-    """One step's output run with dust zeroed and zero ends trimmed.
-
-    ``values`` is modified in place.  Returns None when nothing is left.
-    """
-    keep = _zero_dust(values)
-    first = int(keep.argmax())
-    if not keep[first]:
-        return None
-    stop = keep.size - int(keep[::-1].argmax())
-    return lo + first, values[..., first:stop]
-
-
-def _flatten(runs: tuple[_Run, ...], lead: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nonzero sites of the runs and their values."""
-    if not runs:
-        return np.empty(0, np.int64), np.empty(lead + (0,), np.complex128)
-    sites, values = [], []
-    for lo, arr in runs:
-        nz = np.flatnonzero(arr if arr.ndim == 1 else arr.any(axis=0))
-        sites.append(nz + lo)
-        values.append(arr[..., nz])
-    return np.concatenate(sites), np.concatenate(values, axis=-1)
-
-
-def _run_at(runs: tuple[_Run, ...], site: int) -> tuple[np.ndarray, int] | None:
-    """The run array holding ``site`` and the site's index in it, if any."""
-    i = bisect_right(runs, site, key=operator.itemgetter(0)) - 1
-    if i >= 0:
-        lo, arr = runs[i]
-        if site - lo < arr.shape[-1]:
-            return arr, site - lo
-    return None
-
-
 def _sq_modulus(values: np.ndarray) -> np.ndarray:
     return values.real * values.real + values.imag * values.imag
 
 
-def _runs_norm_sq(runs: tuple[_Run, ...]) -> float:
-    """Sum of squared moduli over all runs, summed exactly."""
-    return math.fsum(x for _, arr in runs for x in _sq_modulus(arr).ravel().tolist())
+class _Runs:
+    """Immutable sorted runs of complex entries on lattice sites.
+
+    ``_lead`` is the shape of the entry at one site: ``()`` for an
+    amplitude, ``(2,)`` for a chirality pair.  Entries below
+    ``PRUNE_TOLERANCE`` are zeroed at construction, and iteration is in
+    ascending site order.
+    """
+
+    __slots__ = ("_runs",)
+    _lead: tuple[int, ...] = ()
+
+    def _store(self, entries) -> None:
+        """Validate finiteness, prune, sort and build the runs."""
+        items = entries.items() if isinstance(entries, Mapping) else entries
+        stored: dict[int, tuple[complex, ...]] = {}
+        for site, value in items:
+            zs = (complex(value[0]), complex(value[1])) if self._lead else (complex(value),)
+            if not all(map(cmath.isfinite, zs)):
+                raise ValueError(f"non-finite amplitude {value!r} at site {site}")
+            stored[operator.index(site)] = zs
+        keys = sorted(stored)
+        values = np.array([stored[k] for k in keys], np.complex128).reshape(-1, *self._lead)
+        self._runs = _runs_from_sorted(np.array(keys, dtype=np.int64), values.T)
+
+    @classmethod
+    def _from_runs(cls, runs: Iterable[_Run], **attrs):
+        """Internal fast path: wrap runs that are already pruned and sorted."""
+        new = cls.__new__(cls)
+        new._runs = tuple(runs)
+        for name, value in attrs.items():
+            setattr(new, name, value)
+        return new
+
+    def _stepped(self, kernel, **attrs):
+        """Apply ``kernel(lo, values) -> (out_lo, out_values)`` to every run.
+
+        Runs that have come within ``_RUN_GAP`` sites of each other are
+        joined first, so the outputs of separately stepped runs never
+        overlap.  Each output has its dust zeroed and its zero ends trimmed,
+        and the result is wrapped with ``attrs``.
+        """
+        runs = []
+        for lo, values in _coalesced(self._runs):
+            lo, out = kernel(lo, values)
+            keep = _zero_dust(out)
+            first = int(keep.argmax())
+            if keep[first]:
+                runs.append((lo + first, out[..., first : keep.size - int(keep[::-1].argmax())]))
+        return self._from_runs(runs, **attrs)
+
+    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending nonzero sites and their entries (last axis over sites)."""
+        sites, values = [np.empty(0, np.int64)], [np.empty(self._lead + (0,), np.complex128)]
+        for lo, arr in self._runs:
+            nz = np.flatnonzero(_occupied(arr))
+            sites.append(nz + lo)
+            values.append(arr[..., nz])
+        return np.concatenate(sites), np.concatenate(values, axis=-1)
+
+    def _at(self, site: int) -> np.ndarray:
+        """The entry at ``site``, zero off the support."""
+        i = bisect_right(self._runs, site, key=operator.itemgetter(0)) - 1
+        if i >= 0:
+            lo, arr = self._runs[i]
+            if site - lo < arr.shape[-1]:
+                return arr[..., site - lo]
+        return np.zeros(self._lead, np.complex128)
+
+    def __len__(self) -> int:
+        return sum(int(np.count_nonzero(_occupied(arr))) for _, arr in self._runs)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._flat()[0].tolist())
+
+    def support(self) -> set[int]:
+        return set(self._flat()[0].tolist())
+
+    def norm_sq(self) -> float:
+        """Sum of squared moduli over all sites, summed exactly."""
+        return math.fsum(x for _, arr in self._runs for x in _sq_modulus(arr).ravel().tolist())
+
+    def _distribution(self) -> "Distribution":
+        """Site masses: the squared moduli at each site, summed over components."""
+        sites, values = self._flat()
+        masses = _sq_modulus(values)
+        return _distribution_from_arrays(sites, masses if masses.ndim == 1 else masses.sum(axis=0))
 
 
-class AmplitudeField:
+class AmplitudeField(_Runs):
     """Finitely supported map from lattice sites to complex amplitudes.
 
     Values with modulus below ``PRUNE_TOLERANCE`` are dropped at
@@ -145,40 +199,18 @@ class AmplitudeField:
     operation returns a new field.
     """
 
-    __slots__ = ("_runs",)
+    __slots__ = ()
 
     def __init__(self, entries: _Entries = ()):
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        pruned: dict[int, complex] = {}
-        for site, value in items:
-            z = complex(value)
-            if not cmath.isfinite(z):
-                raise ValueError(f"non-finite amplitude {z!r} at site {site}")
-            if abs(z) >= PRUNE_TOLERANCE:
-                pruned[operator.index(site)] = z
-        keys = sorted(pruned)
-        self._runs = _runs_from_sorted(
-            np.array(keys, dtype=np.int64),
-            np.array([pruned[k] for k in keys], dtype=np.complex128),
-        )
+        self._store(entries)
 
     @classmethod
     def delta(cls, site: int, amplitude: complex = 1.0) -> "AmplitudeField":
         """Field concentrated on a single site."""
         return cls({site: amplitude})
 
-    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
-        return _flatten(self._runs)
-
     def __getitem__(self, site: int) -> complex:
-        hit = _run_at(self._runs, site)
-        return complex(hit[0][hit[1]]) if hit else 0j
-
-    def __len__(self) -> int:
-        return sum(int(np.count_nonzero(arr)) for _, arr in self._runs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._flat()[0].tolist())
+        return complex(self._at(site))
 
     def __contains__(self, site: int) -> bool:
         return self[site] != 0
@@ -198,20 +230,20 @@ class AmplitudeField:
         sites, values = self._flat()
         return list(zip(sites.tolist(), values.tolist()))
 
-    def support(self) -> set[int]:
-        return set(self._flat()[0].tolist())
-
     def shifted(self, offset: int) -> "AmplitudeField":
         """Same amplitudes translated by ``offset`` sites."""
         offset = operator.index(offset)
-        return _field_from_runs((lo + offset, arr) for lo, arr in self._runs)
+        return self._from_runs((lo + offset, arr) for lo, arr in self._runs)
 
 
-def _field_from_runs(runs: Iterable[_Run]) -> AmplitudeField:
-    """Internal fast path: wrap runs that are already pruned and sorted."""
-    field = AmplitudeField.__new__(AmplitudeField)
-    field._runs = tuple(runs)
-    return field
+def _paired_field(pairs: _Runs, upper_offset: int) -> AmplitudeField:
+    """The lattice field a walk state occupies, upper components at 2k + ``upper_offset``.
+
+    A walk run at ``lo`` is the lattice run at ``2*lo + upper_offset`` with
+    its two rows interleaved; it may start or end on a zero.
+    """
+    runs = ((2 * lo + upper_offset, arr.T.ravel()) for lo, arr in pairs._runs)
+    return AmplitudeField._from_runs(runs)
 
 
 class Distribution:
@@ -273,7 +305,7 @@ def _distribution_from_arrays(sites: np.ndarray, masses: np.ndarray) -> Distribu
 
 def norm_sq(field: AmplitudeField) -> float:
     """Sum of squared moduli over the whole lattice."""
-    return _runs_norm_sq(field._runs)
+    return field.norm_sq()
 
 
 def support(field: AmplitudeField) -> set[int]:
@@ -302,13 +334,14 @@ def superpose(
 ) -> AmplitudeField:
     """Pointwise combination ``alpha*f + beta*g`` with zeros pruned."""
     sites, on_f, on_g = _on_union(f, g)
-    return _field_from_runs(_runs_from_sorted(sites, complex(alpha) * on_f + complex(beta) * on_g))
+    return AmplitudeField._from_runs(
+        _runs_from_sorted(sites, complex(alpha) * on_f + complex(beta) * on_g)
+    )
 
 
 def to_distribution(field: AmplitudeField) -> Distribution:
     """Squared-modulus masses of a field; total equals ``norm_sq(field)``."""
-    sites, values = field._flat()
-    return _distribution_from_arrays(sites, _sq_modulus(values))
+    return field._distribution()
 
 
 def max_difference(f: AmplitudeField, g: AmplitudeField) -> float:

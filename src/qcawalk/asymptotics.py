@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .amplitudes import Distribution
+from .amplitudes import MASS_TOLERANCE, Distribution
 from .qca_core import QcaParams, qca_distribution
 
 __all__ = [
@@ -54,7 +54,7 @@ class RescaledSample:
         if any(m < 0.0 for _, m in pts):
             raise ValueError("sample masses must be nonnegative")
         total = math.fsum(m for _, m in pts)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > MASS_TOLERANCE:
             raise ValueError(f"sample masses must total 1, got {total!r}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "n", int(self.n))

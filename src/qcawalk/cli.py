@@ -42,6 +42,27 @@ VERIFY_TOLERANCE = 1e-12
 
 # limit-compare's default: the point where the closed-form limit law holds
 _REFERENCE_ANGLES = AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2)
+_SYMMETRIC_QUBIT = (0.7071067811865476, 0.7071067811865476)
+
+# verify and factorize flags that only some --kind values read.  The parser
+# leaves them None, so a flag given to a kind that ignores it is told apart
+# from an unset one; the kinds that read them fall back to these values.
+_PARAM_FLAGS = ("theta", "phi", "delta", "params")
+_KIND_DEFAULTS = {
+    "qubit": _SYMMETRIC_QUBIT,
+    "steps": 50,
+    "family": "A",
+    "theta1": 0.0,
+    "theta2": 0.0,
+    "phi1": math.pi / 4,
+    "phi2": math.pi / 4,
+}
+_KIND_READS = {
+    "A": (*_PARAM_FLAGS, "qubit", "steps"),
+    "B": (*_PARAM_FLAGS, "qubit", "steps"),
+    "two-step": (*_PARAM_FLAGS, "family", "theta1", "theta2"),
+    "patel": ("phi1", "phi2"),
+}
 
 _PI_PATTERN = re.compile(
     r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi"
@@ -162,6 +183,17 @@ def _resolve_qubit(args) -> tuple[complex, complex]:
     raise UsageError("--qubit takes 2 real values or 4 re/im values")
 
 
+def _kind_flags(args) -> None:
+    """Reject a flag that ``--kind`` does not read; default the unset ones."""
+    for dest in (*_PARAM_FLAGS, *_KIND_DEFAULTS):
+        if not hasattr(args, dest):
+            continue
+        if getattr(args, dest) is None:
+            setattr(args, dest, _KIND_DEFAULTS.get(dest))
+        elif dest not in _KIND_READS[args.kind]:
+            raise UsageError(f"--{dest} is not read by --kind {args.kind}")
+
+
 def _two_step_angles(args) -> AngleTriple:
     _, angles = _resolve_params(args)
     if angles is None:
@@ -259,6 +291,7 @@ def _cmd_simulate_qw(args) -> tuple[int, dict]:
 
 
 def _cmd_verify(args) -> tuple[int, dict]:
+    _kind_flags(args)
     kind = args.kind
     params_payload: dict = {}
     if kind in ("A", "B"):
@@ -303,6 +336,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 
 
 def _cmd_factorize(args) -> tuple[int, dict]:
+    _kind_flags(args)
     if args.kind == "two-step":
         angles = _two_step_angles(args)
         factors = two_step_factorize(angles, args.theta1, args.theta2, args.family)
@@ -387,17 +421,18 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_factor_flags(parser: argparse.ArgumentParser) -> None:
+    # defaults are None here and filled in per kind from _KIND_DEFAULTS
     parser.add_argument(
-        "--family", choices=("A", "B"), default="A",
+        "--family", choices=("A", "B"), default=None,
         help="family for two-step factors (default: A)",
     )
-    parser.add_argument("--theta1", type=parse_angle, default=0.0,
+    parser.add_argument("--theta1", type=parse_angle, default=None,
                         help="first free phase for two-step (default: 0)")
-    parser.add_argument("--theta2", type=parse_angle, default=0.0,
+    parser.add_argument("--theta2", type=parse_angle, default=None,
                         help="second free phase for two-step (default: 0)")
-    parser.add_argument("--phi1", type=parse_angle, default=math.pi / 4,
+    parser.add_argument("--phi1", type=parse_angle, default=None,
                         help="even half-step angle for patel (default: pi/4)")
-    parser.add_argument("--phi2", type=parse_angle, default=math.pi / 4,
+    parser.add_argument("--phi2", type=parse_angle, default=None,
                         help="odd half-step angle for patel (default: pi/4)")
 
 
@@ -462,11 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="which identity to verify (default: A)",
     )
     _add_param_flags(p)
-    _add_qubit_flag(p, default=(0.7071067811865476, 0.7071067811865476))
-    p.add_argument("--steps", type=int, default=50, help="steps to check (default: 50)")
+    _add_qubit_flag(p, default=_SYMMETRIC_QUBIT)
+    p.add_argument("--steps", type=int, default=None, help="steps to check (default: 50)")
     _add_factor_flags(p)
     _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify)
+    # --qubit's help names the kind default; the parser itself leaves it None
+    p.set_defaults(handler=_cmd_verify, qubit=None)
 
     p = sub.add_parser("factorize", help="print factor matrices")
     p.add_argument(
@@ -483,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare a rescaled run against the closed-form limit law",
     )
     _add_param_flags(p)
-    _add_qubit_flag(p, default=(0.7071067811865476, 0.7071067811865476))
+    _add_qubit_flag(p, default=_SYMMETRIC_QUBIT)
     p.add_argument("--steps", type=int, default=500, help="step count (default: 500)")
     p.add_argument(
         "--tolerance", type=float, default=0.08,
@@ -504,10 +540,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code, envelope = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

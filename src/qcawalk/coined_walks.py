@@ -16,24 +16,13 @@ orderings instead of silently reordering.
 from __future__ import annotations
 
 import cmath
-import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .amplitudes import (
-    Distribution,
-    _coalesced,
-    _distribution_from_arrays,
-    _flatten,
-    _pruned,
-    _run_at,
-    _runs_from_sorted,
-    _runs_norm_sq,
-    _sq_modulus,
-)
-from .qca_core import RESIDUAL_TOLERANCE, QcaParams, normalized_qubit
+from .amplitudes import Distribution, _Runs
+from .qca_core import RESIDUAL_TOLERANCE, QcaParams, _abs_sq, normalized_qubit
 
 __all__ = [
     "L_UPPER",
@@ -70,8 +59,8 @@ class CoinMatrix:
             object.__setattr__(self, name, z)
         a, b, c, d = self.a, self.b, self.c, self.d
         bad = max(
-            abs(abs(a) ** 2 + abs(b) ** 2 - 1.0),
-            abs(abs(c) ** 2 + abs(d) ** 2 - 1.0),
+            abs(_abs_sq(a) + _abs_sq(b) - 1.0),
+            abs(_abs_sq(c) + _abs_sq(d) - 1.0),
             abs(a * c.conjugate() + b * d.conjugate()),
         )
         if bad > RESIDUAL_TOLERANCE:
@@ -102,30 +91,20 @@ class QubitState:
         return iter((self.alpha, self.beta))
 
 
-class WalkState:
+class WalkState(_Runs):
     """Finitely supported chirality 2-vectors on walk sites.
 
-    ``order`` records which chirality sits in the upper component.  Stored
-    as runs of (upper, lower) arrays like ``AmplitudeField``; components
-    below ``PRUNE_TOLERANCE`` are zeroed at construction and iteration is
-    in ascending site order.
+    ``order`` records which chirality sits in the upper component.  The
+    (upper, lower) pairs share the run layout of ``AmplitudeField``.
     """
 
-    __slots__ = ("_runs", "order")
+    __slots__ = ("order",)
+    _lead = (2,)
 
     def __init__(self, sites: Mapping[int, tuple[complex, complex]], order: str):
         if order not in _ORDERS:
             raise ValueError(f"unknown chirality order {order!r}")
-        stored: dict[int, tuple[complex, complex]] = {}
-        items = sites.items() if isinstance(sites, Mapping) else sites
-        for site, pair in items:
-            u, l = complex(pair[0]), complex(pair[1])
-            if not (cmath.isfinite(u) and cmath.isfinite(l)):
-                raise ValueError(f"non-finite amplitude at site {site}")
-            stored[operator.index(site)] = (u, l)
-        keys = sorted(stored)
-        values = np.array([stored[k] for k in keys], dtype=np.complex128).reshape(-1, 2)
-        self._runs = _runs_from_sorted(np.array(keys, dtype=np.int64), values.T.copy())
+        self._store(sites)
         self.order = order
 
     @classmethod
@@ -135,44 +114,18 @@ class WalkState:
         pair = (alpha, beta) if order == L_UPPER else (beta, alpha)
         return cls({0: pair}, order)
 
-    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
-        return _flatten(self._runs, (2,))
-
     def __getitem__(self, site: int) -> tuple[complex, complex]:
-        hit = _run_at(self._runs, site)
-        if hit is None:
-            return (0j, 0j)
-        arr, i = hit
-        return (complex(arr[0, i]), complex(arr[1, i]))
-
-    def __len__(self) -> int:
-        return sum(int(np.count_nonzero(arr.any(axis=0))) for _, arr in self._runs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._flat()[0].tolist())
+        upper, lower = self._at(site)
+        return (complex(upper), complex(lower))
 
     def items(self) -> list[tuple[int, tuple[complex, complex]]]:
         """(site, (upper, lower)) pairs in ascending site order."""
         sites, (upper, lower) = self._flat()
         return list(zip(sites.tolist(), zip(upper.tolist(), lower.tolist())))
 
-    def support(self) -> set[int]:
-        return set(self._flat()[0].tolist())
-
-    def norm_sq(self) -> float:
-        return _runs_norm_sq(self._runs)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}: {v!r}" for k, v in self.items())
         return f"WalkState({{{inner}}}, order={self.order!r})"
-
-
-def _walk_from_runs(runs, order: str) -> WalkState:
-    """Internal fast path: wrap runs that are already pruned and sorted."""
-    state = WalkState.__new__(WalkState)
-    state._runs = tuple(runs)
-    state.order = order
-    return state
 
 
 def _as_block(m) -> np.ndarray:
@@ -297,19 +250,17 @@ def walk_step(state: WalkState, blocks: CoinBlocks) -> WalkState:
     moves = [(blocks.P, 1 - side), (blocks.Q, 1 + side)]
     if blocks.has_stay():
         moves.append((blocks.T, 1))
-    runs = []
-    for lo, x in _coalesced(state._runs):
+
+    def kernel(lo: int, x: np.ndarray) -> tuple[int, np.ndarray]:
         width = x.shape[1]
         out = np.zeros((2, width + 2), dtype=np.complex128)
         for block, offset in moves:
             out[:, offset : offset + width] += block @ x
-        run = _pruned(lo - 1, out)
-        if run is not None:
-            runs.append(run)
-    return _walk_from_runs(runs, state.order)
+        return lo - 1, out
+
+    return state._stepped(kernel, order=state.order)
 
 
 def walk_distribution(state: WalkState) -> Distribution:
     """Site masses: squared modulus of the 2-vector at each site."""
-    sites, (upper, lower) = state._flat()
-    return _distribution_from_arrays(sites, _sq_modulus(upper) + _sq_modulus(lower))
+    return state._distribution()

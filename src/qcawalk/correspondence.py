@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeField, _sq_modulus, max_difference
+from .amplitudes import AmplitudeField, _on_union, _paired_field, _sq_modulus, max_difference
 from .coined_walks import (
     L_UPPER,
     R_UPPER,
@@ -30,6 +30,7 @@ from .coined_walks import (
     walk_step,
 )
 from .qca_core import (
+    RESIDUAL_TOLERANCE,
     TWO_PI,
     AngleTriple,
     QcaParams,
@@ -96,14 +97,7 @@ def _check_pairing(
     walk: WalkState, eta: AmplitudeField, upper_offset: int
 ) -> tuple[float, float]:
     """Largest amplitude and mass mismatch between the walk and the paired field."""
-    w_sites, w_vals = walk._flat()
-    e_sites, e_vals = eta._flat()
-    j = e_sites - upper_offset
-    ks = np.union1d(w_sites, j // 2)
-    got = np.zeros((2, ks.size), dtype=np.complex128)
-    want = np.zeros((2, ks.size), dtype=np.complex128)
-    got[:, np.searchsorted(ks, w_sites)] = w_vals
-    want[j % 2, np.searchsorted(ks, j // 2)] = e_vals
+    _, got, want = _on_union(_paired_field(walk, upper_offset), eta)
     amp_err = float(np.abs(got - want).max(initial=0.0))
     prob_err = float(np.abs(_sq_modulus(want) - _sq_modulus(got)).max(initial=0.0))
     return amp_err, prob_err
@@ -191,7 +185,7 @@ class TwoStepFactors:
         for n in (1, 2):
             u = self.coin(n)
             defect = np.abs(u.conj().T @ u - np.eye(2)).max()
-            if defect > 1e-12:
+            if defect > RESIDUAL_TOLERANCE:
                 raise ValueError(f"half-step coin {n} is not unitary ({defect:.3e})")
 
     def coin(self, n: int) -> np.ndarray:

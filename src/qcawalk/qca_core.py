@@ -16,14 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .amplitudes import (
-    AmplitudeField,
-    Distribution,
-    _coalesced,
-    _field_from_runs,
-    _pruned,
-    to_distribution,
-)
+from .amplitudes import AmplitudeField, Distribution, to_distribution
 
 __all__ = [
     "RESIDUAL_TOLERANCE",
@@ -45,6 +38,14 @@ ZERO_TOLERANCE = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
+def _abs_sq(z: complex) -> float:
+    """``abs(z) ** 2``, or inf where it overflows (a float power raises there)."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def unitarity_residuals(
     a: complex, b: complex, c: complex, d: complex
 ) -> tuple[float, float, float, float, float]:
@@ -54,7 +55,7 @@ def unitarity_residuals(
     is unitary.
     """
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    r1 = abs(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2 - 1.0)
+    r1 = abs(_abs_sq(a) + _abs_sq(b) + _abs_sq(c) + _abs_sq(d) - 1.0)
     r2 = abs(a * d.conjugate() + a.conjugate() * d + b * c.conjugate() + b.conjugate() * c)
     r3 = abs(a * c.conjugate() + b * d.conjugate())
     r4 = abs(a * b.conjugate() + a.conjugate() * b)
@@ -183,14 +184,10 @@ def params_from_angles(angles: AngleTriple) -> QcaParams:
 
 
 def qca_step(field: AmplitudeField, params: QcaParams) -> AmplitudeField:
-    """One application of the banded step operator, run by run.
-
-    Runs that have come within ``_RUN_GAP`` sites of each other are joined
-    first, so outputs of separately stepped runs never overlap.
-    """
+    """One application of the banded step operator, run by run."""
     a, b, c, d = params.astuple()
-    runs = []
-    for lo, x in _coalesced(field._runs):
+
+    def kernel(lo: int, x: np.ndarray) -> tuple[int, np.ndarray]:
         base = (lo - 2) & ~1            # even-aligned left edge of the output range
         npairs = (lo + x.size + 3 - base) // 2
         # buf[j] holds the input amplitude at site base - 1 + j.
@@ -205,10 +202,9 @@ def qca_step(field: AmplitudeField, params: QcaParams) -> AmplitudeField:
         out = np.empty(2 * npairs, dtype=np.complex128)
         out[0::2] = a * x1 + b * x2 + c * x3 + d * x4
         out[1::2] = d * x1 + c * x2 + b * x3 + a * x4
-        run = _pruned(base, out)
-        if run is not None:
-            runs.append(run)
-    return _field_from_runs(runs)
+        return base, out
+
+    return field._stepped(kernel)
 
 
 def _evolve(field: AmplitudeField, n: int, params: QcaParams) -> AmplitudeField:
@@ -230,7 +226,7 @@ def normalized_qubit(qubit) -> tuple[complex, complex]:
     alpha, beta = complex(alpha), complex(beta)
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise ValueError(f"non-finite qubit amplitudes ({alpha!r}, {beta!r})")
-    norm = abs(alpha) ** 2 + abs(beta) ** 2
+    norm = _abs_sq(alpha) + _abs_sq(beta)
     if abs(norm - 1.0) > RESIDUAL_TOLERANCE:
         raise ValueError(f"qubit is not normalized: |alpha|^2+|beta|^2 = {norm!r}")
     return alpha, beta

@@ -1,10 +1,13 @@
 """Field and distribution containers: norms, supports, combination, pruning."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcawalk
 from qcawalk.amplitudes import (
     PRUNE_TOLERANCE,
     AmplitudeField,
@@ -204,3 +207,21 @@ def test_getitem_returns_python_complex():
     field = AmplitudeField.delta(3, 0.25j)
     assert type(field[3]) is complex and field[3] == 0.25j
     assert type(field[4]) is complex and field[4] == 0j
+
+
+def test_only_amplitudes_reads_the_run_layout():
+    helpers = {"_coalesced", "_pruned", "_flatten", "_run_at", "_runs_from_sorted"}
+    offenders = []
+    for path in sorted(Path(qcawalk.__file__).parent.glob("*.py")):
+        if path.name == "amplitudes.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "_runs":
+                offenders.append(f"{path.name}:{node.lineno} reads ._runs")
+            elif isinstance(node, ast.ImportFrom):
+                offenders.extend(
+                    f"{path.name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name in helpers
+                )
+    assert offenders == []

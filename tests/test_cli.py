@@ -218,6 +218,18 @@ RAW_IDENTITY = ("0", "0", "1", "0", "0", "0", "0", "0")
         ("limit-compare", "--steps", "20", "--tolerance", "-0.1"),
         ("verify", "--kind", "two-step", *REFERENCE, "--params", *RAW_IDENTITY),
         ("factorize", "--kind", "two-step", *REFERENCE, "--params", *RAW_IDENTITY),
+        # finite but so large that |z|^2 overflows
+        ("simulate-qca", "--theta", "1", "--phi", "1", "--delta", "1", "--qubit", "1e200", "0"),
+        ("verify", "--kind", "A", "--theta", "1", "--phi", "1", "--delta", "1",
+         "--qubit", "1e155", "0"),
+        ("limit-compare", "--qubit", "0", "1e300"),
+        ("classify", "--params", "1e200", "0", "0", "0", "0", "0", "0", "0"),
+        # flags the chosen --kind never reads
+        ("verify", "--kind", "patel", "--theta", "1", "--phi", "1", "--delta", "1"),
+        ("factorize", "--kind", "patel", "--params", *RAW_IDENTITY),
+        ("verify", "--kind", "A", *REFERENCE, "--family", "B", "--theta1", "3"),
+        ("verify", "--kind", "two-step", *REFERENCE, "--steps", "5"),
+        ("factorize", "--kind", "two-step", *REFERENCE, "--phi1", "pi/4"),
     ],
 )
 def test_invalid_inputs_exit_two(capsys, args):

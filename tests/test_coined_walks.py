@@ -264,6 +264,12 @@ def test_walk_state_prunes_each_component():
     assert state[1] == (0j, 0j)
 
 
+@pytest.mark.parametrize("pair", [(math.nan, 0.0), (0.6, complex(0.0, math.inf))])
+def test_walk_state_rejects_non_finite_component(pair):
+    with pytest.raises(ValueError):
+        WalkState({3: pair}, L_UPPER)
+
+
 def test_walk_state_iterates_in_ascending_order():
     state = WalkState({7: (0.6, 0.0), -3: (0.0, 0.8), 2_000_000: (0.0, 0.0)}, R_UPPER)
     assert list(state) == [-3, 7]

@@ -8,12 +8,14 @@ import pytest
 
 from dense_reference import dense_qca_matrix, field_to_vector
 from qcawalk.amplitudes import AmplitudeField, max_difference, norm_sq, support
+from qcawalk.coined_walks import CoinMatrix
 from qcawalk.qca_core import (
     AngleTriple,
     QcaParams,
     QcaTypeClass,
     classify,
     evolve_eta,
+    normalized_qubit,
     params_from_angles,
     qca_distribution,
     qca_step,
@@ -70,6 +72,22 @@ def test_residuals_vanish_iff_dense_window_unitary():
 def test_params_reject_non_unitary_tuple():
     with pytest.raises(ValueError):
         QcaParams(0.5, 0.5, 0.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QcaParams(1e200, 0.0, 0.0, 0.0),
+        lambda: QcaParams(0.0, complex(1e308, 1e308), 0.0, 0.0),
+        lambda: CoinMatrix(1e200, 0.0, 0.0, 1.0),
+        lambda: CoinMatrix(1.0, 0.0, 0.0, complex(0.0, 1e160)),
+        lambda: normalized_qubit((1e155, 0.0)),
+        lambda: normalized_qubit((0.0, complex(1e308, 1e308))),
+    ],
+)
+def test_validators_reject_values_whose_square_overflows(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_params_reject_three_nonzero_tuple():
