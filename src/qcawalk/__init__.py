@@ -1,115 +1,22 @@
-"""Float64 amplitude lab for 1D lattice automata and coined quantum walks."""
+"""Float64 amplitude lab for 1D lattice automata and coined quantum walks.
 
-from .amplitudes import (
-    MASS_TOLERANCE,
-    PRUNE_TOLERANCE,
-    AmplitudeField,
-    Distribution,
-    max_difference,
-    norm_sq,
-    superpose,
-    support,
-    to_distribution,
-)
-from .asymptotics import (
-    SQRT_2,
-    RescaledSample,
-    kolmogorov_distance,
-    limit_cdf,
-    limit_density,
-    rescaled_qca_sample,
-    symmetry_defect,
-)
-from .coined_walks import (
-    L_UPPER,
-    R_UPPER,
-    CoinBlocks,
-    CoinMatrix,
-    QubitState,
-    WalkState,
-    generalized_blocks_from_qca,
-    plain_blocks,
-    walk_distribution,
-    walk_step,
-)
-from .correspondence import (
-    CorrespondenceReport,
-    PatelParams,
-    TwoStepFactors,
-    meyer_angles,
-    patel_coin,
-    patel_even_step,
-    patel_factorize,
-    patel_odd_step,
-    two_step_factorize,
-    verify_A_correspondence,
-    verify_B_correspondence,
-    verify_two_step,
-)
-from .qca_core import (
-    RESIDUAL_TOLERANCE,
-    ZERO_TOLERANCE,
-    AngleTriple,
-    QcaParams,
-    QcaTypeClass,
-    classify,
-    evolve_eta,
-    params_from_angles,
-    qca_distribution,
-    qca_step,
-    unitarity_residuals,
-)
+Each module's ``__all__`` is its export list; the package re-exports the
+union of the five lists.
+"""
+
+from . import amplitudes, asymptotics, coined_walks, correspondence, qca_core
+from .amplitudes import *  # noqa: F403
+from .asymptotics import *  # noqa: F403
+from .coined_walks import *  # noqa: F403
+from .correspondence import *  # noqa: F403
+from .qca_core import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeField",
-    "AngleTriple",
-    "CoinBlocks",
-    "CoinMatrix",
-    "CorrespondenceReport",
-    "Distribution",
-    "L_UPPER",
-    "MASS_TOLERANCE",
-    "PRUNE_TOLERANCE",
-    "PatelParams",
-    "QcaParams",
-    "QcaTypeClass",
-    "QubitState",
-    "R_UPPER",
-    "RESIDUAL_TOLERANCE",
-    "RescaledSample",
-    "SQRT_2",
-    "TwoStepFactors",
-    "WalkState",
-    "ZERO_TOLERANCE",
-    "classify",
-    "evolve_eta",
-    "generalized_blocks_from_qca",
-    "kolmogorov_distance",
-    "limit_cdf",
-    "limit_density",
-    "max_difference",
-    "meyer_angles",
-    "norm_sq",
-    "params_from_angles",
-    "patel_coin",
-    "patel_even_step",
-    "patel_factorize",
-    "patel_odd_step",
-    "plain_blocks",
-    "qca_distribution",
-    "qca_step",
-    "rescaled_qca_sample",
-    "superpose",
-    "support",
-    "symmetry_defect",
-    "to_distribution",
-    "two_step_factorize",
-    "unitarity_residuals",
-    "verify_A_correspondence",
-    "verify_B_correspondence",
-    "verify_two_step",
-    "walk_distribution",
-    "walk_step",
-]
+__all__ = sorted(
+    {
+        name
+        for module in (amplitudes, asymptotics, coined_walks, correspondence, qca_core)
+        for name in module.__all__
+    }
+)

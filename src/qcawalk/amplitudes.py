@@ -21,11 +21,8 @@ import numpy as np
 
 __all__ = [
     "PRUNE_TOLERANCE",
-    "MASS_TOLERANCE",
     "AmplitudeField",
     "Distribution",
-    "norm_sq",
-    "support",
     "superpose",
     "to_distribution",
     "max_difference",
@@ -33,9 +30,8 @@ __all__ = [
 
 # Entries whose modulus falls below this are treated as exact zeros; keeps
 # floating-point dust from growing supports without ever touching the
-# 1e-12 working tolerances.
+# working tolerance ``qca_core.RESIDUAL_TOLERANCE``.
 PRUNE_TOLERANCE = 1e-15
-MASS_TOLERANCE = 1e-12
 
 # Nonzero sites at most this far apart share a run.  A lattice step reaches
 # two sites each side, so runs farther apart than 4 can be stepped
@@ -303,16 +299,6 @@ def _distribution_from_arrays(sites: np.ndarray, masses: np.ndarray) -> Distribu
     return dist
 
 
-def norm_sq(field: AmplitudeField) -> float:
-    """Sum of squared moduli over the whole lattice."""
-    return field.norm_sq()
-
-
-def support(field: AmplitudeField) -> set[int]:
-    """Sites carrying a nonzero entry."""
-    return field.support()
-
-
 def _on_union(f: AmplitudeField, g: AmplitudeField):
     """Union of both supports, and each field's values on it (zeros elsewhere)."""
     (fs, fv), (gs, gv) = f._flat(), g._flat()
@@ -340,7 +326,7 @@ def superpose(
 
 
 def to_distribution(field: AmplitudeField) -> Distribution:
-    """Squared-modulus masses of a field; total equals ``norm_sq(field)``."""
+    """Squared-modulus masses of a field; total equals ``field.norm_sq()``."""
     return field._distribution()
 
 

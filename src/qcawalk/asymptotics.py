@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .amplitudes import MASS_TOLERANCE, Distribution
-from .qca_core import QcaParams, qca_distribution
+from .amplitudes import Distribution
+from .qca_core import RESIDUAL_TOLERANCE, QcaParams, qca_distribution
 
 __all__ = [
     "SQRT_2",
@@ -44,20 +44,29 @@ def limit_cdf(x: float) -> float:
 
 @dataclass(frozen=True)
 class RescaledSample:
-    """Positions divided by the step count, with their masses; total mass 1."""
+    """Positions divided by the step count, with their masses; total mass 1.
+
+    Points are stored sorted by position (then mass), the order in which
+    :func:`kolmogorov_distance` walks the step CDF.
+    """
 
     points: Tuple[Tuple[float, float], ...]
     n: int
 
     def __post_init__(self):
-        pts = tuple((float(x), float(m)) for x, m in self.points)
+        pts = sorted((float(x), float(m)) for x, m in self.points)
+        if not all(math.isfinite(x) and math.isfinite(m) for x, m in pts):
+            raise ValueError("sample positions and masses must be finite")
         if any(m < 0.0 for _, m in pts):
             raise ValueError("sample masses must be nonnegative")
         total = math.fsum(m for _, m in pts)
-        if abs(total - 1.0) > MASS_TOLERANCE:
+        if abs(total - 1.0) > RESIDUAL_TOLERANCE:
             raise ValueError(f"sample masses must total 1, got {total!r}")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "n", int(self.n))
+        n = int(self.n)
+        if n < 1:
+            raise ValueError(f"step count must be at least 1, got {n}")
+        object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "n", n)
 
     def mean(self) -> float:
         return math.fsum(x * m for x, m in self.points)
@@ -91,6 +100,8 @@ def kolmogorov_distance(sample: RescaledSample) -> float:
 def symmetry_defect(dist: Distribution, center: float) -> float:
     """Largest mass mismatch between sites mirrored through ``center``."""
     two_c = 2.0 * float(center)
+    if not math.isfinite(two_c):
+        raise ValueError(f"center {center!r} is not finite, or twice it overflows")
     worst = 0.0
     for k, m in dist.items():
         mirror = two_c - k

@@ -29,6 +29,7 @@ from .correspondence import (
     verify_two_step,
 )
 from .qca_core import (
+    RESIDUAL_TOLERANCE,
     TWO_PI,
     AngleTriple,
     QcaParams,
@@ -37,8 +38,6 @@ from .qca_core import (
     qca_distribution,
     unitarity_residuals,
 )
-
-VERIFY_TOLERANCE = 1e-12
 
 # limit-compare's default: the point where the closed-form limit law holds
 _REFERENCE_ANGLES = AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2)
@@ -154,7 +153,7 @@ def _resolve_params(
 ) -> tuple[QcaParams, AngleTriple | None]:
     angle_flags = [args.theta, args.phi, args.delta]
     has_angles = any(v is not None for v in angle_flags)
-    has_raw = getattr(args, "params", None) is not None
+    has_raw = args.params is not None
     if has_angles and has_raw:
         raise UsageError("give either --theta/--phi/--delta or --params, not both")
     if has_raw:
@@ -293,7 +292,6 @@ def _cmd_simulate_qw(args) -> tuple[int, dict]:
 def _cmd_verify(args) -> tuple[int, dict]:
     _kind_flags(args)
     kind = args.kind
-    params_payload: dict = {}
     if kind in ("A", "B"):
         params, angles = _resolve_params(args)
         qubit = _resolve_qubit(args)
@@ -308,7 +306,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
         angles = _two_step_angles(args)
         report = verify_two_step(angles, args.theta1, args.theta2, args.family)
         params_payload = _two_step_payload(args, angles)
-    elif kind == "patel":
+    else:  # patel; argparse restricts --kind
         pp = PatelParams(args.phi1, args.phi2)
         extracted, report = patel_factorize(pp)
         params_payload = {
@@ -316,10 +314,8 @@ def _cmd_verify(args) -> tuple[int, dict]:
             "phi2": pp.phi2,
             "extracted": _params_payload(extracted, None),
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown verification kind {kind!r}")
 
-    passed = report.max_error() <= VERIFY_TOLERANCE
+    passed = report.max_error() <= RESIDUAL_TOLERANCE
     envelope = {
         "command": "verify",
         "params": {"kind": kind, **params_payload},
@@ -355,22 +351,21 @@ def _cmd_factorize(args) -> tuple[int, dict]:
             "residuals": {"max_product_error": report.max_amplitude_error},
         }
         return 0, envelope
-    if args.kind == "patel":
-        pp = PatelParams(args.phi1, args.phi2)
-        extracted, report = patel_factorize(pp)
-        envelope = {
-            "command": "factorize",
-            "params": {"kind": "patel", "phi1": pp.phi1, "phi2": pp.phi2},
-            "result": {
-                "U_even": _cmatrix(patel_coin(pp.phi1)),
-                "U_odd": _cmatrix(patel_coin(pp.phi2)),
-                "extracted": _params_payload(extracted, None),
-                "type": classify(extracted).value,
-            },
-            "residuals": {"max_error": report.max_amplitude_error},
-        }
-        return 0, envelope
-    raise UsageError(f"unknown factorization kind {args.kind!r}")  # pragma: no cover
+    # patel; argparse restricts --kind
+    pp = PatelParams(args.phi1, args.phi2)
+    extracted, report = patel_factorize(pp)
+    envelope = {
+        "command": "factorize",
+        "params": {"kind": "patel", "phi1": pp.phi1, "phi2": pp.phi2},
+        "result": {
+            "U_even": _cmatrix(patel_coin(pp.phi1)),
+            "U_odd": _cmatrix(patel_coin(pp.phi2)),
+            "extracted": _params_payload(extracted, None),
+            "type": classify(extracted).value,
+        },
+        "residuals": {"max_error": report.max_amplitude_error},
+    }
+    return 0, envelope
 
 
 def _cmd_limit_compare(args) -> tuple[int, dict]:

@@ -28,7 +28,6 @@ __all__ = [
     "L_UPPER",
     "R_UPPER",
     "CoinMatrix",
-    "QubitState",
     "WalkState",
     "CoinBlocks",
     "plain_blocks",
@@ -69,26 +68,6 @@ class CoinMatrix:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=np.complex128)
-
-    @property
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
-
-
-@dataclass(frozen=True)
-class QubitState:
-    """Normalized internal state (left amplitude, right amplitude)."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        alpha, beta = normalized_qubit((self.alpha, self.beta))
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    def __iter__(self):
-        return iter((self.alpha, self.beta))
 
 
 class WalkState(_Runs):

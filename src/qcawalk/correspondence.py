@@ -23,7 +23,6 @@ from .amplitudes import AmplitudeField, _on_union, _paired_field, _sq_modulus, m
 from .coined_walks import (
     L_UPPER,
     R_UPPER,
-    CoinBlocks,
     WalkState,
     _split_coin,
     generalized_blocks_from_qca,
@@ -166,22 +165,13 @@ class TwoStepFactors:
     Q1: np.ndarray
     P2: np.ndarray
     Q2: np.ndarray
-    theta1: float
-    theta2: float
-    family: str
 
     def __post_init__(self):
-        object.__setattr__(self, "P1", np.asarray(self.P1, dtype=np.complex128))
-        object.__setattr__(self, "Q1", np.asarray(self.Q1, dtype=np.complex128))
-        object.__setattr__(self, "P2", np.asarray(self.P2, dtype=np.complex128))
-        object.__setattr__(self, "Q2", np.asarray(self.Q2, dtype=np.complex128))
-        object.__setattr__(self, "theta1", _reduced_phase("theta1", self.theta1))
-        object.__setattr__(self, "theta2", _reduced_phase("theta2", self.theta2))
         for name in ("P1", "Q1", "P2", "Q2"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            block = np.asarray(getattr(self, name), dtype=np.complex128)
+            if not np.all(np.isfinite(block)):
                 raise ValueError(f"non-finite entry in half-step block {name}")
-        if self.family not in ("A", "B"):
-            raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
+            object.__setattr__(self, name, block)
         for n in (1, 2):
             u = self.coin(n)
             defect = np.abs(u.conj().T @ u - np.eye(2)).max()
@@ -194,14 +184,6 @@ class TwoStepFactors:
         if n == 2:
             return self.P2 + self.Q2
         raise ValueError(f"half-step index must be 1 or 2, got {n}")
-
-    def step_blocks(self, n: int) -> CoinBlocks:
-        """Plain-walk blocks for half-step ``n``, in the family's ordering."""
-        p = self.P1 if n == 1 else self.P2
-        q = self.Q1 if n == 1 else self.Q2
-        order = R_UPPER if self.family == "A" else L_UPPER
-        zero = np.zeros((2, 2), dtype=np.complex128)
-        return CoinBlocks(p, zero, q, p_side=1, order=order)
 
 
 def _half_step_coins(
@@ -245,7 +227,7 @@ def two_step_factorize(
     u1, u2 = _half_step_coins(angles, theta1, theta2)
     p1, q1 = _split_coin(u1, family)
     p2, q2 = _split_coin(u2, family)
-    return TwoStepFactors(p1, q1, p2, q2, theta1, theta2, family)
+    return TwoStepFactors(p1, q1, p2, q2)
 
 
 def verify_two_step(

@@ -20,7 +20,6 @@ from .amplitudes import AmplitudeField, Distribution, to_distribution
 
 __all__ = [
     "RESIDUAL_TOLERANCE",
-    "ZERO_TOLERANCE",
     "AngleTriple",
     "QcaParams",
     "QcaTypeClass",
@@ -33,8 +32,9 @@ __all__ = [
     "normalized_qubit",
 ]
 
+# The one tolerance of every check: unitarity residuals, the zero test of
+# ``classify``, sample mass totals and the pass threshold of ``verify``.
 RESIDUAL_TOLERANCE = 1e-12
-ZERO_TOLERANCE = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
@@ -142,13 +142,13 @@ _PAIR_TAGS = {
 def classify(params: QcaParams) -> QcaTypeClass:
     """Unique taxonomy tag of a validated tuple.
 
-    Coefficients below ``ZERO_TOLERANCE`` in modulus count as zero.  Tuples
+    Coefficients below ``RESIDUAL_TOLERANCE`` in modulus count as zero.  Tuples
     with three nonzero coefficients (or a nonzero pair other than the four
     admissible ones) cannot be unitary and are rejected.
     """
     nonzero = frozenset(
         name for name in ("a", "b", "c", "d")
-        if abs(getattr(params, name)) >= ZERO_TOLERANCE
+        if abs(getattr(params, name)) >= RESIDUAL_TOLERANCE
     )
     if len(nonzero) == 1:
         return _SINGLE_TAGS[next(iter(nonzero))]

@@ -12,7 +12,6 @@ import numpy as np
 from dense_reference import dense_qca_matrix, field_to_vector
 from qcawalk.amplitudes import (
     AmplitudeField,
-    norm_sq,
     superpose,
     to_distribution,
 )
@@ -101,7 +100,7 @@ def test_criterion_03_norm_conservation():
         field = AmplitudeField({k: z / scale for k, z in entries.items()})
         for _ in range(50):
             field = qca_step(field, params)
-        worst = max(worst, abs(norm_sq(field) - 1.0))
+        worst = max(worst, abs(field.norm_sq() - 1.0))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
     assert elapsed < 1.0

@@ -13,9 +13,7 @@ from qcawalk.amplitudes import (
     AmplitudeField,
     Distribution,
     max_difference,
-    norm_sq,
     superpose,
-    support,
     to_distribution,
 )
 
@@ -23,29 +21,29 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def test_norm_sq_empty_field_is_zero():
-    assert norm_sq(AmplitudeField()) == 0.0
+    assert AmplitudeField().norm_sq() == 0.0
 
 
 def test_norm_sq_unit_delta():
-    assert norm_sq(AmplitudeField.delta(0, 1.0)) == 1.0
+    assert AmplitudeField.delta(0, 1.0).norm_sq() == 1.0
 
 
 def test_norm_sq_four_half_amplitudes():
     field = AmplitudeField({-1: 0.5j, 0: 0.5, 1: 0.5j, 2: -0.5})
-    assert norm_sq(field) == pytest.approx(1.0, abs=1e-15)
+    assert field.norm_sq() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_support_empty():
-    assert support(AmplitudeField()) == set()
+    assert AmplitudeField().support() == set()
 
 
 def test_support_delta():
-    assert support(AmplitudeField.delta(5)) == {5}
+    assert AmplitudeField.delta(5).support() == {5}
 
 
 def test_support_four_entries():
     field = AmplitudeField({-2: -0.5, -1: 0.5j, 0: 0.5, 1: 0.5j})
-    assert support(field) == {-2, -1, 0, 1}
+    assert field.support() == {-2, -1, 0, 1}
 
 
 def test_superpose_identity_combination():
@@ -58,7 +56,7 @@ def test_superpose_cancellation_gives_empty_field():
     d0 = AmplitudeField.delta(0)
     out = superpose(d0, d0, INV_SQRT2, -INV_SQRT2)
     assert len(out) == 0
-    assert support(out) == set()
+    assert out.support() == set()
 
 
 def test_superpose_disjoint_supports():
@@ -74,8 +72,8 @@ def test_superpose_norm_identity_on_disjoint_supports():
         g = AmplitudeField({k: complex(*rng.normal(size=2)) for k in range(1, 6)})
         alpha, beta = complex(*rng.normal(size=2)), complex(*rng.normal(size=2))
         combined = superpose(f, g, alpha, beta)
-        expected = abs(alpha) ** 2 * norm_sq(f) + abs(beta) ** 2 * norm_sq(g)
-        assert norm_sq(combined) == pytest.approx(expected, abs=1e-12)
+        expected = abs(alpha) ** 2 * f.norm_sq() + abs(beta) ** 2 * g.norm_sq()
+        assert combined.norm_sq() == pytest.approx(expected, abs=1e-12)
 
 
 def test_to_distribution_unit_phase():
@@ -105,13 +103,13 @@ def test_to_distribution_preserves_total_mass():
         sites = rng.choice(np.arange(-30, 30), size=12, replace=False)
         field = AmplitudeField({int(k): complex(*rng.normal(size=2)) for k in sites})
         dist = to_distribution(field)
-        assert abs(dist.total() - norm_sq(field)) <= 1e-12
-        assert dist.support() == support(field)
+        assert abs(dist.total() - field.norm_sq()) <= 1e-12
+        assert dist.support() == field.support()
 
 
 def test_pruning_drops_dust():
     field = AmplitudeField({0: 1.0, 1: 1e-16, 2: 0.0})
-    assert support(field) == {0}
+    assert field.support() == {0}
 
 
 def test_non_finite_amplitude_rejected():
@@ -126,7 +124,7 @@ def test_shifted_translates_support():
     moved = field.shifted(3)
     assert moved[2] == 1j
     assert moved[5] == 0.5
-    assert support(moved) == {2, 5}
+    assert moved.support() == {2, 5}
 
 
 def test_max_difference():
@@ -161,7 +159,7 @@ def test_prune_tolerance_well_below_mass_tolerance():
 
 def test_construction_prunes_dust_inside_and_at_the_ends_of_runs():
     field = AmplitudeField({-3: 1e-16, 0: 0.6, 1: 5e-16, 2: 0.8j, 9: 1e-17})
-    assert support(field) == {0, 2}
+    assert field.support() == {0, 2}
     assert len(field) == 2
     assert field[1] == 0j and 1 not in field
     assert field[-3] == 0j and field[9] == 0j

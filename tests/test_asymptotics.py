@@ -163,6 +163,43 @@ def test_sample_rejects_unnormalized_masses():
         RescaledSample(((0.0, 0.5),), 1)
 
 
+@pytest.mark.parametrize(
+    "points",
+    [
+        ((math.nan, 1.0),),
+        # a NaN total would slip through the |total - 1| check
+        ((0.0, math.nan), (1.0, 1.0)),
+        ((math.inf, 1.0),),
+        ((-math.inf, 0.5), (0.0, 0.5)),
+        ((0.0, math.inf),),
+    ],
+)
+def test_sample_rejects_non_finite_points(points):
+    with pytest.raises(ValueError, match="finite"):
+        RescaledSample(points, 1)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_rejects_step_count_below_one(n):
+    with pytest.raises(ValueError, match="at least 1"):
+        RescaledSample(((0.0, 1.0),), n)
+
+
+def test_sample_points_are_sorted_so_order_does_not_change_distance():
+    forward = ((0.0, 0.5), (1.0, 0.5))
+    backward = forward[::-1]
+    assert RescaledSample(backward, 1).points == forward
+    # the step CDF is 1/2 on [0, 1) against limit_cdf(0) = 1/2, and the
+    # largest gap is at the jump at 0: |0 - limit_cdf(0)| = 1/2
+    assert kolmogorov_distance(RescaledSample(backward, 1)) == 0.5
+    assert kolmogorov_distance(RescaledSample(forward, 1)) == 0.5
+
+    sample = rescaled_qca_sample(PATEL, SYMMETRIC, 40)
+    shuffled = list(sample.points)
+    np.random.default_rng(5).shuffle(shuffled)
+    assert kolmogorov_distance(RescaledSample(tuple(shuffled), 40)) == kolmogorov_distance(sample)
+
+
 # ---------------------------------------------------------------------------
 # kolmogorov_distance
 # ---------------------------------------------------------------------------
@@ -220,3 +257,10 @@ def test_defect_counts_unmatched_mirror_sites():
     assert symmetry_defect(dist2, 0.5) == 0.0
     # center without an integer mirror: every site is unmatched
     assert symmetry_defect(dist2, 0.25) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("center", [math.inf, -math.inf, math.nan, 1e308])
+def test_defect_rejects_non_finite_center(center):
+    dist = Distribution({0: 0.5, 1: 0.5})
+    with pytest.raises(ValueError, match="not finite"):
+        symmetry_defect(dist, center)

@@ -11,14 +11,13 @@ from qcawalk.coined_walks import (
     R_UPPER,
     CoinBlocks,
     CoinMatrix,
-    QubitState,
     WalkState,
     generalized_blocks_from_qca,
     plain_blocks,
     walk_distribution,
     walk_step,
 )
-from qcawalk.qca_core import AngleTriple, QcaParams, params_from_angles
+from qcawalk.qca_core import AngleTriple, QcaParams, normalized_qubit, params_from_angles
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PATEL = QcaParams(0.5j, 0.5, 0.5j, -0.5)
@@ -39,7 +38,7 @@ def random_qubit(rng):
 
 
 # ---------------------------------------------------------------------------
-# CoinMatrix / QubitState
+# CoinMatrix / qubit normalization
 # ---------------------------------------------------------------------------
 
 def test_coin_matrix_accepts_balanced_coin():
@@ -61,16 +60,17 @@ def test_coin_matrix_determinant_relations():
         b = math.sin(chi) * complex(math.cos(pb), math.sin(pb))
         det = complex(math.cos(pd), math.sin(pd))
         coin = CoinMatrix(a, b, -det * b.conjugate(), det * a.conjugate())
-        assert abs(abs(coin.det) - 1.0) <= 1e-12
-        assert abs(coin.c + coin.det * coin.b.conjugate()) <= 1e-12
-        assert abs(coin.d - coin.det * coin.a.conjugate()) <= 1e-12
+        got = np.linalg.det(coin.matrix)
+        assert abs(abs(got) - 1.0) <= 1e-12
+        assert abs(coin.c + got * coin.b.conjugate()) <= 1e-12
+        assert abs(coin.d - got * coin.a.conjugate()) <= 1e-12
 
 
 def test_qubit_state_normalization():
-    q = QubitState(INV_SQRT2, 1j * INV_SQRT2)
-    assert abs(abs(q.alpha) ** 2 + abs(q.beta) ** 2 - 1.0) <= 1e-15
+    alpha, beta = normalized_qubit((INV_SQRT2, 1j * INV_SQRT2))
+    assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-15
     with pytest.raises(ValueError):
-        QubitState(1.0, 1.0)
+        normalized_qubit((1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from qcawalk.amplitudes import AmplitudeField, max_difference, norm_sq, superpose
+from qcawalk.amplitudes import AmplitudeField, max_difference, superpose
 from qcawalk.coined_walks import (
     L_UPPER,
     R_UPPER,
+    CoinBlocks,
     CoinMatrix,
     WalkState,
     generalized_blocks_from_qca,
@@ -232,8 +233,11 @@ def test_families_share_half_step_coins():
 
 
 def two_half_steps(state, factors):
-    state = walk_step(state, factors.step_blocks(1))
-    return walk_step(state, factors.step_blocks(2))
+    """Plain walk steps with blocks (P1, Q1), then (P2, Q2), in the state's ordering."""
+    zero = np.zeros((2, 2))
+    for p, q in ((factors.P1, factors.Q1), (factors.P2, factors.Q2)):
+        state = walk_step(state, CoinBlocks(p, zero, q, p_side=1, order=state.order))
+    return state
 
 
 def test_one_generalized_step_equals_two_half_steps():
@@ -310,7 +314,7 @@ def test_half_steps_compose_to_full_step_on_fields():
         composed = patel_even_step(patel_odd_step(field, phi2), phi1)
         direct = qca_step(field, params)
         assert max_difference(composed, direct) <= 1e-12
-        assert abs(norm_sq(composed) - 1.0) <= 1e-12
+        assert abs(composed.norm_sq() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("half_step, first_top", [(patel_even_step, 0), (patel_odd_step, -1)])

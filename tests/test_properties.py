@@ -6,7 +6,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcawalk.amplitudes import AmplitudeField, max_difference, norm_sq, superpose, to_distribution
+from qcawalk.amplitudes import AmplitudeField, max_difference, superpose, to_distribution
 from qcawalk.correspondence import verify_A_correspondence, verify_B_correspondence
 from qcawalk.qca_core import AngleTriple, evolve_eta, params_from_angles, qca_distribution, qca_step
 
@@ -28,7 +28,7 @@ fields = st.dictionaries(
     st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
     min_size=1,
     max_size=12,
-).map(AmplitudeField).filter(lambda f: norm_sq(f) > 1e-6)
+).map(AmplitudeField).filter(lambda f: f.norm_sq() > 1e-6)
 
 
 def evolve(field, n, p):
@@ -62,8 +62,8 @@ def test_step_commutes_with_translation_by_two_sites(p, field, n):
 @PROPERTY_SETTINGS
 @given(params, fields, steps)
 def test_step_conserves_norm(p, field, n):
-    before = norm_sq(field)
-    assert abs(norm_sq(evolve(field, n, p)) - before) <= 1e-12 * before
+    before = field.norm_sq()
+    assert abs(evolve(field, n, p).norm_sq() - before) <= 1e-12 * before
 
 
 @PROPERTY_SETTINGS

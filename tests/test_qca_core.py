@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dense_reference import dense_qca_matrix, field_to_vector
-from qcawalk.amplitudes import AmplitudeField, max_difference, norm_sq, support
+from qcawalk.amplitudes import AmplitudeField, max_difference
 from qcawalk.coined_walks import CoinMatrix
 from qcawalk.qca_core import (
     AngleTriple,
@@ -181,7 +181,7 @@ def test_classify_stable_under_global_phase():
 
 def test_step_delta_patel_reads_central_column():
     out = qca_step(AmplitudeField.delta(0), PATEL)
-    assert support(out) == {-2, -1, 0, 1}
+    assert out.support() == {-2, -1, 0, 1}
     assert out[-2] == pytest.approx(-0.5)
     assert out[-1] == pytest.approx(0.5j)
     assert out[0] == pytest.approx(0.5)
@@ -202,7 +202,7 @@ def test_step_pure_a_swaps_pairs():
 def test_step_type_i_delta_stays_in_pair():
     params = QcaParams(0.0, -1j * INV_SQRT2, INV_SQRT2, 0.0)
     out = qca_step(AmplitudeField.delta(0), params)
-    assert support(out) == {0, 1}
+    assert out.support() == {0, 1}
     assert out[0] == pytest.approx(-1j * INV_SQRT2)
     assert out[1] == pytest.approx(INV_SQRT2)
 
@@ -235,7 +235,7 @@ def test_separate_runs_merge_as_they_grow_into_each_other():
         vec = dense @ vec
         runs_seen.add(len(field._runs))
         assert np.abs(field_to_vector(field, lo, hi) - vec).max() <= 1e-12
-        assert support(field) == {lo + i for i in np.flatnonzero(np.abs(vec) >= 1e-15)}
+        assert field.support() == {lo + i for i in np.flatnonzero(np.abs(vec) >= 1e-15)}
     assert runs_seen == {1, 2}
     assert len(field._runs) == 1
 
@@ -257,8 +257,8 @@ def test_step_handles_very_wide_supports():
     field = AmplitudeField({0: INV_SQRT2, far: INV_SQRT2})
     out = qca_step(field, PATEL)
     near = qca_step(AmplitudeField.delta(0, INV_SQRT2), PATEL)
-    assert support(out) == support(near) | {s + far for s in support(near)}
-    for s in support(near):
+    assert out.support() == near.support() | {s + far for s in near.support()}
+    for s in near.support():
         assert out[s] == pytest.approx(near[s])
         assert out[s + far] == pytest.approx(near[s])
 
@@ -279,7 +279,7 @@ def test_step_preserves_norm():
         field = random_unit_field(rng)
         for _ in range(20):
             field = qca_step(field, params)
-        assert abs(norm_sq(field) - 1.0) <= 1e-12
+        assert abs(field.norm_sq() - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +292,13 @@ def test_evolve_zero_steps_is_delta():
 
 def test_evolve_one_step_from_origin():
     out = evolve_eta(0, 1, PATEL)
-    assert support(out) == {-2, -1, 0, 1}
+    assert out.support() == {-2, -1, 0, 1}
     assert out[-2] == pytest.approx(-0.5)
 
 
 def test_evolve_one_step_from_odd_site():
     out = evolve_eta(3, 1, PATEL)
-    assert support(out) == {2, 3, 4, 5}
+    assert out.support() == {2, 3, 4, 5}
     assert out[2] == pytest.approx(0.5j)
     assert out[3] == pytest.approx(0.5)
     assert out[4] == pytest.approx(0.5j)
@@ -316,7 +316,7 @@ def test_evolve_translation_by_two_sites():
 def test_evolve_support_bound():
     for n in (0, 1, 3, 7, 15):
         field = evolve_eta(0, n, PATEL)
-        assert all(-2 * n <= s <= 2 * n for s in support(field))
+        assert all(-2 * n <= s <= 2 * n for s in field.support())
 
 
 def test_evolve_rejects_negative_steps():
