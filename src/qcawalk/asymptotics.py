@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -62,7 +63,7 @@ class RescaledSample:
         total = math.fsum(m for _, m in pts)
         if abs(total - 1.0) > RESIDUAL_TOLERANCE:
             raise ValueError(f"sample masses must total 1, got {total!r}")
-        n = int(self.n)
+        n = operator.index(self.n)
         if n < 1:
             raise ValueError(f"step count must be at least 1, got {n}")
         object.__setattr__(self, "points", tuple(pts))

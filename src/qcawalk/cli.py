@@ -20,6 +20,7 @@ from .amplitudes import Distribution
 from .asymptotics import kolmogorov_distance, rescaled_qca_sample
 from .coined_walks import WalkState, generalized_blocks_from_qca, walk_distribution, walk_step
 from .correspondence import (
+    CorrespondenceReport,
     PatelParams,
     patel_coin,
     patel_factorize,
@@ -30,9 +31,9 @@ from .correspondence import (
 )
 from .qca_core import (
     RESIDUAL_TOLERANCE,
-    TWO_PI,
     AngleTriple,
     QcaParams,
+    _reduced_phase,
     classify,
     params_from_angles,
     qca_distribution,
@@ -55,12 +56,6 @@ _KIND_DEFAULTS = {
     "theta2": 0.0,
     "phi1": math.pi / 4,
     "phi2": math.pi / 4,
-}
-_KIND_READS = {
-    "A": (*_PARAM_FLAGS, "qubit", "steps"),
-    "B": (*_PARAM_FLAGS, "qubit", "steps"),
-    "two-step": (*_PARAM_FLAGS, "family", "theta1", "theta2"),
-    "patel": ("phi1", "phi2"),
 }
 
 _PI_PATTERN = re.compile(
@@ -103,40 +98,29 @@ def _cmatrix(m: np.ndarray) -> dict:
     }
 
 
-def _dist_payload(dist: Distribution) -> list:
-    return [[k, dist[k]] for k in sorted(dist.support())]
-
-
 def _flatten(value, prefix: str, rows: list) -> None:
     if isinstance(value, dict):
         for key, sub in value.items():
-            _flatten(sub, f"{prefix}.{key}" if prefix else str(key), rows)
-    elif isinstance(value, (list, tuple)):
-        for i, sub in enumerate(value):
-            _flatten(sub, f"{prefix}.{i}", rows)
+            _flatten(sub, f"{prefix}.{key}" if prefix else key, rows)
     elif isinstance(value, bool):
         rows.append((prefix, "true" if value else "false"))
     elif isinstance(value, float):
         rows.append((prefix, repr(value)))
-    elif value is None:
-        rows.append((prefix, ""))
     else:
         rows.append((prefix, str(value)))
 
 
-def _render(envelope: dict, fmt: str) -> str:
+def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(envelope, indent=2) + "\n"
-    result = envelope.get("result", {})
-    if isinstance(result, dict) and "distribution" in result:
+        return json.dumps(report, indent=2) + "\n"
+    if "distribution" in report["result"]:
         lines = ["site,probability"]
-        for site, mass in result["distribution"]:
-            lines.append(f"{site},{mass!r}")
-        return "\n".join(lines) + "\n"
-    rows: list = []
-    _flatten(envelope, "", rows)
-    lines = ["key,value"]
-    lines.extend(f"{key},{val}" for key, val in rows)
+        lines.extend(f"{site},{mass!r}" for site, mass in report["result"]["distribution"])
+    else:
+        rows: list = []
+        _flatten(report, "", rows)
+        lines = ["key,value"]
+        lines.extend(f"{key},{val}" for key, val in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -173,48 +157,8 @@ def _resolve_params(
     raise UsageError("parameters required: --theta/--phi/--delta or --params")
 
 
-def _resolve_qubit(args) -> tuple[complex, complex]:
-    values = args.qubit
-    if len(values) == 2:
-        return complex(values[0]), complex(values[1])
-    if len(values) == 4:
-        return complex(values[0], values[1]), complex(values[2], values[3])
-    raise UsageError("--qubit takes 2 real values or 4 re/im values")
-
-
-def _kind_flags(args) -> None:
-    """Reject a flag that ``--kind`` does not read; default the unset ones."""
-    for dest in (*_PARAM_FLAGS, *_KIND_DEFAULTS):
-        if not hasattr(args, dest):
-            continue
-        if getattr(args, dest) is None:
-            setattr(args, dest, _KIND_DEFAULTS.get(dest))
-        elif dest not in _KIND_READS[args.kind]:
-            raise UsageError(f"--{dest} is not read by --kind {args.kind}")
-
-
-def _two_step_angles(args) -> AngleTriple:
-    _, angles = _resolve_params(args)
-    if angles is None:
-        raise UsageError("two-step factorization needs --theta/--phi/--delta, not --params")
-    return angles
-
-
 def _angles_payload(angles: AngleTriple) -> dict:
     return {"theta": angles.theta, "phi": angles.phi, "delta": angles.delta}
-
-
-def _qubit_payload(qubit: tuple[complex, complex]) -> dict:
-    return {"alpha": _cnum(qubit[0]), "beta": _cnum(qubit[1])}
-
-
-def _two_step_payload(args, angles: AngleTriple) -> dict:
-    return {
-        "angles": _angles_payload(angles),
-        "theta1": args.theta1 % TWO_PI,
-        "theta2": args.theta2 % TWO_PI,
-        "family": args.family,
-    }
 
 
 def _params_payload(params: QcaParams, angles: AngleTriple | None) -> dict:
@@ -229,45 +173,119 @@ def _params_payload(params: QcaParams, angles: AngleTriple | None) -> dict:
     return payload
 
 
-def _residuals_payload(params: QcaParams) -> dict:
+def _resolve_run(
+    args, default: AngleTriple | None = None
+) -> tuple[QcaParams, tuple[complex, complex], dict]:
+    """Tuple, qubit and their echoed payload of a command that evolves a start state."""
+    params, angles = _resolve_params(args, default)
+    values = args.qubit
+    if len(values) == 2:
+        qubit = complex(values[0]), complex(values[1])
+    elif len(values) == 4:
+        qubit = complex(values[0], values[1]), complex(values[2], values[3])
+    else:
+        raise UsageError("--qubit takes 2 real values or 4 re/im values")
+    payload = {
+        **_params_payload(params, angles),
+        "qubit": {"alpha": _cnum(qubit[0]), "beta": _cnum(qubit[1])},
+    }
+    return params, qubit, payload
+
+
+# A --kind runner computes its identity once: the report verify reads, the params
+# payload, and the factors and residuals factorize prints (None for A and B).
+_Run = tuple[CorrespondenceReport, dict, dict | None, dict | None]
+
+
+def _run_pairing(args) -> _Run:
+    params, qubit, payload = _resolve_run(args)
+    check = verify_A_correspondence if args.kind == "A" else verify_B_correspondence
+    return check(params, qubit, args.steps), {**payload, "steps": args.steps}, None, None
+
+
+def _run_two_step(args) -> _Run:
+    _, angles = _resolve_params(args)
+    if angles is None:
+        raise UsageError("two-step factorization needs --theta/--phi/--delta, not --params")
+    payload = {
+        "angles": _angles_payload(angles),
+        "theta1": _reduced_phase("theta1", args.theta1),
+        "theta2": _reduced_phase("theta2", args.theta2),
+        "family": args.family,
+    }
+    factors = two_step_factorize(angles, args.theta1, args.theta2, args.family)
+    report = verify_two_step(angles, args.theta1, args.theta2, args.family)
+    result = {
+        "P1": _cmatrix(factors.P1),
+        "Q1": _cmatrix(factors.Q1),
+        "P2": _cmatrix(factors.P2),
+        "Q2": _cmatrix(factors.Q2),
+        "U1": _cmatrix(factors.coin(1)),
+        "U2": _cmatrix(factors.coin(2)),
+    }
+    return report, payload, result, {"max_product_error": report.max_amplitude_error}
+
+
+def _run_patel(args) -> _Run:
+    pp = PatelParams(args.phi1, args.phi2)
+    extracted, report = patel_factorize(pp)
+    result = {
+        "U_even": _cmatrix(patel_coin(pp.phi1)),
+        "U_odd": _cmatrix(patel_coin(pp.phi2)),
+        "extracted": _params_payload(extracted, None),
+    }
+    # classify rejects some valid tuples near a class boundary; verify names no class
+    if args.command == "factorize":
+        result["type"] = classify(extracted).value
+    payload = {"phi1": pp.phi1, "phi2": pp.phi2}
+    return report, payload, result, {"max_error": report.max_amplitude_error}
+
+
+# Each --kind of verify and factorize: its runner and the flags it reads.
+_KINDS = {
+    "A": (_run_pairing, (*_PARAM_FLAGS, "qubit", "steps")),
+    "B": (_run_pairing, (*_PARAM_FLAGS, "qubit", "steps")),
+    "two-step": (_run_two_step, (*_PARAM_FLAGS, "family", "theta1", "theta2")),
+    "patel": (_run_patel, ("phi1", "phi2")),
+}
+
+
+def _kind_flags(args) -> None:
+    """Reject a flag that ``--kind`` does not read; default the unset ones."""
+    reads = _KINDS[args.kind][1]
+    for dest in (*_PARAM_FLAGS, *_KIND_DEFAULTS):
+        if not hasattr(args, dest):
+            continue
+        if getattr(args, dest) is None:
+            setattr(args, dest, _KIND_DEFAULTS.get(dest))
+        elif dest not in reads:
+            raise UsageError(f"--{dest} is not read by --kind {args.kind}")
+
+
+def _cmd_classify(args) -> tuple[int, dict, dict, dict]:
+    params, angles = _resolve_params(args)
     names = ("norm", "cross", "shift2", "pair_ab", "pair_cd")
-    values = unitarity_residuals(params.a, params.b, params.c, params.d)
-    return dict(zip(names, values))
+    residuals = dict(zip(names, unitarity_residuals(*params.astuple())))
+    return 0, _params_payload(params, angles), {"type": classify(params).value}, residuals
 
 
-def _cmd_classify(args) -> tuple[int, dict]:
-    params, angles = _resolve_params(args)
-    tag = classify(params)
-    envelope = {
-        "command": "classify",
-        "params": _params_payload(params, angles),
-        "result": {"type": tag.value},
-        "residuals": _residuals_payload(params),
-    }
-    return 0, envelope
+def _distribution_report(payload: dict, dist: Distribution) -> tuple[int, dict, dict, dict]:
+    return (
+        0,
+        payload,
+        {"distribution": [[k, dist[k]] for k in sorted(dist.support())]},
+        {"total_mass_error": abs(dist.total() - 1.0)},
+    )
 
 
-def _cmd_simulate_qca(args) -> tuple[int, dict]:
-    params, angles = _resolve_params(args)
-    qubit = _resolve_qubit(args)
+def _cmd_simulate_qca(args) -> tuple[int, dict, dict, dict]:
+    params, qubit, payload = _resolve_run(args)
     dist = qca_distribution(0, args.sign, qubit, args.steps, params)
-    envelope = {
-        "command": "simulate-qca",
-        "params": {
-            **_params_payload(params, angles),
-            "qubit": _qubit_payload(qubit),
-            "sign": args.sign,
-            "steps": args.steps,
-        },
-        "result": {"distribution": _dist_payload(dist)},
-        "residuals": {"total_mass_error": abs(dist.total() - 1.0)},
-    }
-    return 0, envelope
+    return _distribution_report({**payload, "sign": args.sign, "steps": args.steps}, dist)
 
 
-def _cmd_simulate_qw(args) -> tuple[int, dict]:
-    params, angles = _resolve_params(args)
-    qubit = _resolve_qubit(args)
+def _cmd_simulate_qw(args) -> tuple[int, dict, dict, dict]:
+    params, qubit, payload = _resolve_run(args)
     if args.steps < 0:
         raise UsageError(f"--steps must be nonnegative, got {args.steps}")
     blocks = generalized_blocks_from_qca(params, args.family)
@@ -275,124 +293,46 @@ def _cmd_simulate_qw(args) -> tuple[int, dict]:
     for _ in range(args.steps):
         state = walk_step(state, blocks)
     dist = walk_distribution(state)
-    envelope = {
-        "command": "simulate-qw",
-        "params": {
-            **_params_payload(params, angles),
-            "qubit": _qubit_payload(qubit),
-            "family": args.family,
-            "steps": args.steps,
-        },
-        "result": {"distribution": _dist_payload(dist)},
-        "residuals": {"total_mass_error": abs(dist.total() - 1.0)},
-    }
-    return 0, envelope
+    return _distribution_report({**payload, "family": args.family, "steps": args.steps}, dist)
 
 
-def _cmd_verify(args) -> tuple[int, dict]:
+def _cmd_verify(args) -> tuple[int, dict, dict, dict]:
     _kind_flags(args)
-    kind = args.kind
-    if kind in ("A", "B"):
-        params, angles = _resolve_params(args)
-        qubit = _resolve_qubit(args)
-        check = verify_A_correspondence if kind == "A" else verify_B_correspondence
-        report = check(params, qubit, args.steps)
-        params_payload = {
-            **_params_payload(params, angles),
-            "qubit": _qubit_payload(qubit),
-            "steps": args.steps,
-        }
-    elif kind == "two-step":
-        angles = _two_step_angles(args)
-        report = verify_two_step(angles, args.theta1, args.theta2, args.family)
-        params_payload = _two_step_payload(args, angles)
-    else:  # patel; argparse restricts --kind
-        pp = PatelParams(args.phi1, args.phi2)
-        extracted, report = patel_factorize(pp)
-        params_payload = {
-            "phi1": pp.phi1,
-            "phi2": pp.phi2,
-            "extracted": _params_payload(extracted, None),
-        }
-
+    report, payload, factors, _ = _KINDS[args.kind][0](args)
+    if args.kind == "patel":
+        payload["extracted"] = factors["extracted"]
     passed = report.max_error() <= RESIDUAL_TOLERANCE
-    envelope = {
-        "command": "verify",
-        "params": {"kind": kind, **params_payload},
-        "result": {
-            "identity": report.identity_name,
-            "max_amplitude_error": report.max_amplitude_error,
-            "max_probability_error": report.max_probability_error,
-            "steps_checked": report.steps_checked,
-            "pass": passed,
-        },
-        "residuals": {"max_error": report.max_error()},
+    result = {
+        "identity": report.identity_name,
+        "max_amplitude_error": report.max_amplitude_error,
+        "max_probability_error": report.max_probability_error,
+        "steps_checked": report.steps_checked,
+        "pass": passed,
     }
-    return (0 if passed else 1), envelope
+    residuals = {"max_error": report.max_error()}
+    return (0 if passed else 1), {"kind": args.kind, **payload}, result, residuals
 
 
-def _cmd_factorize(args) -> tuple[int, dict]:
+def _cmd_factorize(args) -> tuple[int, dict, dict, dict]:
     _kind_flags(args)
-    if args.kind == "two-step":
-        angles = _two_step_angles(args)
-        factors = two_step_factorize(angles, args.theta1, args.theta2, args.family)
-        report = verify_two_step(angles, args.theta1, args.theta2, args.family)
-        envelope = {
-            "command": "factorize",
-            "params": {"kind": "two-step", **_two_step_payload(args, angles)},
-            "result": {
-                "P1": _cmatrix(factors.P1),
-                "Q1": _cmatrix(factors.Q1),
-                "P2": _cmatrix(factors.P2),
-                "Q2": _cmatrix(factors.Q2),
-                "U1": _cmatrix(factors.coin(1)),
-                "U2": _cmatrix(factors.coin(2)),
-            },
-            "residuals": {"max_product_error": report.max_amplitude_error},
-        }
-        return 0, envelope
-    # patel; argparse restricts --kind
-    pp = PatelParams(args.phi1, args.phi2)
-    extracted, report = patel_factorize(pp)
-    envelope = {
-        "command": "factorize",
-        "params": {"kind": "patel", "phi1": pp.phi1, "phi2": pp.phi2},
-        "result": {
-            "U_even": _cmatrix(patel_coin(pp.phi1)),
-            "U_odd": _cmatrix(patel_coin(pp.phi2)),
-            "extracted": _params_payload(extracted, None),
-            "type": classify(extracted).value,
-        },
-        "residuals": {"max_error": report.max_amplitude_error},
-    }
-    return 0, envelope
+    _, payload, result, residuals = _KINDS[args.kind][0](args)
+    return 0, {"kind": args.kind, **payload}, result, residuals
 
 
-def _cmd_limit_compare(args) -> tuple[int, dict]:
+def _cmd_limit_compare(args) -> tuple[int, dict, dict, dict]:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise UsageError(f"--tolerance must be finite and nonnegative, got {args.tolerance!r}")
-    params, angles = _resolve_params(args, default=_REFERENCE_ANGLES)
-    qubit = _resolve_qubit(args)
-    sample = rescaled_qca_sample(params, qubit, args.steps)
-    distance = kolmogorov_distance(sample)
+    params, qubit, payload = _resolve_run(args, default=_REFERENCE_ANGLES)
+    distance = kolmogorov_distance(rescaled_qca_sample(params, qubit, args.steps))
     passed = distance <= args.tolerance
-    envelope = {
-        "command": "limit-compare",
-        "params": {
-            **_params_payload(params, angles),
-            "qubit": _qubit_payload(qubit),
-            "steps": args.steps,
-            "tolerance": args.tolerance,
-        },
-        "result": {
-            "steps": args.steps,
-            "kolmogorov_distance": distance,
-            "tolerance": args.tolerance,
-            "pass": passed,
-        },
-        "residuals": {"kolmogorov_distance": distance},
+    result = {
+        "steps": args.steps,
+        "kolmogorov_distance": distance,
+        "tolerance": args.tolerance,
+        "pass": passed,
     }
-    return (0 if passed else 1), envelope
+    payload = {**payload, "steps": args.steps, "tolerance": args.tolerance}
+    return (0 if passed else 1), payload, result, {"kolmogorov_distance": distance}
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -534,12 +474,18 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     started = time.perf_counter()
     try:
-        code, envelope = args.handler(args)
+        code, params, result, residuals = args.handler(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    report = {
+        "command": args.command,
+        "params": params,
+        "result": result,
+        "residuals": residuals,
+    }
     try:
-        _emit(_render(envelope, args.format), args.out)
+        _emit(_render(report, args.format), args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

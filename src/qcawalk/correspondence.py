@@ -24,15 +24,16 @@ from .coined_walks import (
     L_UPPER,
     R_UPPER,
     WalkState,
+    _as_block,
     _split_coin,
     generalized_blocks_from_qca,
     walk_step,
 )
 from .qca_core import (
     RESIDUAL_TOLERANCE,
-    TWO_PI,
     AngleTriple,
     QcaParams,
+    _reduced_phase,
     normalized_qubit,
     params_from_angles,
     qca_step,
@@ -145,14 +146,6 @@ def verify_B_correspondence(
     return _verify_pairing("B", params, qubit, n_max)
 
 
-def _reduced_phase(name: str, value: float) -> float:
-    """A free phase angle reduced mod 2*pi; non-finite values are rejected."""
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValueError(f"non-finite angle {name}={v!r}")
-    return v % TWO_PI
-
-
 @dataclass(frozen=True)
 class TwoStepFactors:
     """Half-step move blocks whose two-step composition is one lattice step.
@@ -168,10 +161,7 @@ class TwoStepFactors:
 
     def __post_init__(self):
         for name in ("P1", "Q1", "P2", "Q2"):
-            block = np.asarray(getattr(self, name), dtype=np.complex128)
-            if not np.all(np.isfinite(block)):
-                raise ValueError(f"non-finite entry in half-step block {name}")
-            object.__setattr__(self, name, block)
+            object.__setattr__(self, name, _as_block(getattr(self, name)))
         for n in (1, 2):
             u = self.coin(n)
             defect = np.abs(u.conj().T @ u - np.eye(2)).max()

@@ -38,6 +38,14 @@ RESIDUAL_TOLERANCE = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
+def _reduced_phase(name: str, value: float) -> float:
+    """An angle reduced mod 2*pi; non-finite values are rejected."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite angle {name}={v!r}")
+    return v % TWO_PI
+
+
 def _abs_sq(z: complex) -> float:
     """``abs(z) ** 2``, or inf where it overflows (a float power raises there)."""
     try:
@@ -104,10 +112,7 @@ class AngleTriple:
 
     def __post_init__(self):
         for name in ("theta", "phi", "delta"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite angle {name}={v!r}")
-            object.__setattr__(self, name, v % TWO_PI)
+            object.__setattr__(self, name, _reduced_phase(name, getattr(self, name)))
 
 
 class QcaTypeClass(Enum):

@@ -185,6 +185,17 @@ def test_sample_rejects_step_count_below_one(n):
         RescaledSample(((0.0, 1.0),), n)
 
 
+@pytest.mark.parametrize("n", [2.7, 2.0])
+def test_sample_rejects_non_integral_step_count(n):
+    with pytest.raises(TypeError):
+        RescaledSample(((0.0, 1.0),), n)
+
+
+def test_sample_accepts_numpy_integer_step_count():
+    sample = RescaledSample(((0.0, 1.0),), np.int64(3))
+    assert sample.n == 3 and type(sample.n) is int
+
+
 def test_sample_points_are_sorted_so_order_does_not_change_distance():
     forward = ((0.0, 0.5), (1.0, 0.5))
     backward = forward[::-1]

@@ -72,22 +72,6 @@ def test_golden_commands_are_byte_identical(args):
     assert first.stdout
 
 
-def test_csv_and_json_contain_identical_numbers():
-    base = (
-        "simulate-qca", "--theta", "pi/3", "--phi", "pi/5", "--delta", "pi/7",
-        "--steps", "3", "--qubit", "0.6", "0.8", "--sign", "+",
-    )
-    csv_out = run_cli(*base).stdout
-    json_out = run_cli(*base, "--format", "json").stdout
-    payload = json.loads(json_out)
-    csv_rows = [line.split(",") for line in csv_out.strip().splitlines()[1:]]
-    json_rows = payload["result"]["distribution"]
-    assert len(csv_rows) == len(json_rows)
-    for (site_s, mass_s), (site_j, mass_j) in zip(csv_rows, json_rows):
-        assert int(site_s) == site_j
-        assert mass_s == repr(mass_j)
-
-
 def test_out_flag_writes_same_bytes(tmp_path):
     target = tmp_path / "dist.csv"
     args = (
@@ -187,6 +171,16 @@ def test_help_lists_all_commands():
         "limit-compare",
     ):
         assert name in result.stdout
+
+
+def test_verify_patel_passes_where_the_tuple_is_not_classified(capsys):
+    # a ~ 3e-14 counts as zero and b, c, d do not, so classify rejects the
+    # extracted tuple; the identity still holds and verify must pass
+    code, out, err = run_inprocess(
+        capsys, "verify", "--kind", "patel", "--phi1", "1.5707963", "--phi2", "1e-6"
+    )
+    assert code == 0, err
+    assert "result.pass,true" in out
 
 
 def test_verify_two_step_requires_angles():
@@ -296,3 +290,34 @@ def test_readme_examples_exit_zero(capsys, argv):
     code, out, err = run_inprocess(capsys, *argv)
     assert code == 0, err
     assert out
+
+
+def dotted_rows(value, prefix=""):
+    """The ``key,value`` rows of a JSON report: dotted keys, floats by repr."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from dotted_rows(sub, f"{prefix}.{key}" if prefix else key)
+    elif isinstance(value, bool):
+        yield prefix, "true" if value else "false"
+    elif isinstance(value, float):
+        yield prefix, repr(value)
+    else:
+        yield prefix, str(value)
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_csv_and_json_contain_identical_numbers(capsys, argv):
+    _, csv_out, _ = run_inprocess(capsys, *argv)
+    _, json_out, _ = run_inprocess(capsys, *argv, "--format", "json")
+    report = json.loads(json_out)
+    assert list(report) == ["command", "params", "result", "residuals"]
+    assert report["command"] == argv[0]
+    header, *lines = csv_out.splitlines()
+    rows = [tuple(line.split(",", 1)) for line in lines]
+    if "distribution" in report["result"]:
+        assert header == "site,probability"
+        dist = report["result"]["distribution"]
+        assert rows == [(str(site), repr(mass)) for site, mass in dist]
+    else:
+        assert header == "key,value"
+        assert rows == list(dotted_rows(report))

@@ -19,6 +19,7 @@ from qcawalk.coined_walks import (
 )
 from qcawalk.correspondence import (
     PatelParams,
+    TwoStepFactors,
     meyer_angles,
     patel_coin,
     patel_even_step,
@@ -219,6 +220,14 @@ def test_two_step_equal_coins_on_special_line():
         angles = AngleTriple(theta, math.pi / 2 - theta, 2 * t1 + math.pi / 2)
         factors = two_step_factorize(angles, t1, t1, "A")
         assert np.abs(factors.coin(1) - factors.coin(2)).max() <= 1e-12
+
+
+def test_two_step_factors_reject_blocks_that_are_not_2x2():
+    # P1 + Q1 is a 3x2 isometry, so the unitarity defect U^H U - I is zero
+    p1 = [[1, 0], [0, 0], [0, 0]]
+    q1 = [[0, 0], [0, 1], [0, 0]]
+    with pytest.raises(ValueError, match="2x2"):
+        TwoStepFactors(p1, q1, p1, q1)
 
 
 def test_families_share_half_step_coins():
