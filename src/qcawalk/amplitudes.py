@@ -33,10 +33,14 @@ __all__ = [
 # working tolerance ``qca_core.RESIDUAL_TOLERANCE``.
 PRUNE_TOLERANCE = 1e-15
 
-# Nonzero sites at most this far apart share a run.  A lattice step reaches
-# two sites each side, so runs farther apart than 4 can be stepped
-# separately without their outputs overlapping.
+# Nonzero sites at most this far apart share a run.
 _RUN_GAP = 32
+
+# A step moves an entry at most two sites, so runs packed ``_PACK_GAP`` or
+# more sites apart for one kernel call keep their outputs apart.  Packing
+# shifts are even, because the lattice stencil only commutes with
+# translations by two sites.
+_PACK_GAP = 8
 
 _Entries = Mapping[int, complex] | Iterable[Tuple[int, complex]]
 # (first site, values); the last axis of ``values`` runs over sites.
@@ -51,10 +55,17 @@ def _occupied(values: np.ndarray) -> np.ndarray:
 def _zero_dust(values: np.ndarray) -> np.ndarray:
     """Zero entries below ``PRUNE_TOLERANCE`` in place; mask of sites left nonzero."""
     mag = np.abs(values)
-    if mag.size and not np.isfinite(mag.max()):
+    if mag.size and not math.isfinite(mag.max()):
         raise ValueError("non-finite amplitude")
-    values[mag < PRUNE_TOLERANCE] = 0
-    return _occupied(values)
+    kept = mag >= PRUNE_TOLERANCE
+    values[~kept] = 0
+    return kept if kept.ndim == 1 else kept.any(axis=0)
+
+
+def _run_bounds(apart: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) index pairs of the runs, where ``apart[i]`` cuts entries i and i + 1."""
+    cuts = (np.flatnonzero(apart) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, apart.size + 1]))
 
 
 def _runs_from_sorted(sites: np.ndarray, values: np.ndarray) -> tuple[_Run, ...]:
@@ -68,9 +79,8 @@ def _runs_from_sorted(sites: np.ndarray, values: np.ndarray) -> tuple[_Run, ...]
     sites, values = sites[keep], values[..., keep]
     if not sites.size:
         return ()
-    bounds = [0, *(np.flatnonzero(np.diff(sites) > _RUN_GAP) + 1).tolist(), sites.size]
     runs = []
-    for start, stop in zip(bounds, bounds[1:]):
+    for start, stop in _run_bounds(np.diff(sites) > _RUN_GAP):
         lo = int(sites[start])
         arr = np.zeros(values.shape[:-1] + (int(sites[stop - 1]) - lo + 1,), np.complex128)
         arr[..., sites[start:stop] - lo] = values[..., start:stop]
@@ -78,19 +88,47 @@ def _runs_from_sorted(sites: np.ndarray, values: np.ndarray) -> tuple[_Run, ...]
     return tuple(runs)
 
 
-def _coalesced(runs: Iterable[_Run]) -> list[_Run]:
-    """The runs, with any two at most ``_RUN_GAP`` sites apart joined by zeros."""
-    out: list[_Run] = []
-    for lo, arr in runs:
-        if out and lo - (out[-1][0] + out[-1][1].shape[-1] - 1) <= _RUN_GAP:
-            prev_lo, prev = out.pop()
-            joined = np.zeros(arr.shape[:-1] + (lo + arr.shape[-1] - prev_lo,), np.complex128)
-            joined[..., : prev.shape[-1]] = prev
-            joined[..., lo - prev_lo :] = arr
-            out.append((prev_lo, joined))
-        else:
-            out.append((lo, arr))
-    return out
+def _packed(runs: tuple[_Run, ...]) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The runs in one array from the first run's site, and its stretches.
+
+    Runs at most ``_RUN_GAP`` sites apart keep their distance, joined by
+    zeros; each wider gap is shortened by an even shift to ``_PACK_GAP`` or
+    one more sites.  A stretch is (packed first site, shift) of the runs
+    between two shortened gaps.
+    """
+    lo = last = runs[0][0]
+    stretches, placed = [(lo, 0)], []
+    for run_lo, arr in runs:
+        shift = stretches[-1][1]
+        if run_lo - last > _RUN_GAP:
+            shift += (run_lo - last - _PACK_GAP) & ~1
+            stretches.append((run_lo - shift, shift))
+        placed.append((run_lo - shift - lo, arr))
+        last = run_lo + arr.shape[-1] - 1
+    values = np.zeros(arr.shape[:-1] + (last - shift - lo + 1,), np.complex128)
+    for at, arr in placed:
+        values[..., at : at + arr.shape[-1]] = arr
+    return values, stretches
+
+
+def _trimmed(lo: int, values: np.ndarray, keep: np.ndarray) -> list[_Run]:
+    """Runs of ``values`` (first site ``lo``, ``keep`` its nonzero sites).
+
+    Zero ends are trimmed, and a run is cut wherever two neighbouring
+    nonzero sites lie more than ``_RUN_GAP`` apart, as at construction.
+    """
+    first = int(keep.argmax())
+    if not keep[first]:
+        return []
+    stop = keep.size - int(keep[::-1].argmax())
+    # fewer zeros inside than _RUN_GAP: no gap can be wider, so one run
+    if stop - first - int(np.count_nonzero(keep)) < _RUN_GAP:
+        return [(lo + first, values[..., first:stop])]
+    at = np.flatnonzero(keep)
+    return [
+        (lo + int(at[i]), values[..., at[i] : at[j - 1] + 1])
+        for i, j in _run_bounds(np.diff(at) > _RUN_GAP)
+    ]
 
 
 def _sq_modulus(values: np.ndarray) -> np.ndarray:
@@ -132,20 +170,22 @@ class _Runs:
         return new
 
     def _stepped(self, kernel, **attrs):
-        """Apply ``kernel(lo, values) -> (out_lo, out_values)`` to every run.
+        """Apply ``kernel(lo, values) -> (out_lo, out_values)`` to all runs in one call.
 
-        Runs that have come within ``_RUN_GAP`` sites of each other are
-        joined first, so the outputs of separately stepped runs never
-        overlap.  Each output has its dust zeroed and its zero ends trimmed,
-        and the result is wrapped with ``attrs``.
+        Several runs are laid out in one array first (``_packed``).  Each
+        packed stretch of the output is shifted back and trimmed by
+        ``_trimmed``, and the result is wrapped with ``attrs``.
         """
+        if not self._runs:
+            return self._from_runs((), **attrs)
+        values, stretches = _packed(self._runs)
+        out_lo, out = kernel(self._runs[0][0], values)
+        keep = _zero_dust(out)
+        # cut each shortened gap in its middle, out of reach of either side
+        cuts = [0, *(first - _PACK_GAP // 2 - out_lo for first, _ in stretches[1:]), keep.size]
         runs = []
-        for lo, values in _coalesced(self._runs):
-            lo, out = kernel(lo, values)
-            keep = _zero_dust(out)
-            first = int(keep.argmax())
-            if keep[first]:
-                runs.append((lo + first, out[..., first : keep.size - int(keep[::-1].argmax())]))
+        for start, stop, (_, shift) in zip(cuts, cuts[1:], stretches):
+            runs += _trimmed(out_lo + shift + start, out[..., start:stop], keep[start:stop])
         return self._from_runs(runs, **attrs)
 
     def _flat(self) -> tuple[np.ndarray, np.ndarray]:
@@ -230,6 +270,31 @@ class AmplitudeField(_Runs):
         """Same amplitudes translated by ``offset`` sites."""
         offset = operator.index(offset)
         return self._from_runs((lo + offset, arr) for lo, arr in self._runs)
+
+    def _jumped(self, reach: int, kernel) -> "AmplitudeField":
+        """The field after an evolution that commutes with translation by two sites.
+
+        Cell k holds sites (2k, 2k+1), and no entry moves more than
+        ``reach`` sites.  ``kernel(cells)`` maps the (2, N) cell array of a
+        ring of N cells to the evolved one.  The ring holds the cone
+        [first site - reach, last site + reach] with no wrap, plus a guard
+        band at least as wide, where the exact answer is zero.  The largest
+        entry the kernel leaves in that band is its noise floor on this
+        run: cone entries no larger than it are zeroed, and so is dust.
+        """
+        sites, values = self._flat()
+        if not sites.size:
+            return self
+        lo, hi = int(sites[0]) - reach, int(sites[-1]) + reach
+        first = lo >> 1
+        width = (hi >> 1) - first + 1
+        cells = np.zeros((2, 1 << (2 * width - 1).bit_length()), np.complex128)
+        cells[sites & 1, (sites >> 1) - first] = values
+        cells = kernel(cells)
+        floor = float(np.abs(cells[:, width:]).max())
+        out = cells[:, :width].T.ravel()[lo - 2 * first : hi - 2 * first + 1]
+        out[np.abs(out) <= floor] = 0
+        return self._from_runs(_trimmed(lo, out, _zero_dust(out)))
 
 
 def _paired_field(pairs: _Runs, upper_offset: int) -> AmplitudeField:

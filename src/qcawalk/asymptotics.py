@@ -7,6 +7,8 @@ import operator
 from dataclasses import dataclass
 from typing import Tuple
 
+import numpy as np
+
 from .amplitudes import Distribution
 from .qca_core import RESIDUAL_TOLERANCE, QcaParams, qca_distribution
 
@@ -41,6 +43,15 @@ def limit_cdf(x: float) -> float:
     if x >= SQRT_2:
         return 1.0
     return 0.5 + math.atan(x / math.sqrt(4.0 - 2.0 * x * x)) / math.pi
+
+
+def _limit_cdf_array(x: np.ndarray) -> np.ndarray:
+    """:func:`limit_cdf` at every entry of ``x``."""
+    out = (x >= SQRT_2).astype(np.float64)
+    inside = np.abs(x) < SQRT_2
+    xi = x[inside]
+    out[inside] = 0.5 + np.arctan(xi / np.sqrt(4.0 - 2.0 * xi * xi)) / math.pi
+    return out
 
 
 @dataclass(frozen=True)
@@ -88,14 +99,11 @@ def kolmogorov_distance(sample: RescaledSample) -> float:
     Both sides of every jump are checked, which attains the supremum over
     the whole line for a step function against a continuous CDF.
     """
-    worst = 0.0
-    cum = 0.0
-    for x, m in sample.points:
-        ref = limit_cdf(x)
-        worst = max(worst, abs(cum - ref))
-        cum += m
-        worst = max(worst, abs(cum - ref))
-    return worst
+    x, m = np.array(sample.points).T
+    ref = _limit_cdf_array(x)
+    after = np.cumsum(m)  # sequential, so each partial sum is the running total
+    before = np.concatenate(([0.0], after[:-1]))
+    return float(max(np.abs(before - ref).max(), np.abs(after - ref).max()))
 
 
 def symmetry_defect(dist: Distribution, center: float) -> float:

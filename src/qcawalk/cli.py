@@ -58,10 +58,27 @@ _KIND_DEFAULTS = {
     "phi2": math.pi / 4,
 }
 
-_PI_PATTERN = re.compile(
-    r"^(?P<sign>[+-]?)(?P<coef>\d+(?:\.\d*)?|\.\d+)?\s*\*?\s*pi"
-    r"(?:\s*/\s*(?P<den>\d+(?:\.\d*)?|\.\d+))?$"
-)
+_DECIMAL = r"(?:\d+(?:\.\d*)?|\.\d+)"
+_PI_BODY = rf"(?P<coef>{_DECIMAL})?\s*\*?\s*pi(?:\s*/\s*(?P<den>{_DECIMAL}))?"
+_PI_PATTERN = re.compile(rf"^(?P<sign>[+-]?){_PI_BODY}$")
+
+# argparse reads an argument that starts with '-' as an option unless it
+# matches this; its own pattern has no exponent and no pi, so '-5e-1' and
+# '-pi/4' would be options.
+_NEGATIVE_NUMBER = re.compile(rf"^-(?:{_DECIMAL}(?:e[-+]?\d+)?|{_PI_BODY})$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads '-5e-1', '-1E-7' and '-pi/4' as values, not options.
+
+    It replaces argparse's private ``_negative_number_matcher`` attribute,
+    which is not a stable API; the tests of negative literals in
+    ``test_cli.py`` catch an argparse that stops reading it.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
 class UsageError(Exception):
@@ -392,7 +409,7 @@ def _add_qubit_flag(parser: argparse.ArgumentParser, default=(1.0, 0.0)) -> None
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qcawalk",
         description="Lattice automaton and coined-walk simulations "
         "with machine-checked equivalences.",

@@ -164,7 +164,7 @@ class CoinBlocks:
         return self.P + self.Q
 
     def has_stay(self) -> bool:
-        return bool(np.any(self.T != 0))
+        return bool(self.T.any())
 
 
 def _split_coin(u: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:

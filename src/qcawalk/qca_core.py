@@ -212,9 +212,53 @@ def qca_step(field: AmplitudeField, params: QcaParams) -> AmplitudeField:
     return field._stepped(kernel)
 
 
+def _fourier_power(n: int, params: QcaParams):
+    """Kernel applying ``n`` steps to a ring of 2-site cells in Fourier space.
+
+    On cells (2k, 2k+1) the step is translation-invariant, so ``n`` steps
+    multiply the cell transform by ``U(p)**n`` with the symbol
+    ``U(p) = [[b + d e^{ip}, c + a e^{-ip}], [c + a e^{ip}, b + d e^{-ip}]]``,
+    raised by binary powering with the 2x2 products written out.
+    """
+    a, b, c, d = params.astuple()
+
+    def kernel(cells: np.ndarray) -> np.ndarray:
+        from numpy import fft  # loaded on the first jump only
+
+        ring = cells.shape[-1]
+        e = np.exp(2j * math.pi / ring * np.arange(ring))
+        u00, u01, u10, u11 = b + d * e, c + a * e.conj(), c + a * e, b + d * e.conj()
+        x0, x1 = fft.fft(cells)
+        k = n
+        while k:
+            if k & 1:
+                x0, x1 = u00 * x0 + u01 * x1, u10 * x0 + u11 * x1
+            k >>= 1
+            if k:
+                # squared in place, sharing u01*u10 and the trace between entries
+                trace, cross = u00 + u11, u01 * u10
+                u00 *= u00
+                u00 += cross
+                u11 *= u11
+                u11 += cross
+                u01 *= trace
+                u10 *= trace
+        return fft.ifft(np.stack((x0, x1)))
+
+    return kernel
+
+
 def _evolve(field: AmplitudeField, n: int, params: QcaParams) -> AmplitudeField:
+    """``n`` steps of a start field that spans a few sites.
+
+    Type V tuples take one Fourier jump.  Tuples with a zero coefficient
+    keep stepping: their zeros are structural (confinement, translation),
+    and the jump's noise floor would blur them.
+    """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
+    if n > 0 and min(map(abs, params.astuple())) >= RESIDUAL_TOLERANCE:
+        return field._jumped(2 * n, _fourier_power(n, params))
     for _ in range(n):
         field = qca_step(field, params)
     return field

@@ -208,7 +208,10 @@ def test_getitem_returns_python_complex():
 
 
 def test_only_amplitudes_reads_the_run_layout():
-    helpers = {"_coalesced", "_pruned", "_flatten", "_run_at", "_runs_from_sorted"}
+    helpers = {
+        "_coalesced", "_pruned", "_flatten", "_run_at", "_runs_from_sorted",
+        "_packed", "_trimmed", "_run_bounds", "_zero_dust",
+    }
     offenders = []
     for path in sorted(Path(qcawalk.__file__).parent.glob("*.py")):
         if path.name == "amplitudes.py":

@@ -228,6 +228,29 @@ def test_distance_of_fine_discretization_is_small():
     assert kolmogorov_distance(sample) < 0.01
 
 
+def loop_distance(sample):
+    """The sup-distance by a loop over the points: the oracle of the array form."""
+    worst = cum = 0.0
+    for x, m in sample.points:
+        ref = limit_cdf(x)
+        worst = max(worst, abs(cum - ref))
+        cum += m
+        worst = max(worst, abs(cum - ref))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 40, 100, 500])
+def test_distance_equals_the_loop_over_points(n):
+    sample = rescaled_qca_sample(PATEL, SYMMETRIC, n)
+    assert abs(kolmogorov_distance(sample) - loop_distance(sample)) <= 1e-15
+
+
+def test_distance_equals_the_loop_with_points_outside_the_support():
+    points = ((-3.0, 0.25), (-SQRT_2, 0.25), (0.3, 0.25), (SQRT_2, 0.125), (2.0, 0.125))
+    sample = RescaledSample(points, 1)
+    assert abs(kolmogorov_distance(sample) - loop_distance(sample)) <= 1e-15
+
+
 def test_distance_decreases_along_step_counts():
     d100 = kolmogorov_distance(rescaled_qca_sample(PATEL, SYMMETRIC, 100))
     d200 = kolmogorov_distance(rescaled_qca_sample(PATEL, SYMMETRIC, 200))

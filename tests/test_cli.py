@@ -233,6 +233,38 @@ def test_invalid_inputs_exit_two(capsys, args):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "spelled,args",
+    [
+        ("-5e-1", ("classify", "--params", "0", "0.5", "0.5", "0", "0", "0.5", "-5e-1", "0")),
+        ("-1E-7", ("simulate-qca", "--theta", "-1E-7", "--phi", "1", "--delta", "1")),
+        ("-9.999999999998329e-07", ("simulate-qca", "--theta", "1", "--phi", "1",
+                                    "--delta", "-9.999999999998329e-07")),
+        ("-8e-1", ("simulate-qca", *REFERENCE, "--qubit", "0.6", "-8e-1")),
+    ],
+    ids=["params", "theta", "delta", "qubit"],
+)
+def test_negative_exponent_literals_parse_as_numbers(capsys, spelled, args):
+    plain = repr(float(spelled))
+    code, out, err = run_inprocess(capsys, *args, "--format", "json")
+    assert code == 0, err
+    want_code, want, _ = run_inprocess(
+        capsys, *(plain if a == spelled else a for a in args), "--format", "json"
+    )
+    assert (code, out) == (want_code, want)
+    # an option after the literal still parses as an option
+    assert json.loads(out)["command"] == args[0]
+
+
+@pytest.mark.parametrize("angle", ["-pi/4", "-3pi/2", "-0.5*pi", "-PI"])
+def test_negative_pi_literals_parse_as_angles(capsys, angle):
+    # the options after the angle still parse as options
+    rest = ("--phi", "1", "--delta", "1", "--format", "json")
+    code, out, err = run_inprocess(capsys, "classify", "--theta", angle, *rest)
+    assert code == 0, err
+    assert (code, out) == run_inprocess(capsys, "classify", f"--theta={angle}", *rest)[:2]
+
+
 @pytest.mark.parametrize("angle", ["pi/0", "0pi/0"])
 def test_zero_denominator_angle_exits_two(capsys, angle):
     code, out, err = run_inprocess(

@@ -285,6 +285,20 @@ def test_walk_step_prunes_dust_it_produces():
     assert len(walk_step(WalkState({5: (1.5e-15, 0.0)}, L_UPPER), blocks)) == 0
 
 
+def test_walkers_packed_into_one_step_match_each_stepped_alone():
+    # gaps of both parities around _RUN_GAP
+    blocks = generalized_blocks_from_qca(PATEL, "B")
+    starts = {0: (0.6, 0.0), 31: (0.0, 0.8j), 70: (0.5, 0.5j), 105: (0.3j, 0.1)}
+    state = WalkState(starts, L_UPPER)
+    alone = [WalkState({k: v}, L_UPPER) for k, v in starts.items()]
+    for _ in range(12):
+        state = walk_step(state, blocks)
+        alone = [walk_step(s, blocks) for s in alone]
+        for k in state.support() | set().union(*(s.support() for s in alone)):
+            want = np.sum([s[k] for s in alone], axis=0)
+            assert np.abs(np.array(state[k]) - want).max() <= 1e-15
+
+
 def test_walk_step_keeps_far_apart_walkers_separate():
     blocks = generalized_blocks_from_qca(PATEL, "B")
     far = 3_000_000

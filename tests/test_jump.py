@@ -1,0 +1,174 @@
+"""The Fourier jump of Type V evolutions against stepping and an exact oracle.
+
+The error budget of the jump against ``n`` lattice steps is ``n * eps``
+(c = 1) plus ``PRUNE_TOLERANCE``.  On 300 random Type V tuples, qubits and
+6 <= n <= 200 the worst measured error was 0.52 * n * eps.  On
+near-degenerate tuples (one angle within 1e-4 of a multiple of pi/2) it
+reached 1.1 * n * eps at n = 6, where the per-step pruning of the stepped
+engine at ``PRUNE_TOLERANCE`` dominates; hence the floor.
+"""
+
+import cmath
+import math
+import subprocess
+import sys
+import time
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qcawalk import qca_core
+from qcawalk.amplitudes import PRUNE_TOLERANCE, AmplitudeField, max_difference, to_distribution
+from qcawalk.qca_core import (
+    RESIDUAL_TOLERANCE,
+    AngleTriple,
+    QcaParams,
+    evolve_eta,
+    params_from_angles,
+    qca_distribution,
+    qca_step,
+)
+
+EPS = float(np.finfo(np.float64).eps)
+PATEL = QcaParams(0.5j, 0.5, 0.5j, -0.5)
+REFERENCE = params_from_angles(AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2))
+_rng = np.random.default_rng(808)
+RANDOM_TYPE_V = [
+    params_from_angles(AngleTriple(*_rng.uniform(0.0, 2.0 * math.pi, 3))) for _ in range(2)
+]
+
+
+def budget(n):
+    return n * EPS + PRUNE_TOLERANCE
+
+
+def stepped(field, n, params):
+    for _ in range(n):
+        field = qca_step(field, params)
+    return field
+
+
+def qubit_start(qubit):
+    return AmplitudeField({0: qubit[0], 1: qubit[1]})
+
+
+angle = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+type_v = st.builds(lambda t, p, d: params_from_angles(AngleTriple(t, p, d)), angle, angle, angle)
+qubits = st.builds(
+    lambda chi, pa, pb: (math.cos(chi) * cmath.exp(1j * pa), math.sin(chi) * cmath.exp(1j * pb)),
+    st.floats(0.0, math.pi / 2),
+    angle,
+    angle,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(type_v, qubits, st.integers(1, 200))
+def test_jump_agrees_with_stepping_within_the_budget(params, qubit, n):
+    assume(min(map(abs, params.astuple())) >= RESIDUAL_TOLERANCE)
+    start = qubit_start(qubit)
+    jumped = qca_core._evolve(start, n, params)
+    assert max_difference(jumped, stepped(start, n, params)) <= budget(n)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+@pytest.mark.parametrize(
+    "params", [REFERENCE, *RANDOM_TYPE_V], ids=["reference", "random1", "random2"]
+)
+def test_jump_and_stepping_differ_only_in_dust_at_long_runs(params, n):
+    start = qubit_start((0.6, 0.8j))
+    jumped, walked = qca_core._evolve(start, n, params), stepped(start, n, params)
+    assert max_difference(jumped, walked) <= budget(n)
+    for site in jumped.support() ^ walked.support():
+        assert abs(jumped[site]) <= 1e-13 and abs(walked[site]) <= 1e-13
+    assert jumped.support() <= set(range(-2 * n, 2 * n + 2))
+
+
+def exact_patel_field(n):
+    """2**n times the amplitudes after n steps of PATEL from a delta at 0.
+
+    Every coefficient of (i/2, 1/2, i/2, -1/2) is a unit Gaussian integer
+    over 2, so the scaled field is a Gaussian integer, kept as (re, im) ints.
+    """
+    re, im = {0: 1}, {0: 0}
+    for _ in range(n):
+        new_re, new_im = {}, {}
+        for k in range((min(re) - 2) & ~1, max(re) + 3, 2):
+            r1, r2, r3, r4 = (re.get(k + j, 0) for j in (-1, 0, 1, 2))
+            i1, i2, i3, i4 = (im.get(k + j, 0) for j in (-1, 0, 1, 2))
+            # out[2k] = i*x1 + x2 + i*x3 - x4, out[2k+1] = -x1 + i*x2 + x3 + i*x4
+            new_re[k], new_im[k] = -i1 + r2 - i3 - r4, r1 + i2 + r3 - i4
+            new_re[k + 1], new_im[k + 1] = -r1 - i2 + r3 - i4, -i1 + r2 + i3 + r4
+        re, im = new_re, new_im
+    return {k: (re[k], im[k]) for k in re if re[k] or im[k]}
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 50, 100, 200])
+def test_jump_against_the_exact_gaussian_integer_field(n):
+    exact = {k: complex(r / 2**n, i / 2**n) for k, (r, i) in exact_patel_field(n).items()}
+    jumped = evolve_eta(0, n, PATEL)
+    sites = jumped.support() | set(exact)
+    assert max(abs(jumped[k] - exact.get(k, 0.0)) for k in sites) <= budget(n)
+    # every kept entry has at least one correct bit; noise that the floor let
+    # through would have a relative error near 1 (0.38 is the worst measured)
+    assert all(abs(jumped[k] - exact.get(k, 0.0)) < 0.5 * abs(jumped[k]) for k in jumped.support())
+
+
+def test_type_v_evolutions_take_the_jump(monkeypatch):
+    def no_step(field, params):
+        raise AssertionError("qca_step called")
+
+    monkeypatch.setattr(qca_core, "qca_step", no_step)
+    assert abs(evolve_eta(0, 100, REFERENCE).norm_sq() - 1.0) <= 1e-12
+    assert abs(qca_distribution(0, "+", (0.6, 0.8j), 100, REFERENCE).total() - 1.0) <= 1e-12
+
+
+COS, SIN = math.cos(0.4), math.sin(0.4)
+
+
+@pytest.mark.parametrize(
+    "params,support",
+    [
+        (QcaParams(0.0, 0.0, 0.0, 1.0), {-400, 401}),  # Trivial-D translates
+        (QcaParams(0.0, -1j * COS, SIN, 0.0), {0, 1}),  # Type I keeps cell (0, 1)
+        (QcaParams(COS, -1j * SIN, 0.0, 0.0), {-1, 0, 1, 2}),  # Type II keeps (-1, 0) and (1, 2)
+    ],
+    ids=["TrivialD", "TypeI", "TypeII"],
+)
+def test_degenerate_tuples_keep_stepping_and_their_exact_supports(params, support):
+    dist = qca_distribution(0, "+", (0.6, 0.8j), 200, params)
+    assert dist.support() == support
+    assert dist == to_distribution(stepped(qubit_start((0.6, 0.8j)), 200, params))
+
+
+def test_evolution_at_5000_steps_takes_under_0_2_s():
+    qca_distribution(0, "+", (0.6, 0.8j), 10, REFERENCE)  # loads numpy.fft
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        dist = qca_distribution(0, "+", (0.6, 0.8j), 5000, REFERENCE)
+        elapsed.append(time.perf_counter() - start)
+    assert abs(dist.total() - 1.0) <= 1e-12
+    assert min(elapsed) <= 0.2
+
+
+def test_classify_verify_and_factorize_do_not_load_numpy_fft():
+    # numpy 2 loads numpy.fft on first use; only an evolution that jumps needs it
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "with_numpy = 'numpy.fft' in sys.modules\n"
+        "from qcawalk import cli\n"
+        "for argv in (['classify', '--theta', 'pi/4', '--phi', 'pi/4', '--delta', 'pi/2'],\n"
+        "             ['verify', '--kind', 'A', '--theta', '1', '--phi', '2', '--delta', '3'],\n"
+        "             ['verify', '--kind', 'B', '--theta', '1', '--phi', '2', '--delta', '3'],\n"
+        "             ['factorize', '--kind', 'patel']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "assert ('numpy.fft' in sys.modules) == with_numpy\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

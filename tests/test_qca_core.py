@@ -1,13 +1,14 @@
 """Coefficient validation, taxonomy, and the banded step against a dense oracle."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dense_reference import dense_qca_matrix, field_to_vector
-from qcawalk.amplitudes import AmplitudeField, max_difference
+from qcawalk.amplitudes import _RUN_GAP, AmplitudeField, max_difference
 from qcawalk.coined_walks import CoinMatrix
 from qcawalk.qca_core import (
     AngleTriple,
@@ -238,6 +239,59 @@ def test_separate_runs_merge_as_they_grow_into_each_other():
         assert field.support() == {lo + i for i in np.flatnonzero(np.abs(vec) >= 1e-15)}
     assert runs_seen == {1, 2}
     assert len(field._runs) == 1
+
+
+def test_runs_far_apart_are_stepped_in_one_packed_call():
+    # gaps of both parities, some wider than _RUN_GAP and some not
+    rng = np.random.default_rng(53)
+    params = params_from_angles(AngleTriple(*rng.uniform(0.0, 2.0 * math.pi, 3)))
+    field = AmplitudeField({0: 0.5, 1: 0.1j, 37: 0.5j, 66: -0.5, 141: 0.3, 262: 0.4j})
+    lo, hi = -60, 320
+    dense = dense_qca_matrix(*params.astuple(), lo, hi)
+    vec = field_to_vector(field, lo, hi)
+    for _ in range(20):
+        field = qca_step(field, params)
+        vec = dense @ vec
+        assert np.abs(field_to_vector(field, lo, hi) - vec).max() <= 1e-12
+        assert field.support() <= {lo + i for i in np.flatnonzero(np.abs(vec) >= 1e-15)}
+
+
+def test_translating_sites_split_into_runs_and_keep_the_step_cost_flat(monkeypatch):
+    # Trivial-D sends even sites left and odd sites right, two sites a step.
+    # Unsplit, the run between them grows to 12,002 sites by 3000 steps.
+    trivial_a, trivial_d = QcaParams(1.0, 0.0, 0.0, 0.0), QcaParams(0.0, 0.0, 0.0, 1.0)
+    widths = []
+    stepped = AmplitudeField._stepped
+
+    def counted(field, kernel, **attrs):
+        def kernel_call(lo, values):
+            widths.append(values.shape[-1])
+            return kernel(lo, values)
+
+        return stepped(field, kernel_call, **attrs)
+
+    def run(params):
+        field = AmplitudeField({0: 0.6, 1: 0.8j})
+        start = time.perf_counter()
+        for _ in range(3000):
+            field = qca_step(field, params)
+        return time.perf_counter() - start, field
+
+    # the cost is flat because each step is one kernel call on a narrow array
+    with monkeypatch.context() as patched:
+        patched.setattr(AmplitudeField, "_stepped", counted)
+        _, field = run(trivial_d)
+    assert field.items() == [(-6000, 0.6 + 0j), (6001, 0.8j)]
+    assert sum(arr.size for _, arr in field._runs) <= 2 * (_RUN_GAP + 1)
+    assert len(widths) == 3000
+    assert max(widths) <= 2 * (_RUN_GAP + 1)
+    # and so it times within 1.5x of Trivial-A: best of 5, interleaved
+    best = {}
+    for _ in range(5):
+        for params in (trivial_a, trivial_d):
+            elapsed, _ = run(params)
+            best[params] = min(best.get(params, elapsed), elapsed)
+    assert best[trivial_d] <= 1.5 * best[trivial_a]
 
 
 def test_wide_support_step_allocates_nothing_across_the_gap():
