@@ -11,7 +11,6 @@ layout and the one step driver, and no other module reads the runs.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from bisect import bisect_right
@@ -148,13 +147,11 @@ class _Runs:
     _lead: tuple[int, ...] = ()
 
     def _store(self, entries) -> None:
-        """Validate finiteness, prune, sort and build the runs."""
+        """Sort, prune and build the runs; ``_zero_dust`` rejects a non-finite entry."""
         items = entries.items() if isinstance(entries, Mapping) else entries
         stored: dict[int, tuple[complex, ...]] = {}
         for site, value in items:
             zs = (complex(value[0]), complex(value[1])) if self._lead else (complex(value),)
-            if not all(map(cmath.isfinite, zs)):
-                raise ValueError(f"non-finite amplitude {value!r} at site {site}")
             stored[operator.index(site)] = zs
         keys = sorted(stored)
         values = np.array([stored[k] for k in keys], np.complex128).reshape(-1, *self._lead)
@@ -223,7 +220,9 @@ class _Runs:
         """Site masses: the squared moduli at each site, summed over components."""
         sites, values = self._flat()
         masses = _sq_modulus(values)
-        return _distribution_from_arrays(sites, masses if masses.ndim == 1 else masses.sum(axis=0))
+        dist = Distribution.__new__(Distribution)
+        dist._store(sites, masses if masses.ndim == 1 else masses.sum(axis=0))
+        return dist
 
 
 class AmplitudeField(_Runs):
@@ -308,60 +307,65 @@ def _paired_field(pairs: _Runs, upper_offset: int) -> AmplitudeField:
 
 
 class Distribution:
-    """Finitely supported nonnegative masses on the integer lattice."""
+    """Finitely supported positive masses on the integer lattice, iterated in site order.
 
-    __slots__ = ("_masses",)
+    Stored as read-only arrays: ascending int64 sites and their float64 masses.
+    """
+
+    __slots__ = ("_sites", "_masses")
 
     def __init__(self, masses: Mapping[int, float] | Iterable[Tuple[int, float]] = ()):
-        items = masses.items() if isinstance(masses, Mapping) else masses
-        stored: dict[int, float] = {}
-        for site, value in items:
-            m = float(value)
-            if not math.isfinite(m):
-                raise ValueError(f"non-finite mass {m!r} at site {site}")
-            if m < 0.0:
-                raise ValueError(f"negative mass {m!r} at site {site}")
-            if m > 0.0:
-                stored[operator.index(site)] = m
-        self._masses = stored
+        items = list(masses.items() if isinstance(masses, Mapping) else masses)
+        sites, values = zip(*items) if items else ((), ())
+        sites = np.fromiter(map(operator.index, sites), np.int64, len(items))
+        # stable, so that a repeated site's last mass sorts last
+        order = np.argsort(sites, kind="stable")
+        self._store(sites[order], np.fromiter(values, np.float64, len(items))[order])
+
+    def _store(self, sites: np.ndarray, masses: np.ndarray) -> None:
+        """Check the masses of ascending ``sites`` in bulk; keep each site's last, if positive."""
+        bad = ~np.isfinite(masses) | (masses < 0.0)
+        if bad.any():
+            i = int(bad.argmax())
+            kind = "negative" if -math.inf < masses[i] < 0.0 else "non-finite"
+            raise ValueError(f"{kind} mass {float(masses[i])!r} at site {int(sites[i])}")
+        keep = (masses > 0.0) & np.append(sites[1:] != sites[:-1], True)
+        self._sites, self._masses = sites[keep], masses[keep]
+        self._sites.flags.writeable = self._masses.flags.writeable = False
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only ascending sites and their masses."""
+        return self._sites, self._masses
 
     def __getitem__(self, site: int) -> float:
-        return self._masses.get(site, 0.0)
+        i = np.searchsorted(self._sites, site)
+        return float(self._masses[i]) if self._sites[i : i + 1].tolist() == [site] else 0.0
 
     def __len__(self) -> int:
-        return len(self._masses)
+        return self._sites.size
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._masses)
+        return iter(self._sites.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
-        return self._masses == other._masses
+        return self.items() == other.items()
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v!r}" for k, v in sorted(self._masses.items()))
+        inner = ", ".join(f"{k}: {v!r}" for k, v in self.items())
         return f"Distribution({{{inner}}})"
 
-    def items(self):
-        return self._masses.items()
+    def items(self) -> list[tuple[int, float]]:
+        """(site, mass) pairs in ascending site order."""
+        return list(zip(self._sites.tolist(), self._masses.tolist()))
 
     def support(self) -> set[int]:
-        return set(self._masses)
+        return set(self._sites.tolist())
 
     def total(self) -> float:
         """Total mass, summed exactly."""
-        return math.fsum(self._masses.values())
-
-
-def _distribution_from_arrays(sites: np.ndarray, masses: np.ndarray) -> Distribution:
-    """Internal fast path: masses of ascending distinct sites, checked in bulk."""
-    if masses.size and not np.isfinite(masses.max()):
-        raise ValueError("non-finite mass")
-    keep = masses > 0.0
-    dist = Distribution.__new__(Distribution)
-    dist._masses = dict(zip(sites[keep].tolist(), masses[keep].tolist()))
-    return dist
+        return math.fsum(self._masses.tolist())
 
 
 def _on_union(f: AmplitudeField, g: AmplitudeField):

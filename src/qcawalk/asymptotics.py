@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -32,65 +31,62 @@ def limit_density(x: float) -> float:
     return 4.0 / (math.pi * (4.0 - x * x) * math.sqrt(4.0 - 2.0 * x * x))
 
 
-def limit_cdf(x: float) -> float:
-    """Cumulative mass of the limit density up to ``x``.
+def limit_cdf(x: float | np.ndarray) -> float | np.ndarray:
+    """Cumulative mass of the limit density up to ``x``, a float or each entry of an array.
 
     Closed form of the integral of :func:`limit_density`:
     ``1/2 + atan(x / sqrt(4 - 2x^2)) / pi`` on (-sqrt(2), sqrt(2)).
     """
-    if x <= -SQRT_2:
-        return 0.0
-    if x >= SQRT_2:
-        return 1.0
-    return 0.5 + math.atan(x / math.sqrt(4.0 - 2.0 * x * x)) / math.pi
-
-
-def _limit_cdf_array(x: np.ndarray) -> np.ndarray:
-    """:func:`limit_cdf` at every entry of ``x``."""
-    out = (x >= SQRT_2).astype(np.float64)
-    inside = np.abs(x) < SQRT_2
+    x = np.asarray(x, dtype=np.float64)
+    out = np.array(x >= SQRT_2, np.float64)
+    inside = ~(np.abs(x) >= SQRT_2)  # NaN stays NaN
     xi = x[inside]
     out[inside] = 0.5 + np.arctan(xi / np.sqrt(4.0 - 2.0 * xi * xi)) / math.pi
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RescaledSample:
     """Positions divided by the step count, with their masses; total mass 1.
 
-    Points are stored sorted by position (then mass), the order in which
-    :func:`kolmogorov_distance` walks the step CDF.
+    ``points``, given as any iterable of pairs, is stored as a read-only (k, 2)
+    array sorted by position (then mass): the order of the step CDF.  Samples
+    compare by identity, as an array has no single truth value.
     """
 
-    points: Tuple[Tuple[float, float], ...]
+    points: np.ndarray
     n: int
 
     def __post_init__(self):
-        pts = sorted((float(x), float(m)) for x, m in self.points)
-        if not all(math.isfinite(x) and math.isfinite(m) for x, m in pts):
+        pts = self.points
+        if not (isinstance(pts, np.ndarray) and pts.shape[1:] == (2,)):
+            pts = np.fromiter(pts, np.dtype((np.float64, 2)))  # rejects a non-pair
+        pts = np.asarray(pts, np.float64)
+        if not np.isfinite(pts).all():
             raise ValueError("sample positions and masses must be finite")
-        if any(m < 0.0 for _, m in pts):
+        if (pts[:, 1] < 0.0).any():
             raise ValueError("sample masses must be nonnegative")
-        total = math.fsum(m for _, m in pts)
+        total = math.fsum(pts[:, 1].tolist())
         if abs(total - 1.0) > RESIDUAL_TOLERANCE:
             raise ValueError(f"sample masses must total 1, got {total!r}")
         n = operator.index(self.n)
         if n < 1:
             raise ValueError(f"step count must be at least 1, got {n}")
-        object.__setattr__(self, "points", tuple(pts))
+        pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "n", n)
 
     def mean(self) -> float:
-        return math.fsum(x * m for x, m in self.points)
+        return math.fsum((self.points[:, 0] * self.points[:, 1]).tolist())
 
 
 def rescaled_qca_sample(params: QcaParams, qubit, n: int) -> RescaledSample:
     """Rescale the paired-branch distribution after ``n`` steps by ``n``."""
     if n < 1:
         raise ValueError(f"step count must be at least 1, got {n}")
-    dist = qca_distribution(0, "+", qubit, n, params)
-    points = tuple((k / n, dist[k]) for k in sorted(dist.support()))
-    return RescaledSample(points, n)
+    sites, masses = qca_distribution(0, "+", qubit, n, params)._arrays()
+    return RescaledSample(np.column_stack((sites / n, masses)), n)
 
 
 def kolmogorov_distance(sample: RescaledSample) -> float:
@@ -99,8 +95,8 @@ def kolmogorov_distance(sample: RescaledSample) -> float:
     Both sides of every jump are checked, which attains the supremum over
     the whole line for a step function against a continuous CDF.
     """
-    x, m = np.array(sample.points).T
-    ref = _limit_cdf_array(x)
+    x, m = sample.points.T
+    ref = limit_cdf(x)
     after = np.cumsum(m)  # sequential, so each partial sum is the running total
     before = np.concatenate(([0.0], after[:-1]))
     return float(max(np.abs(before - ref).max(), np.abs(after - ref).max()))
@@ -111,12 +107,12 @@ def symmetry_defect(dist: Distribution, center: float) -> float:
     two_c = 2.0 * float(center)
     if not math.isfinite(two_c):
         raise ValueError(f"center {center!r} is not finite, or twice it overflows")
-    worst = 0.0
-    for k, m in dist.items():
-        mirror = two_c - k
-        nearest = round(mirror)
-        partner = dist[int(nearest)] if abs(mirror - nearest) < 1e-9 else 0.0
-        diff = abs(m - partner)
-        if diff > worst:
-            worst = diff
-    return worst
+    sites, masses = dist._arrays()
+    mirror = two_c - sites
+    nearest = np.rint(mirror)
+    # a site's partner is the site within 1e-9 of its mirror image, if any (all are int64)
+    near = (np.abs(mirror - nearest) < 1e-9) & (np.abs(nearest) < 2.0**63)
+    target = np.where(near, nearest, 0.0).astype(np.int64)
+    at = np.minimum(np.searchsorted(sites, target), sites.size - 1)
+    partner = np.where(near & (sites[at] == target), masses[at], 0.0)
+    return float(np.abs(masses - partner).max(initial=0.0))

@@ -290,7 +290,7 @@ def _distribution_report(payload: dict, dist: Distribution) -> tuple[int, dict, 
     return (
         0,
         payload,
-        {"distribution": [[k, dist[k]] for k in sorted(dist.support())]},
+        {"distribution": dist.items()},
         {"total_mass_error": abs(dist.total() - 1.0)},
     )
 

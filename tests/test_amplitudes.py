@@ -149,6 +149,63 @@ def test_distribution_drops_zero_mass():
     assert dist.support() == {1}
 
 
+def test_distribution_errors_name_the_site():
+    with pytest.raises(ValueError, match=r"^non-finite mass nan at site 3$"):
+        Distribution({0: 0.5, 3: float("nan"), -2: 0.5})
+    with pytest.raises(ValueError, match=r"^non-finite mass inf at site -1$"):
+        Distribution([(-1, math.inf)])
+    with pytest.raises(ValueError, match=r"^negative mass -0\.1 at site -4$"):
+        Distribution({7: 0.5, -4: -0.1})
+    with pytest.raises(ValueError, match=r"^non-finite mass -inf at site 2$"):
+        Distribution({2: -math.inf})
+
+
+def test_distribution_iterates_an_unsorted_mapping_in_ascending_order():
+    dist = Distribution({40: 0.25, -3: 0.25, 7: 0.5, 0: 0.0})
+    assert list(dist) == [-3, 7, 40]
+    assert dist.items() == [(-3, 0.25), (7, 0.5), (40, 0.25)]
+    assert all(type(k) is int and type(m) is float for k, m in dist.items())
+    assert repr(dist) == "Distribution({-3: 0.25, 7: 0.5, 40: 0.25})"
+    assert len(dist) == 3 and dist.support() == {-3, 7, 40}
+    assert type(dist[7]) is float and dist[7] == 0.5
+    assert dist[8] == dist[-100] == dist[100] == dist[2**70] == 0.0
+    assert Distribution(reversed(dist.items())) == dist
+
+
+def test_distribution_repeated_site_keeps_its_last_mass():
+    assert Distribution([(2, 0.5), (-1, 0.25), (2, 0.75)]).items() == [(-1, 0.25), (2, 0.75)]
+    assert Distribution([(2, 0.5), (2, 0.0)]) == Distribution()
+    with pytest.raises(ValueError, match="at site 2$"):
+        Distribution([(2, math.nan), (2, 0.5)])  # every given mass is checked
+
+
+def test_distribution_round_trips_through_its_items():
+    params = qcawalk.params_from_angles(qcawalk.AngleTriple(0.3, 0.2, 0.0))
+    qubit = (0.6, 0.8j)
+    blocks = qcawalk.generalized_blocks_from_qca(params, "B")
+    state = qcawalk.WalkState.origin(qubit, blocks.order)
+    for _ in range(200):
+        state = qcawalk.walk_step(state, blocks)
+    for dist in (
+        qcawalk.qca_distribution(0, "+", qubit, 200, params),
+        qcawalk.walk_distribution(state),
+    ):
+        assert len(dist) > 150
+        again = Distribution(dict(dist.items()))
+        assert again == dist and again.items() == dist.items()
+        assert list(dist) == sorted(dist.support())
+
+
+def test_distribution_arrays_are_read_only():
+    field = AmplitudeField({0: 0.6, 5: 0.8j})
+    for dist in (Distribution({1: 0.5, 0: 0.5}), to_distribution(field)):
+        sites, masses = dist._arrays()
+        assert sites.dtype == np.int64 and masses.dtype == np.float64
+        for arr in (sites, masses):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+
 def test_prune_tolerance_well_below_mass_tolerance():
     assert PRUNE_TOLERANCE < 1e-12
 
@@ -217,8 +274,8 @@ def test_only_amplitudes_reads_the_run_layout():
         if path.name == "amplitudes.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Attribute) and node.attr == "_runs":
-                offenders.append(f"{path.name}:{node.lineno} reads ._runs")
+            if isinstance(node, ast.Attribute) and node.attr in ("_runs", "_sites", "_masses"):
+                offenders.append(f"{path.name}:{node.lineno} reads .{node.attr}")
             elif isinstance(node, ast.ImportFrom):
                 offenders.extend(
                     f"{path.name}:{node.lineno} imports {alias.name}"

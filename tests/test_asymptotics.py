@@ -122,12 +122,12 @@ def test_cdf_monotone():
 
 def test_sample_one_step_uniform_quarters():
     sample = rescaled_qca_sample(PATEL, (1.0, 0.0), 1)
-    assert sample.points == (
-        (-2.0, pytest.approx(0.25)),
-        (-1.0, pytest.approx(0.25)),
-        (0.0, pytest.approx(0.25)),
-        (1.0, pytest.approx(0.25)),
-    )
+    assert sample.points.tolist() == [
+        [-2.0, pytest.approx(0.25)],
+        [-1.0, pytest.approx(0.25)],
+        [0.0, pytest.approx(0.25)],
+        [1.0, pytest.approx(0.25)],
+    ]
 
 
 def test_sample_masses_total_one():
@@ -199,7 +199,7 @@ def test_sample_accepts_numpy_integer_step_count():
 def test_sample_points_are_sorted_so_order_does_not_change_distance():
     forward = ((0.0, 0.5), (1.0, 0.5))
     backward = forward[::-1]
-    assert RescaledSample(backward, 1).points == forward
+    assert RescaledSample(backward, 1).points.tolist() == [[0.0, 0.5], [1.0, 0.5]]
     # the step CDF is 1/2 on [0, 1) against limit_cdf(0) = 1/2, and the
     # largest gap is at the jump at 0: |0 - limit_cdf(0)| = 1/2
     assert kolmogorov_distance(RescaledSample(backward, 1)) == 0.5
@@ -209,6 +209,28 @@ def test_sample_points_are_sorted_so_order_does_not_change_distance():
     shuffled = list(sample.points)
     np.random.default_rng(5).shuffle(shuffled)
     assert kolmogorov_distance(RescaledSample(tuple(shuffled), 40)) == kolmogorov_distance(sample)
+
+
+def test_sample_points_are_a_read_only_array():
+    sample = rescaled_qca_sample(PATEL, SYMMETRIC, 10)
+    assert sample.points.dtype == np.float64 and sample.points.shape == (42, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        sample.points[0, 1] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        sample.points.T[0] = 0.0
+
+
+def test_sample_takes_any_iterable_of_pairs_and_leaves_a_given_array_writable():
+    given = np.array([[1.0, 0.25], [-1.0, 0.75]])
+    from_array = RescaledSample(given, 2)
+    from_generator = RescaledSample(((x, m) for x, m in given.tolist()), 2)
+    assert from_array.points.tolist() == from_generator.points.tolist() == [
+        [-1.0, 0.75], [1.0, 0.25],
+    ]
+    given[0, 0] = 3.0  # the sample holds its own sorted copy
+    assert from_array.points.tolist() == [[-1.0, 0.75], [1.0, 0.25]]
+    with pytest.raises(ValueError):
+        RescaledSample(((0.0, 0.5, 0.5),), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +320,47 @@ def test_defect_rejects_non_finite_center(center):
     dist = Distribution({0: 0.5, 1: 0.5})
     with pytest.raises(ValueError, match="not finite"):
         symmetry_defect(dist, center)
+
+
+def loop_defect(dist, center):
+    """The mirror mismatch by a loop over the sites: the oracle of the array form."""
+    two_c = 2.0 * float(center)
+    masses = dict(dist.items())
+    worst = 0.0
+    for k, m in masses.items():
+        mirror = two_c - k
+        nearest = round(mirror)
+        partner = masses.get(int(nearest), 0.0) if abs(mirror - nearest) < 1e-9 else 0.0
+        worst = max(worst, abs(m - partner))
+    return worst
+
+
+def random_distributions(rng, count):
+    """Distributions on a few sites near ``offset``, half of them mirror-symmetric about it."""
+    for i in range(count):
+        offset = int(rng.choice([0, 3, -8, 2**60]))
+        mirror = 2 * offset + int(rng.integers(-3, 4))
+        size = int(rng.integers(1, 10))
+        sites = offset + rng.choice(np.arange(-12, 13), size=size, replace=False)
+        masses = {int(k): float(m) for k, m in zip(sites, rng.random(size))}
+        if i % 2:
+            masses.update({mirror - k: m for k, m in list(masses.items())})
+        yield Distribution(masses), offset, mirror
+
+
+def test_defect_equals_the_loop_over_sites():
+    rng = np.random.default_rng(11)
+    checked = 0
+    for dist, offset, mirror in random_distributions(rng, 1000):
+        centers = [
+            offset, offset + 0.5, mirror / 2, mirror / 2 + 4e-10, mirror / 2 - 3e-10,
+            mirror / 2 + 3e-9, mirror / 2 + 0.3, offset + 1.25, 1e300, -1e300,
+        ]
+        for center in centers:
+            assert symmetry_defect(dist, center) == loop_defect(dist, center)
+            checked += 1
+    assert checked == 10_000
+    for center in (0.0, 0.5, 0.3, 1e300):
+        empty = Distribution()
+        assert symmetry_defect(empty, center) == loop_defect(empty, center) == 0.0
+
