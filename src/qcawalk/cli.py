@@ -250,10 +250,8 @@ def _run_patel(args) -> _Run:
         "U_even": _cmatrix(patel_coin(pp.phi1)),
         "U_odd": _cmatrix(patel_coin(pp.phi2)),
         "extracted": _params_payload(extracted, None),
+        "type": classify(extracted).value,
     }
-    # classify rejects some valid tuples near a class boundary; verify names no class
-    if args.command == "factorize":
-        result["type"] = classify(extracted).value
     payload = {"phi1": pp.phi1, "phi2": pp.phi2}
     return report, payload, result, {"max_error": report.max_amplitude_error}
 
@@ -492,8 +490,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code, params, result, residuals = args.handler(args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     report = {
         "command": args.command,

@@ -21,8 +21,6 @@ import numpy as np
 
 from .amplitudes import AmplitudeField, _on_union, _paired_field, _sq_modulus, max_difference
 from .coined_walks import (
-    L_UPPER,
-    R_UPPER,
     WalkState,
     _as_block,
     _split_coin,
@@ -84,12 +82,11 @@ class _Pairing:
     name: str
     upper_offset: int
     second_start: int
-    order: str
 
 
 _PAIRINGS = {
-    "A": _Pairing("A-type", upper_offset=-1, second_start=-1, order=R_UPPER),
-    "B": _Pairing("B-type", upper_offset=0, second_start=1, order=L_UPPER),
+    "A": _Pairing("A-type", upper_offset=-1, second_start=-1),
+    "B": _Pairing("B-type", upper_offset=0, second_start=1),
 }
 
 
@@ -118,7 +115,7 @@ def _verify_pairing(
     alpha, beta = normalized_qubit(qubit)
     blocks = generalized_blocks_from_qca(params, family)
     eta = AmplitudeField({0: alpha, spec.second_start: beta})
-    walk = WalkState.origin((alpha, beta), spec.order)
+    walk = WalkState.origin((alpha, beta), blocks.order)
 
     amp_err = 0.0
     prob_err = 0.0

@@ -129,46 +129,31 @@ class QcaTypeClass(Enum):
     TYPE_V = "TypeV"
 
 
-_SINGLE_TAGS = {
-    "a": QcaTypeClass.TRIVIAL_A,
-    "b": QcaTypeClass.TRIVIAL_B,
-    "c": QcaTypeClass.TRIVIAL_C,
-    "d": QcaTypeClass.TRIVIAL_D,
-}
-
-_PAIR_TAGS = {
-    frozenset({"b", "c"}): QcaTypeClass.TYPE_I,
-    frozenset({"a", "b"}): QcaTypeClass.TYPE_II,
-    frozenset({"c", "d"}): QcaTypeClass.TYPE_III,
-    frozenset({"a", "d"}): QcaTypeClass.TYPE_IV,
+# The coefficients each class leaves nonzero, smallest set first.
+_NONZERO = {
+    QcaTypeClass.TRIVIAL_A: "a",
+    QcaTypeClass.TRIVIAL_B: "b",
+    QcaTypeClass.TRIVIAL_C: "c",
+    QcaTypeClass.TRIVIAL_D: "d",
+    QcaTypeClass.TYPE_I: "bc",
+    QcaTypeClass.TYPE_II: "ab",
+    QcaTypeClass.TYPE_III: "cd",
+    QcaTypeClass.TYPE_IV: "ad",
+    QcaTypeClass.TYPE_V: "abcd",
 }
 
 
 def classify(params: QcaParams) -> QcaTypeClass:
-    """Unique taxonomy tag of a validated tuple.
+    """Taxonomy tag of a validated tuple: the smallest class holding its nonzeros.
 
-    Coefficients below ``RESIDUAL_TOLERANCE`` in modulus count as zero.  Tuples
-    with three nonzero coefficients (or a nonzero pair other than the four
-    admissible ones) cannot be unitary and are rejected.
+    Coefficients below ``RESIDUAL_TOLERANCE`` in modulus count as zero.  A
+    tuple with three coefficients above it is Type V, as its exact tuple is:
+    unitarity forces the fourth to be tiny, not zero.
     """
-    nonzero = frozenset(
-        name for name in ("a", "b", "c", "d")
-        if abs(getattr(params, name)) >= RESIDUAL_TOLERANCE
-    )
-    if len(nonzero) == 1:
-        return _SINGLE_TAGS[next(iter(nonzero))]
-    if len(nonzero) == 2:
-        tag = _PAIR_TAGS.get(nonzero)
-        if tag is None:
-            raise ValueError(
-                f"nonzero pair {sorted(nonzero)} is incompatible with unitarity"
-            )
-        return tag
-    if len(nonzero) == 4:
-        return QcaTypeClass.TYPE_V
-    raise ValueError(
-        f"{len(nonzero)} nonzero coefficients cannot form a unitary step"
-    )
+    nonzero = {
+        name for name, z in zip("abcd", params.astuple()) if abs(z) >= RESIDUAL_TOLERANCE
+    }
+    return next(tag for tag, held in _NONZERO.items() if nonzero.issubset(held))
 
 
 def params_from_angles(angles: AngleTriple) -> QcaParams:
@@ -251,13 +236,13 @@ def _fourier_power(n: int, params: QcaParams):
 def _evolve(field: AmplitudeField, n: int, params: QcaParams) -> AmplitudeField:
     """``n`` steps of a start field that spans a few sites.
 
-    Type V tuples take one Fourier jump.  Tuples with a zero coefficient
-    keep stepping: their zeros are structural (confinement, translation),
-    and the jump's noise floor would blur them.
+    Type V tuples take one Fourier jump.  The other classes keep stepping:
+    their zeros are structural (confinement, translation), and the jump's
+    noise floor would blur them.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    if n > 0 and min(map(abs, params.astuple())) >= RESIDUAL_TOLERANCE:
+    if n > 0 and classify(params) is QcaTypeClass.TYPE_V:
         return field._jumped(2 * n, _fourier_power(n, params))
     for _ in range(n):
         field = qca_step(field, params)

@@ -173,14 +173,19 @@ def test_help_lists_all_commands():
         assert name in result.stdout
 
 
-def test_verify_patel_passes_where_the_tuple_is_not_classified(capsys):
-    # a ~ 3e-14 counts as zero and b, c, d do not, so classify rejects the
-    # extracted tuple; the identity still holds and verify must pass
+@pytest.mark.parametrize(
+    "command,line",
+    [("verify", "result.pass,true"), ("factorize", "result.type,TypeV")],
+    ids=["verify", "factorize"],
+)
+def test_verify_patel_passes_where_the_tuple_is_not_classified(capsys, command, line):
+    # a ~ 3e-14 counts as zero and b, c, d do not; the extracted tuple is still
+    # Type V, as its exact tuple is, and the identity holds
     code, out, err = run_inprocess(
-        capsys, "verify", "--kind", "patel", "--phi1", "1.5707963", "--phi2", "1e-6"
+        capsys, command, "--kind", "patel", "--phi1", "1.5707963", "--phi2", "1e-6"
     )
     assert code == 0, err
-    assert "result.pass,true" in out
+    assert line in out
 
 
 def test_verify_two_step_requires_angles():
@@ -283,6 +288,27 @@ def test_out_to_unwritable_path_exits_two(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "exc,line",
+    [
+        (MemoryError("Unable to allocate 14.9 GiB"), "error: Unable to allocate 14.9 GiB"),
+        (MemoryError(), "error: MemoryError"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_out_of_memory_exits_two(capsys, monkeypatch, exc, line):
+    from qcawalk import cli
+
+    def out_of_memory(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "rescaled_qca_sample", out_of_memory)
+    code, out, err = run_inprocess(capsys, "limit-compare", "--steps", "100000000")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [line]
 
 
 def test_import_and_limit_compare_load_no_scipy():

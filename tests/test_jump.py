@@ -116,13 +116,18 @@ def test_jump_against_the_exact_gaussian_integer_field(n):
     assert all(abs(jumped[k] - exact.get(k, 0.0)) < 0.5 * abs(jumped[k]) for k in jumped.support())
 
 
+# |a| = 1.0e-13 falls under the zero test, and b, c, d do not
+THREE_NONZERO = params_from_angles(AngleTriple(1.5697963271282298, 1.5707963266948965, 0.0))
+
+
 def test_type_v_evolutions_take_the_jump(monkeypatch):
     def no_step(field, params):
         raise AssertionError("qca_step called")
 
     monkeypatch.setattr(qca_core, "qca_step", no_step)
-    assert abs(evolve_eta(0, 100, REFERENCE).norm_sq() - 1.0) <= 1e-12
-    assert abs(qca_distribution(0, "+", (0.6, 0.8j), 100, REFERENCE).total() - 1.0) <= 1e-12
+    for params in (REFERENCE, THREE_NONZERO):
+        assert abs(evolve_eta(0, 100, params).norm_sq() - 1.0) <= 1e-12
+        assert abs(qca_distribution(0, "+", (0.6, 0.8j), 100, params).total() - 1.0) <= 1e-12
 
 
 COS, SIN = math.cos(0.4), math.sin(0.4)

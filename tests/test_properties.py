@@ -3,12 +3,34 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcawalk.amplitudes import AmplitudeField, max_difference, superpose, to_distribution
-from qcawalk.correspondence import verify_A_correspondence, verify_B_correspondence
-from qcawalk.qca_core import AngleTriple, evolve_eta, params_from_angles, qca_distribution, qca_step
+from qcawalk.amplitudes import (
+    PRUNE_TOLERANCE,
+    AmplitudeField,
+    max_difference,
+    superpose,
+    to_distribution,
+)
+from qcawalk.correspondence import (
+    PatelParams,
+    patel_factorize,
+    verify_A_correspondence,
+    verify_B_correspondence,
+)
+from qcawalk.qca_core import (
+    RESIDUAL_TOLERANCE,
+    AngleTriple,
+    QcaTypeClass,
+    classify,
+    evolve_eta,
+    params_from_angles,
+    qca_distribution,
+    qca_step,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -71,3 +93,65 @@ def test_step_conserves_norm(p, field, n):
 def test_walk_pairings_hold(p, qubit, n):
     assert verify_A_correspondence(p, qubit, n).max_error() <= 1e-12
     assert verify_B_correspondence(p, qubit, n).max_error() <= 1e-12
+
+
+# Angles within 10^-k of a multiple of pi/2, where coefficients fall under the
+# zero test of classify one at a time.
+near_quarter_turn = st.builds(
+    lambda q, k, m: q * math.pi / 2 + m * 10.0**-k,
+    st.integers(0, 3),
+    st.integers(1, 14),
+    st.floats(-1.0, 1.0),
+)
+boundary_params = st.one_of(
+    st.builds(
+        lambda t, p, d: params_from_angles(AngleTriple(t, p, d)),
+        near_quarter_turn,
+        near_quarter_turn,
+        angle,
+    ),
+    st.builds(
+        lambda phi1, phi2: patel_factorize(PatelParams(phi1, phi2))[0],
+        near_quarter_turn,
+        near_quarter_turn,
+    ),
+)
+
+
+def nonzero_count(p):
+    return sum(abs(z) >= RESIDUAL_TOLERANCE for z in p.astuple())
+
+
+def oracle_evolve_eta(n, p):
+    """``n`` steps of the delta at site 0 in 40-digit arithmetic, as {site: complex}."""
+    with mpmath.workdps(40):
+        a, b, c, d = map(mpmath.mpc, p.astuple())
+        field = {0: mpmath.mpc(1)}
+        for _ in range(n):
+            out = {}
+            for k in range((min(field) - 2) // 2, (max(field) + 1) // 2 + 1):
+                x1, x2, x3, x4 = (field.get(2 * k + j, 0) for j in (-1, 0, 1, 2))
+                out[2 * k] = a * x1 + b * x2 + c * x3 + d * x4
+                out[2 * k + 1] = d * x1 + c * x2 + b * x3 + a * x4
+            field = out
+        return {k: complex(z) for k, z in field.items()}
+
+
+@PROPERTY_SETTINGS
+@given(boundary_params)
+def test_classify_names_every_tuple_near_a_class_boundary(p):
+    tag = classify(p)
+    assert isinstance(tag, QcaTypeClass)
+    if nonzero_count(p) >= 3:
+        assert tag is QcaTypeClass.TYPE_V
+
+
+@PROPERTY_SETTINGS
+@given(boundary_params.filter(lambda p: nonzero_count(p) == 3), st.integers(1, 60))
+def test_three_nonzero_tuples_jump_within_the_error_budget(p, n):
+    # one coefficient is under the zero test, but the tuple is Type V and jumps;
+    # stepping is no reference here, its pruning can exceed this budget
+    exact = oracle_evolve_eta(n, p)
+    jumped = evolve_eta(0, n, p)
+    error = max(abs(jumped[k] - exact.get(k, 0.0)) for k in jumped.support() | set(exact))
+    assert error <= n * np.finfo(np.float64).eps + PRUNE_TOLERANCE

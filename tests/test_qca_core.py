@@ -154,6 +154,11 @@ def test_classify_trivial_b():
         ((INV_SQRT2, -1j * INV_SQRT2, 0, 0), QcaTypeClass.TYPE_II),
         ((0, 0, INV_SQRT2, 1j * INV_SQRT2), QcaTypeClass.TYPE_III),
         ((INV_SQRT2, 0, 0, 1j * INV_SQRT2), QcaTypeClass.TYPE_IV),
+        # |a| = 1.0e-13 counts as zero and b, c, d do not: Type V, as the exact tuple
+        (
+            params_from_angles(AngleTriple(1.5697963271282298, 1.5707963266948965, 0)).astuple(),
+            QcaTypeClass.TYPE_V,
+        ),
     ],
 )
 def test_classify_examples(tup, tag):
