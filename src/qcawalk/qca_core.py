@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .amplitudes import AmplitudeField, Distribution, to_distribution
+from .amplitudes import AmplitudeField, Distribution, _sq_modulus, to_distribution
 
 __all__ = [
     "RESIDUAL_TOLERANCE",
@@ -148,11 +148,15 @@ def classify(params: QcaParams) -> QcaTypeClass:
 
     Coefficients below ``RESIDUAL_TOLERANCE`` in modulus count as zero.  A
     tuple with three coefficients above it is Type V, as its exact tuple is:
-    unitarity forces the fourth to be tiny, not zero.
+    unitarity forces the fourth to be tiny, not zero.  No class holds the
+    pair {a, c} or {b, d}, and unitarity bounds the product of such a pair
+    by the tolerance, so where the nonzeros are exactly such a pair the
+    smaller one counts as zero too.
     """
-    nonzero = {
-        name for name, z in zip("abcd", params.astuple()) if abs(z) >= RESIDUAL_TOLERANCE
-    }
+    moduli = dict(zip("abcd", map(abs, params.astuple())))
+    nonzero = {name for name, r in moduli.items() if r >= RESIDUAL_TOLERANCE}
+    if nonzero in ({"a", "c"}, {"b", "d"}):
+        nonzero.remove(min(nonzero, key=moduli.__getitem__))
     return next(tag for tag, held in _NONZERO.items() if nonzero.issubset(held))
 
 
@@ -202,33 +206,33 @@ def _fourier_power(n: int, params: QcaParams):
 
     On cells (2k, 2k+1) the step is translation-invariant, so ``n`` steps
     multiply the cell transform by ``U(p)**n`` with the symbol
-    ``U(p) = [[b + d e^{ip}, c + a e^{-ip}], [c + a e^{ip}, b + d e^{-ip}]]``,
-    raised by binary powering with the 2x2 products written out.
+    ``U(p) = [[b + d e^{ip}, c + a e^{-ip}], [c + a e^{ip}, b + d e^{-ip}]]``.
+    A validated tuple has ``bd = ac``, so ``det U(p) = s**2 = b**2 + d**2 -
+    a**2 - c**2`` for every p, and ``U(p) / s`` is the SU(2) matrix
+    ``M = [[alpha, -conj(beta)], [beta, conj(alpha)]]``, its first column
+    normalized.  With ``cos w = Re alpha``, ``M**n = cos(nw) I + sin(nw) /
+    sin(w) (M - cos(w) I)`` is unitary to rounding, so mass holds at any n.
     """
     a, b, c, d = params.astuple()
+    # principal arg s for every p, free of a sqrt's rounding and s**n's drift, both n-fold
+    half = cmath.phase(b * b + d * d - a * a - c * c) / 2
+    s, phase = cmath.exp(1j * half), cmath.exp(1j * n * half)
 
     def kernel(cells: np.ndarray) -> np.ndarray:
         from numpy import fft  # loaded on the first jump only
 
         ring = cells.shape[-1]
         e = np.exp(2j * math.pi / ring * np.arange(ring))
-        u00, u01, u10, u11 = b + d * e, c + a * e.conj(), c + a * e, b + d * e.conj()
+        alpha, beta = (b + d * e) / s, (c + a * e) / s
+        norm = np.sqrt(_sq_modulus(alpha) + _sq_modulus(beta))
+        alpha, beta = alpha / norm, beta / norm
+        # arctan2, not arccos(Re alpha), keeps w accurate where M is near +-I
+        sin_w = np.sqrt(alpha.imag * alpha.imag + _sq_modulus(beta))
+        w = np.arctan2(sin_w, alpha.real)
+        ratio = np.divide(np.sin(n * w), sin_w, out=np.zeros(ring), where=sin_w > 0)
+        mu, nu = np.cos(n * w) + 1j * ratio * alpha.imag, ratio * beta
         x0, x1 = fft.fft(cells)
-        k = n
-        while k:
-            if k & 1:
-                x0, x1 = u00 * x0 + u01 * x1, u10 * x0 + u11 * x1
-            k >>= 1
-            if k:
-                # squared in place, sharing u01*u10 and the trace between entries
-                trace, cross = u00 + u11, u01 * u10
-                u00 *= u00
-                u00 += cross
-                u11 *= u11
-                u11 += cross
-                u01 *= trace
-                u10 *= trace
-        return fft.ifft(np.stack((x0, x1)))
+        return fft.ifft(phase * np.stack((mu * x0 - nu.conj() * x1, nu * x0 + mu.conj() * x1)))
 
     return kernel
 

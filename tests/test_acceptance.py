@@ -15,7 +15,13 @@ from qcawalk.amplitudes import (
     superpose,
     to_distribution,
 )
-from qcawalk.asymptotics import kolmogorov_distance, limit_cdf, limit_density, rescaled_qca_sample, symmetry_defect
+from qcawalk.asymptotics import (
+    kolmogorov_distance,
+    limit_cdf,
+    limit_density,
+    rescaled_qca_sample,
+    symmetry_defect,
+)
 from qcawalk.coined_walks import (
     CoinMatrix,
     WalkState,
@@ -79,9 +85,10 @@ def test_criterion_02_reference_point():
     start = time.perf_counter()
     params = params_from_angles(PATEL_ANGLES)
     targets = (0.5j, 0.5, 0.5j, -0.5)
+    pairs = list(zip(params.astuple(), map(complex, targets)))
     worst = max(
-        max(abs(got.real - want.real) for got, want in zip(params.astuple(), map(complex, targets))),
-        max(abs(got.imag - want.imag) for got, want in zip(params.astuple(), map(complex, targets))),
+        max(abs(got.real - want.real) for got, want in pairs),
+        max(abs(got.imag - want.imag) for got, want in pairs),
     )
     elapsed = time.perf_counter() - start
     assert worst <= 1e-15

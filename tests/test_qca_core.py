@@ -159,6 +159,11 @@ def test_classify_trivial_b():
             params_from_angles(AngleTriple(1.5697963271282298, 1.5707963266948965, 0)).astuple(),
             QcaTypeClass.TYPE_V,
         ),
+        # no class holds {a, c} or {b, d}: the smaller of the pair counts as zero
+        ((1.0, 0, 1e-12, 0), QcaTypeClass.TRIVIAL_A),
+        ((0, 1.0, 0, 1e-12), QcaTypeClass.TRIVIAL_B),
+        ((1e-12, 0, 1.0, 0), QcaTypeClass.TRIVIAL_C),
+        ((0, 1e-12, 0, -1.0), QcaTypeClass.TRIVIAL_D),
     ],
 )
 def test_classify_examples(tup, tag):
