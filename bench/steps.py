@@ -1,0 +1,182 @@
+"""Per-layer step timings: the two stepping kernels and the certificates built on them.
+
+    python bench/steps.py [--baseline SRC] [--rounds R] [--scale F] [--out PATH]
+
+Run from the repository root.  Each round starts one child process per
+source tree, and each child imports ``qcawalk`` from that tree, runs every
+case once to warm up, and then times it ``REPS`` times; the round's sample
+is the median of those.  With ``--baseline`` (the ``src`` directory of
+another checkout, for example one made with ``git archive REV src | tar -x
+-C DIR``) the rounds alternate which tree runs first, and each case reports
+both trees' medians and quartiles over the rounds, the ratio of the
+medians, and the rounds the tree under test won.  A case a tree does not
+have (a ``verify --kind`` its CLI rejects) reads null there.  ``--scale``
+multiplies every step count, so a quick run can check that the harness
+still works.  The JSON report goes to stdout, or to ``--out``.
+
+The cases are those of the stepping path: 1000 steps of a B- and an
+A-family walk (the long-run benchmark's walk task steps the B walk), 1000
+``qca_step`` calls, ``verify --kind A`` at 500 steps (walk and lattice in
+lockstep) and ``verify --kind spectral`` at 5000 (the jump against 5000
+``qca_step`` calls).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+REPS = 3
+THETA, PHI, DELTA = 1.1, 0.4, 2.0
+QUBIT = (0.6, 0.8j)
+# name -> base step count
+CASES = {
+    "walk_step.B": 1000,
+    "walk_step.A": 1000,
+    "qca_step": 1000,
+    "verify.A": 500,
+    "verify.spectral": 5000,
+}
+
+
+def _case(q, name: str, n: int):
+    """A no-argument callable running case ``name`` at ``n`` steps, or None if absent."""
+    params = q.params_from_angles(q.AngleTriple(THETA, PHI, DELTA))
+    if name.startswith("walk_step."):
+        blocks = q.generalized_blocks_from_qca(params, name[-1])
+
+        def walk():
+            state = q.WalkState.origin(QUBIT, blocks.order)
+            for _ in range(n):
+                state = q.walk_step(state, blocks)
+            return state
+        return walk
+    if name == "qca_step":
+        def step():
+            field = q.AmplitudeField({0: QUBIT[0], 1: QUBIT[1]})
+            for _ in range(n):
+                field = q.qca_step(field, params)
+            return field
+        return step
+    argv = ["verify", "--kind", name.split(".")[1], "--theta", str(THETA), "--phi", str(PHI),
+            "--delta", str(DELTA), "--qubit", "0.6", "0", "0", "0.8", "--steps", str(n)]
+
+    def verify():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = q.cli.main(argv)
+        if code != 0:
+            raise RuntimeError(f"exit {code}: {err.getvalue().strip()}")
+        return out.getvalue()
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        # a --kind the parser rejects is a case this tree does not have
+        known = q.cli.main([*argv[:3], "--help"]) == 0
+    return verify if known else None
+
+
+def child(src: str, scale: float) -> dict:
+    """Median ms of every case in this process, which imports qcawalk from ``src``."""
+    sys.path.insert(0, os.path.abspath(src))
+    import qcawalk as q
+    import qcawalk.cli  # noqa: F401  (q.cli)
+
+    if not q.__file__.startswith(os.path.abspath(src)):
+        raise SystemExit(f"imported qcawalk from {q.__file__}, not from {src}")
+    times = {}
+    for name, base in CASES.items():
+        run = _case(q, name, max(1, round(base * scale)))
+        if run is None:
+            times[name] = None
+            continue
+        run()
+        samples = []
+        for _ in range(REPS):
+            start = time.perf_counter()
+            run()
+            samples.append((time.perf_counter() - start) * 1e3)
+        times[name] = statistics.median(samples)
+    return times
+
+
+def _run_child(src: str, scale: float) -> dict:
+    done = subprocess.run(
+        [sys.executable, __file__, "--child", src, "--scale", repr(scale)],
+        capture_output=True, text=True, timeout=600,
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"child for {src} failed:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _summary(samples: list) -> dict | None:
+    if any(s is None for s in samples):
+        return None
+    q1, median, q3 = statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
+    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "runs_ms": samples}
+
+
+def _machine() -> dict:
+    import numpy
+
+    cpu = platform.processor() or "unknown"
+    with contextlib.suppress(OSError), open("/proc/cpuinfo") as handle:
+        cpu = next((ln.split(":", 1)[1].strip() for ln in handle if ln.startswith("model name")),
+                   cpu)
+    return {"nproc": os.cpu_count(), "cpu": cpu, "python": platform.python_version(),
+            "numpy": numpy.__version__}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--baseline", default=None, help="src directory to compare against")
+    parser.add_argument("--rounds", type=int, default=10, help="rounds (default: 10)")
+    parser.add_argument("--scale", type=float, default=1.0, help="step-count factor")
+    parser.add_argument("--out", default=None, help="write the JSON report here")
+    parser.add_argument("--child", default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child is not None:
+        print(json.dumps(child(args.child, args.scale)))
+        return 0
+    if args.rounds < 1 or args.scale <= 0:
+        parser.error("--rounds must be at least 1 and --scale positive")
+
+    trees = {"change": "src"}
+    if args.baseline is not None:
+        trees["parent"] = args.baseline
+    rounds = {side: [] for side in trees}
+    for r in range(args.rounds):
+        for side in (list(trees) if r % 2 else list(trees)[::-1]):
+            rounds[side].append(_run_child(trees[side], args.scale))
+
+    cases = {}
+    for name, base in CASES.items():
+        entry = {"steps": max(1, round(base * args.scale))}
+        for side in trees:
+            entry[side] = _summary([times[name] for times in rounds[side]])
+        if entry.get("parent") and entry["change"]:
+            pairs = zip(entry["parent"]["runs_ms"], entry["change"]["runs_ms"])
+            entry["speedup"] = entry["parent"]["median_ms"] / entry["change"]["median_ms"]
+            entry["change_wins"] = sum(p > c for p, c in pairs)
+        cases[name] = entry
+    report = {"machine": _machine(), "rounds": args.rounds, "reps": REPS,
+              "scale": args.scale, "cases": cases}
+    text = json.dumps(report, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

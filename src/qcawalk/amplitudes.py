@@ -56,9 +56,9 @@ def _zero_dust(values: np.ndarray) -> np.ndarray:
     mag = np.abs(values)
     if mag.size and not math.isfinite(mag.max()):
         raise ValueError("non-finite amplitude")
-    kept = mag >= PRUNE_TOLERANCE
-    values[~kept] = 0
-    return kept if kept.ndim == 1 else kept.any(axis=0)
+    dust = mag < PRUNE_TOLERANCE
+    np.putmask(values, dust, 0)
+    return ~dust if dust.ndim == 1 else ~dust.all(axis=0)
 
 
 def _run_bounds(apart: np.ndarray) -> list[tuple[int, int]]:

@@ -27,6 +27,7 @@ from .correspondence import (
     two_step_factorize,
     verify_A_correspondence,
     verify_B_correspondence,
+    verify_spectral,
     verify_two_step,
 )
 from .qca_core import (
@@ -214,10 +215,18 @@ def _resolve_run(
 _Run = tuple[CorrespondenceReport, dict, dict | None, dict | None]
 
 
-def _run_pairing(args) -> _Run:
+# the --kind values that evolve one start state two ways and compare the results
+_EVOLUTION_CHECKS = {
+    "A": verify_A_correspondence,
+    "B": verify_B_correspondence,
+    "spectral": verify_spectral,
+}
+
+
+def _run_evolution(args) -> _Run:
     params, qubit, payload = _resolve_run(args)
-    check = verify_A_correspondence if args.kind == "A" else verify_B_correspondence
-    return check(params, qubit, args.steps), {**payload, "steps": args.steps}, None, None
+    report = _EVOLUTION_CHECKS[args.kind](params, qubit, args.steps)
+    return report, {**payload, "steps": args.steps}, None, None
 
 
 def _run_two_step(args) -> _Run:
@@ -258,8 +267,9 @@ def _run_patel(args) -> _Run:
 
 # Each --kind of verify and factorize: its runner and the flags it reads.
 _KINDS = {
-    "A": (_run_pairing, (*_PARAM_FLAGS, "qubit", "steps")),
-    "B": (_run_pairing, (*_PARAM_FLAGS, "qubit", "steps")),
+    "A": (_run_evolution, (*_PARAM_FLAGS, "qubit", "steps")),
+    "B": (_run_evolution, (*_PARAM_FLAGS, "qubit", "steps")),
+    "spectral": (_run_evolution, (*_PARAM_FLAGS, "qubit", "steps")),
     "two-step": (_run_two_step, (*_PARAM_FLAGS, "family", "theta1", "theta2")),
     "patel": (_run_patel, ("phi1", "phi2")),
 }
@@ -443,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an equivalence check; nonzero exit on failure")
     p.add_argument(
-        "--kind", choices=("A", "B", "two-step", "patel"), default="A",
+        "--kind", choices=("A", "B", "spectral", "two-step", "patel"), default="A",
         help="which identity to verify (default: A)",
     )
     _add_param_flags(p)

@@ -16,7 +16,7 @@ orderings instead of silently reordering.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -131,6 +131,8 @@ class CoinBlocks:
     Q: np.ndarray
     p_side: int = 1
     order: str = L_UPPER
+    # (2, 6): columns 2m, 2m + 1 hold the block that moves an entry by m - 1 sites
+    _stencil: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p_side not in (1, -1):
@@ -148,6 +150,9 @@ class CoinBlocks:
             raise ValueError(
                 f"blocks do not assemble into a unitary step (residual {residual:.3e})"
             )
+        # P moves an entry by -p_side sites, T by 0 and Q by +p_side
+        by_move = {-self.p_side: p, 0: t, self.p_side: q}
+        object.__setattr__(self, "_stencil", np.hstack([by_move[m - 1] for m in range(3)]))
 
     def unitarity_residual(self) -> float:
         """Largest entry of the three block-orthogonality defects."""
@@ -162,9 +167,6 @@ class CoinBlocks:
     def coin(self) -> np.ndarray:
         """P + Q; equals the coin matrix for plain walks."""
         return self.P + self.Q
-
-    def has_stay(self) -> bool:
-        return bool(self.T.any())
 
 
 def _split_coin(u: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
@@ -222,20 +224,18 @@ def walk_step(state: WalkState, blocks: CoinBlocks) -> WalkState:
             f"state is {state.order} but blocks are written {blocks.order}; "
             "reorder explicitly before stepping"
         )
-    # new[k] takes P from old[k + side]; the entry at `site` therefore
-    # lands at site - side through P and at site + side through Q.  Output
-    # index i is site lo - 1 + i, so a move by s lands at offset 1 + s.
-    side = blocks.p_side
-    moves = [(blocks.P, 1 - side), (blocks.Q, 1 + side)]
-    if blocks.has_stay():
-        moves.append((blocks.T, 1))
+    # Output index i is site lo - 1 + i.  Row m of the stack holds the input
+    # shifted m sites right, which the stencil's columns 2m, 2m + 1 meet with
+    # the block that moves an entry by m - 1 sites, so one (2, 6) @ (6, width
+    # + 2) product applies P, T and Q.
+    stencil = blocks._stencil
 
     def kernel(lo: int, x: np.ndarray) -> tuple[int, np.ndarray]:
         width = x.shape[1]
-        out = np.zeros((2, width + 2), dtype=np.complex128)
-        for block, offset in moves:
-            out[:, offset : offset + width] += block @ x
-        return lo - 1, out
+        stack = np.zeros((3, 2, width + 2), dtype=np.complex128)
+        for m in range(3):
+            stack[m, :, m : m + width] = x
+        return lo - 1, stencil @ stack.reshape(6, width + 2)
 
     return state._stepped(kernel, order=state.order)
 

@@ -31,7 +31,10 @@ from .qca_core import (
     RESIDUAL_TOLERANCE,
     AngleTriple,
     QcaParams,
+    QcaTypeClass,
+    _evolve,
     _reduced_phase,
+    classify,
     normalized_qubit,
     params_from_angles,
     qca_step,
@@ -43,6 +46,7 @@ __all__ = [
     "CorrespondenceReport",
     "verify_A_correspondence",
     "verify_B_correspondence",
+    "verify_spectral",
     "two_step_factorize",
     "verify_two_step",
     "patel_coin",
@@ -90,14 +94,19 @@ _PAIRINGS = {
 }
 
 
+def _mismatch(got: AmplitudeField, want: AmplitudeField) -> tuple[float, float]:
+    """Largest amplitude and mass mismatch between two fields."""
+    _, got, want = _on_union(got, want)
+    amp_err = float(np.abs(got - want).max(initial=0.0))
+    prob_err = float(np.abs(_sq_modulus(want) - _sq_modulus(got)).max(initial=0.0))
+    return amp_err, prob_err
+
+
 def _check_pairing(
     walk: WalkState, eta: AmplitudeField, upper_offset: int
 ) -> tuple[float, float]:
     """Largest amplitude and mass mismatch between the walk and the paired field."""
-    _, got, want = _on_union(_paired_field(walk, upper_offset), eta)
-    amp_err = float(np.abs(got - want).max(initial=0.0))
-    prob_err = float(np.abs(_sq_modulus(want) - _sq_modulus(got)).max(initial=0.0))
-    return amp_err, prob_err
+    return _mismatch(_paired_field(walk, upper_offset), eta)
 
 
 def _verify_pairing(
@@ -141,6 +150,27 @@ def verify_B_correspondence(
 ) -> CorrespondenceReport:
     """Certify the B-family walk against the banded lattice evolution."""
     return _verify_pairing("B", params, qubit, n_max)
+
+
+def verify_spectral(params: QcaParams, qubit, n: int) -> CorrespondenceReport:
+    """Certify the Fourier jump of a Type V tuple against ``n`` banded steps.
+
+    Both engines evolve ``{0: alpha, 1: beta}``: once in one jump, once
+    by ``n`` calls of ``qca_step``.  Other classes never jump, so they are
+    rejected.
+    """
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
+    kind = classify(params)
+    if kind is not QcaTypeClass.TYPE_V:
+        raise ValueError(f"only Type V tuples jump; this tuple is {kind.value}")
+    alpha, beta = normalized_qubit(qubit)
+    start = AmplitudeField({0: alpha, 1: beta})
+    stepped = start
+    for _ in range(n):
+        stepped = qca_step(stepped, params)
+    amp_err, prob_err = _mismatch(_evolve(start, n, params), stepped)
+    return CorrespondenceReport(amp_err, prob_err, n, "spectral")
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,8 @@ def params_from_angles(angles: AngleTriple) -> QcaParams:
 def qca_step(field: AmplitudeField, params: QcaParams) -> AmplitudeField:
     """One application of the banded step operator, run by run."""
     a, b, c, d = params.astuple()
+    # row k of the window view is in[2k-1 .. 2k+2]; its columns give out[2k], out[2k+1]
+    stencil = np.array([[a, d], [b, c], [c, b], [d, a]], dtype=np.complex128)
 
     def kernel(lo: int, x: np.ndarray) -> tuple[int, np.ndarray]:
         base = (lo - 2) & ~1            # even-aligned left edge of the output range
@@ -187,18 +189,14 @@ def qca_step(field: AmplitudeField, params: QcaParams) -> AmplitudeField:
         # buf[j] holds the input amplitude at site base - 1 + j.
         buf = np.zeros(2 * npairs + 3, dtype=np.complex128)
         buf[lo - base + 1 : lo - base + 1 + x.size] = x
-
-        x1 = buf[0 : 2 * npairs : 2]        # in[2k-1]
-        x2 = buf[1 : 2 * npairs + 1 : 2]    # in[2k]
-        x3 = buf[2 : 2 * npairs + 2 : 2]    # in[2k+1]
-        x4 = buf[3 : 2 * npairs + 3 : 2]    # in[2k+2]
-
-        out = np.empty(2 * npairs, dtype=np.complex128)
-        out[0::2] = a * x1 + b * x2 + c * x3 + d * x4
-        out[1::2] = d * x1 + c * x2 + b * x3 + a * x4
-        return base, out
+        step = buf.strides[0]
+        windows = np.ndarray((npairs, 4), np.complex128, buf, 0, (2 * step, step))
+        return base, (windows @ stencil).ravel()
 
     return field._stepped(kernel)
+
+
+_I_POWERS = (1, 1j, -1, -1j)
 
 
 def _fourier_power(n: int, params: QcaParams):
@@ -214,9 +212,14 @@ def _fourier_power(n: int, params: QcaParams):
     sin(w) (M - cos(w) I)`` is unitary to rounding, so mass holds at any n.
     """
     a, b, c, d = params.astuple()
-    # principal arg s for every p, free of a sqrt's rounding and s**n's drift, both n-fold
-    half = cmath.phase(b * b + d * d - a * a - c * c) / 2
-    s, phase = cmath.exp(1j * half), cmath.exp(1j * n * half)
+    # one arg s for every p, free of a sqrt's rounding and s**n's drift, both n-fold;
+    # s = i**k * t with |arg t| <= pi/4 keeps the rounding of n * arg t small,
+    # and i**(n * k) is exact
+    s_sq = b * b + d * d - a * a - c * c
+    k = 1 if s_sq.real < 0 else 0
+    half = cmath.phase(-s_sq if k else s_sq) / 2
+    s = _I_POWERS[k] * cmath.exp(1j * half)
+    phase = _I_POWERS[n * k % 4] * cmath.exp(1j * n * half)
 
     def kernel(cells: np.ndarray) -> np.ndarray:
         from numpy import fft  # loaded on the first jump only

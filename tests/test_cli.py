@@ -188,6 +188,35 @@ def test_verify_patel_passes_where_the_tuple_is_not_classified(capsys, command, 
     assert line in out
 
 
+def test_verify_spectral_certifies_the_jump(capsys):
+    code, out, err = run_inprocess(
+        capsys, "verify", "--kind", "spectral", "--theta", "1.1", "--phi", "0.4",
+        "--delta", "2", "--qubit", "0.6", "0", "0", "0.8", "--steps", "300",
+    )
+    assert code == 0, err
+    rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+    assert rows["result.identity"] == "spectral"
+    assert rows["result.steps_checked"] == "300"
+    assert rows["result.pass"] == "true"
+    # the jump's budget against stepping: n * eps + PRUNE_TOLERANCE
+    assert 0.0 < float(rows["residuals.max_error"]) <= 300 * sys.float_info.epsilon + 1e-15
+
+
+def test_verify_spectral_fails_on_a_perturbed_power(capsys, monkeypatch):
+    from qcawalk import qca_core
+
+    exact = qca_core._fourier_power
+
+    def perturbed(n, params):
+        kernel = exact(n, params)
+        return lambda cells: kernel(cells) * (1 + 1e-9)
+
+    monkeypatch.setattr(qca_core, "_fourier_power", perturbed)
+    code, out, err = run_inprocess(capsys, "verify", "--kind", "spectral", *REFERENCE)
+    assert code == 1, err
+    assert "result.pass,false" in out.splitlines()
+
+
 def test_verify_two_step_requires_angles():
     result = run_cli("verify", "--kind", "two-step")
     assert result.returncode == 2
@@ -229,6 +258,10 @@ RAW_IDENTITY = ("0", "0", "1", "0", "0", "0", "0", "0")
         ("verify", "--kind", "A", *REFERENCE, "--family", "B", "--theta1", "3"),
         ("verify", "--kind", "two-step", *REFERENCE, "--steps", "5"),
         ("factorize", "--kind", "two-step", *REFERENCE, "--phi1", "pi/4"),
+        # only Type V tuples jump, so only they have a spectral certificate
+        ("verify", "--kind", "spectral", "--params", *RAW_IDENTITY),
+        ("verify", "--kind", "spectral", "--theta", "0.4", "--phi", "0", "--delta", "1"),
+        ("verify", "--kind", "spectral", *REFERENCE, "--steps", "-1"),
     ],
 )
 def test_invalid_inputs_exit_two(capsys, args):

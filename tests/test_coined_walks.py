@@ -108,13 +108,13 @@ def test_generalized_blocks_family_a_patel():
 def test_generalized_blocks_type_iii_has_zero_stay():
     params = QcaParams(0.0, 0.0, INV_SQRT2, 1j * INV_SQRT2)
     blocks = generalized_blocks_from_qca(params, "A")
-    assert not blocks.has_stay()
+    assert not blocks.T.any()
 
 
 def test_generalized_blocks_type_iv_has_zero_stay():
     params = QcaParams(INV_SQRT2, 0.0, 0.0, 1j * INV_SQRT2)
     blocks = generalized_blocks_from_qca(params, "B")
-    assert not blocks.has_stay()
+    assert not blocks.T.any()
 
 
 def test_generalized_blocks_unitary_for_random_angles():
@@ -180,20 +180,32 @@ def test_step_rejects_order_mismatch():
         walk_step(state, blocks)
 
 
+def _assert_step_matches_dense_oracle(blocks, rng):
+    state = WalkState.origin(random_qubit(rng), blocks.order)
+    for _ in range(4):
+        state = walk_step(state, blocks)
+    lo, hi = -8, 8
+    dense = dense_walk_matrix(blocks.P, blocks.T, blocks.Q, blocks.p_side, lo, hi)
+    expected = np.linalg.matrix_power(dense, 1) @ walk_to_vector(state, lo, hi)
+    stepped = walk_step(state, blocks)
+    assert np.abs(walk_to_vector(stepped, lo, hi) - expected).max() <= 1e-12
+
+
 def test_walk_step_matches_dense_oracle():
     rng = np.random.default_rng(19)
     for _ in range(20):
         params = random_params(rng)
         family = "A" if rng.uniform() < 0.5 else "B"
-        blocks = generalized_blocks_from_qca(params, family)
-        state = WalkState.origin(random_qubit(rng), blocks.order)
-        for _ in range(4):
-            state = walk_step(state, blocks)
-        lo, hi = -8, 8
-        dense = dense_walk_matrix(blocks.P, blocks.T, blocks.Q, blocks.p_side, lo, hi)
-        expected = np.linalg.matrix_power(dense, 1) @ walk_to_vector(state, lo, hi)
-        stepped = walk_step(state, blocks)
-        assert np.abs(walk_to_vector(stepped, lo, hi) - expected).max() <= 1e-12
+        _assert_step_matches_dense_oracle(generalized_blocks_from_qca(params, family), rng)
+    # T = 0, and hand-built blocks in the orientation and ordering the families do not use
+    plain_a, plain_b = plain_blocks(BALANCED_COIN, "A"), plain_blocks(BALANCED_COIN, "B")
+    for blocks in (
+        plain_a,
+        plain_b,
+        CoinBlocks(plain_a.P, plain_a.T, plain_a.Q, p_side=-1, order=L_UPPER),
+        CoinBlocks(plain_b.P, plain_b.T, plain_b.Q, p_side=1, order=R_UPPER),
+    ):
+        _assert_step_matches_dense_oracle(blocks, rng)
 
 
 def test_walk_norm_conservation():

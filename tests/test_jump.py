@@ -8,6 +8,11 @@ reached 0.95 * n * eps at n = 13; on 30 of them at n = 1000 and 3000, 0.61.
 Against a 40-digit oracle, on the 40 draws worst against stepping, the jump
 reached 0.95 * n * eps at n = 50: near-degenerate fields stay concentrated,
 so the rounding of the global phase ``n * arg s`` shows at full size.
+Taking ``|arg t| <= pi/4`` with ``s = i**k * t`` shrank that term: on
+another 300 near-degenerate draws the worst fell from 1.59 to 1.29 * n * eps,
+against stepping and against the oracle alike.  That draw, a nearly
+translating tuple at n = 104, is still past c = 1; against stepping the
+rest stay below 0.87.
 Where ``n * eps`` is small, the per-step pruning of the stepped engine at
 ``PRUNE_TOLERANCE`` can dominate; hence the floor.
 """
