@@ -16,9 +16,10 @@ still works.  The JSON report goes to stdout, or to ``--out``.
 
 The cases are those of the stepping path: 1000 steps of a B- and an
 A-family walk (the long-run benchmark's walk task steps the B walk), 1000
-``qca_step`` calls, ``verify --kind A`` at 500 steps (walk and lattice in
-lockstep) and ``verify --kind spectral`` at 5000 (the jump against 5000
-``qca_step`` calls).
+``qca_step`` calls, ``verify --kind A`` and ``--kind B`` at 500 and at 50
+steps (walk and lattice in lockstep, compared at every step) and ``verify
+--kind spectral`` at 5000 (the jump against 5000 ``qca_step`` calls).  A
+``verify.K.50`` case is ``verify --kind K`` at 50 steps.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ CASES = {
     "walk_step.A": 1000,
     "qca_step": 1000,
     "verify.A": 500,
+    "verify.B": 500,
+    "verify.A.50": 50,
+    "verify.B.50": 50,
     "verify.spectral": 5000,
 }
 

@@ -7,6 +7,11 @@ memory follows the support, not the distance between its far ends.  The
 same run layout, with a leading axis for the two chirality components,
 backs ``coined_walks.WalkState``: both subclass ``_Runs``, which owns the
 layout and the one step driver, and no other module reads the runs.
+
+One routine lines runs up: ``_packed`` lays them out on one axis, for a
+step, for construction (one run per entry) and, one row per field, for
+superposition and comparison (``_aligned``).  One routine cuts them back:
+``_unpacked`` zeroes dust and trims the runs out of a packed array.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from typing import Iterable, Iterator, Mapping, Tuple
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -67,47 +72,48 @@ def _run_bounds(apart: np.ndarray) -> list[tuple[int, int]]:
     return list(zip([0, *cuts], [*cuts, apart.size + 1]))
 
 
-def _runs_from_sorted(sites: np.ndarray, values: np.ndarray) -> tuple[_Run, ...]:
-    """Runs holding ascending distinct ``sites`` and their ``values``.
+def _packed(runs: Sequence[_Run]) -> tuple[int, np.ndarray, list[tuple[int, int]]]:
+    """Runs sorted by first site laid out in one array: (first site, values, stretches).
 
-    Dust is zeroed (``values`` is modified in place), sites left with no
-    nonzero entry are dropped, and a new run starts wherever two
-    neighbouring sites lie more than ``_RUN_GAP`` apart.
+    Runs may overlap, and overlapping runs add; a run clear of every run
+    before it is copied, which keeps the sign of its zeros.  Gaps of at most
+    ``_RUN_GAP`` sites keep their width, filled with zeros; each wider gap
+    is shortened by an even shift to ``_PACK_GAP`` or one more sites.  A
+    stretch is (packed first site, shift) of the runs between two
+    shortened gaps.
     """
-    keep = _zero_dust(values)
-    sites, values = sites[keep], values[..., keep]
-    if not sites.size:
-        return ()
-    runs = []
-    for start, stop in _run_bounds(np.diff(sites) > _RUN_GAP):
-        lo = int(sites[start])
-        arr = np.zeros(values.shape[:-1] + (int(sites[stop - 1]) - lo + 1,), np.complex128)
-        arr[..., sites[start:stop] - lo] = values[..., start:stop]
-        runs.append((lo, arr))
-    return tuple(runs)
-
-
-def _packed(runs: tuple[_Run, ...]) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """The runs in one array from the first run's site, and its stretches.
-
-    Runs at most ``_RUN_GAP`` sites apart keep their distance, joined by
-    zeros; each wider gap is shortened by an even shift to ``_PACK_GAP`` or
-    one more sites.  A stretch is (packed first site, shift) of the runs
-    between two shortened gaps.
-    """
-    lo = last = runs[0][0]
+    lo = runs[0][0]
+    last = lo - 1
     stretches, placed = [(lo, 0)], []
     for run_lo, arr in runs:
         shift = stretches[-1][1]
         if run_lo - last > _RUN_GAP:
             shift += (run_lo - last - _PACK_GAP) & ~1
             stretches.append((run_lo - shift, shift))
-        placed.append((run_lo - shift - lo, arr))
-        last = run_lo + arr.shape[-1] - 1
+        placed.append((run_lo - shift - lo, arr, run_lo <= last))
+        last = max(last, run_lo + arr.shape[-1] - 1)
     values = np.zeros(arr.shape[:-1] + (last - shift - lo + 1,), np.complex128)
-    for at, arr in placed:
-        values[..., at : at + arr.shape[-1]] = arr
-    return values, stretches
+    for at, arr, overlaps in placed:
+        if overlaps:
+            values[..., at : at + arr.shape[-1]] += arr
+        else:
+            values[..., at : at + arr.shape[-1]] = arr
+    return lo, values, stretches
+
+
+def _unpacked(lo: int, values: np.ndarray, stretches: list[tuple[int, int]]) -> list[_Run]:
+    """The runs of packed ``values`` (first packed site ``lo``) back at their own sites.
+
+    Dust is zeroed in place (``_zero_dust``), each shortened gap is cut in
+    its middle, out of reach of a step from either side, and each stretch
+    is shifted back and trimmed by ``_trimmed``.
+    """
+    keep = _zero_dust(values)
+    cuts = [0, *(first - _PACK_GAP // 2 - lo for first, _ in stretches[1:]), keep.size]
+    runs = []
+    for start, stop, (_, shift) in zip(cuts, cuts[1:], stretches):
+        runs += _trimmed(lo + shift + start, values[..., start:stop], keep[start:stop])
+    return runs
 
 
 def _trimmed(lo: int, values: np.ndarray, keep: np.ndarray) -> list[_Run]:
@@ -147,15 +153,21 @@ class _Runs:
     _lead: tuple[int, ...] = ()
 
     def _store(self, entries) -> None:
-        """Sort, prune and build the runs; ``_zero_dust`` rejects a non-finite entry."""
+        """Pack each entry as a one-site run and cut the runs back out.
+
+        A repeated site keeps its last entry, and ``_zero_dust`` rejects a
+        non-finite one.
+        """
         items = entries.items() if isinstance(entries, Mapping) else entries
-        stored: dict[int, tuple[complex, ...]] = {}
+        stored: dict[int, complex | tuple[complex, complex]] = {}
         for site, value in items:
-            zs = (complex(value[0]), complex(value[1])) if self._lead else (complex(value),)
+            zs = (complex(value[0]), complex(value[1])) if self._lead else complex(value)
             stored[operator.index(site)] = zs
-        keys = sorted(stored)
-        values = np.array([stored[k] for k in keys], np.complex128).reshape(-1, *self._lead)
-        self._runs = _runs_from_sorted(np.array(keys, dtype=np.int64), values.T)
+        # a site past int64 raises OverflowError here, not later in ``_flat``
+        sites = np.array(sorted(stored), np.int64).tolist()
+        values = np.array([stored[site] for site in sites], np.complex128).T
+        runs = [(site, values[..., i : i + 1]) for i, site in enumerate(sites)]
+        self._runs = tuple(_unpacked(*_packed(runs))) if runs else ()
 
     @classmethod
     def _from_runs(cls, runs: Iterable[_Run], **attrs):
@@ -169,21 +181,13 @@ class _Runs:
     def _stepped(self, kernel, **attrs):
         """Apply ``kernel(lo, values) -> (out_lo, out_values)`` to all runs in one call.
 
-        Several runs are laid out in one array first (``_packed``).  Each
-        packed stretch of the output is shifted back and trimmed by
-        ``_trimmed``, and the result is wrapped with ``attrs``.
+        The kernel sees the runs packed (``_packed``), and its output is
+        cut back into runs (``_unpacked``) and wrapped with ``attrs``.
         """
         if not self._runs:
             return self._from_runs((), **attrs)
-        values, stretches = _packed(self._runs)
-        out_lo, out = kernel(self._runs[0][0], values)
-        keep = _zero_dust(out)
-        # cut each shortened gap in its middle, out of reach of either side
-        cuts = [0, *(first - _PACK_GAP // 2 - out_lo for first, _ in stretches[1:]), keep.size]
-        runs = []
-        for start, stop, (_, shift) in zip(cuts, cuts[1:], stretches):
-            runs += _trimmed(out_lo + shift + start, out[..., start:stop], keep[start:stop])
-        return self._from_runs(runs, **attrs)
+        lo, values, stretches = _packed(self._runs)
+        return self._from_runs(_unpacked(*kernel(lo, values), stretches), **attrs)
 
     def _flat(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending nonzero sites and their entries (last axis over sites)."""
@@ -293,7 +297,7 @@ class AmplitudeField(_Runs):
         floor = float(np.abs(cells[:, width:]).max())
         out = cells[:, :width].T.ravel()[lo - 2 * first : hi - 2 * first + 1]
         out[np.abs(out) <= floor] = 0
-        return self._from_runs(_trimmed(lo, out, _zero_dust(out)))
+        return self._from_runs(_unpacked(lo, out, [(lo, 0)]))
 
 
 def _paired_field(pairs: _Runs, upper_offset: int) -> AmplitudeField:
@@ -368,17 +372,17 @@ class Distribution:
         return math.fsum(self._masses.tolist())
 
 
-def _on_union(f: AmplitudeField, g: AmplitudeField):
-    """Union of both supports, and each field's values on it (zeros elsewhere)."""
-    (fs, fv), (gs, gv) = f._flat(), g._flat()
-    # sorted union without np.union1d, whose first call imports numpy.ma (~15 ms)
-    both = np.sort(np.concatenate((fs, gs)))
-    sites = both[np.diff(both, prepend=both[:1] - 1) != 0]
-    on_f = np.zeros(sites.size, np.complex128)
-    on_g = np.zeros(sites.size, np.complex128)
-    on_f[np.searchsorted(sites, fs)] = fv
-    on_g[np.searchsorted(sites, gs)] = gv
-    return sites, on_f, on_g
+def _aligned(f: AmplitudeField, g: AmplitudeField):
+    """Both fields packed on one site axis by ``_packed``, ``f`` in row 0 and ``g`` in row 1."""
+    runs = []
+    for row, field in enumerate((f, g)):
+        for lo, arr in field._runs:
+            rows = np.zeros((2, arr.size), np.complex128)
+            rows[row] = arr
+            runs.append((lo, rows))
+    runs.sort(key=operator.itemgetter(0))
+    # two empty fields pack as one zero site
+    return _packed(runs or [(0, np.zeros((2, 1), np.complex128))])
 
 
 def superpose(
@@ -388,10 +392,9 @@ def superpose(
     beta: complex,
 ) -> AmplitudeField:
     """Pointwise combination ``alpha*f + beta*g`` with zeros pruned."""
-    sites, on_f, on_g = _on_union(f, g)
-    return AmplitudeField._from_runs(
-        _runs_from_sorted(sites, complex(alpha) * on_f + complex(beta) * on_g)
-    )
+    lo, (on_f, on_g), stretches = _aligned(f, g)
+    combined = complex(alpha) * on_f + complex(beta) * on_g
+    return AmplitudeField._from_runs(_unpacked(lo, combined, stretches))
 
 
 def to_distribution(field: AmplitudeField) -> Distribution:
@@ -401,5 +404,5 @@ def to_distribution(field: AmplitudeField) -> Distribution:
 
 def max_difference(f: AmplitudeField, g: AmplitudeField) -> float:
     """Largest pointwise amplitude difference between two fields."""
-    _, on_f, on_g = _on_union(f, g)
+    _, (on_f, on_g), _ = _aligned(f, g)
     return float(np.abs(on_f - on_g).max(initial=0.0))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeField, _on_union, _paired_field, _sq_modulus, max_difference
+from .amplitudes import AmplitudeField, _aligned, _paired_field, _sq_modulus, max_difference
 from .coined_walks import (
     WalkState,
     _as_block,
@@ -96,17 +96,10 @@ _PAIRINGS = {
 
 def _mismatch(got: AmplitudeField, want: AmplitudeField) -> tuple[float, float]:
     """Largest amplitude and mass mismatch between two fields."""
-    _, got, want = _on_union(got, want)
+    _, (got, want), _ = _aligned(got, want)
     amp_err = float(np.abs(got - want).max(initial=0.0))
     prob_err = float(np.abs(_sq_modulus(want) - _sq_modulus(got)).max(initial=0.0))
     return amp_err, prob_err
-
-
-def _check_pairing(
-    walk: WalkState, eta: AmplitudeField, upper_offset: int
-) -> tuple[float, float]:
-    """Largest amplitude and mass mismatch between the walk and the paired field."""
-    return _mismatch(_paired_field(walk, upper_offset), eta)
 
 
 def _verify_pairing(
@@ -129,7 +122,7 @@ def _verify_pairing(
     amp_err = 0.0
     prob_err = 0.0
     for n in range(n_max + 1):
-        step_amp, step_prob = _check_pairing(walk, eta, spec.upper_offset)
+        step_amp, step_prob = _mismatch(_paired_field(walk, spec.upper_offset), eta)
         amp_err = max(amp_err, step_amp)
         prob_err = max(prob_err, step_prob)
         if n < n_max:

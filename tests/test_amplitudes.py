@@ -2,13 +2,17 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qcawalk
+from qcawalk import amplitudes
 from qcawalk.amplitudes import (
+    _PACK_GAP,
+    _RUN_GAP,
     PRUNE_TOLERANCE,
     AmplitudeField,
     Distribution,
@@ -16,6 +20,7 @@ from qcawalk.amplitudes import (
     superpose,
     to_distribution,
 )
+from qcawalk.correspondence import _mismatch
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -132,6 +137,93 @@ def test_max_difference():
     g = AmplitudeField({0: 1.0, 1: 0.25})
     assert max_difference(f, f) == 0.0
     assert max_difference(f, g) == pytest.approx(0.25)
+
+
+# gaps of both parities around _PACK_GAP and _RUN_GAP, plus one far wider than any pack
+ORACLE_GAPS = (
+    1, 2, _PACK_GAP - 1, _PACK_GAP, _PACK_GAP + 1,
+    _RUN_GAP - 1, _RUN_GAP, _RUN_GAP + 1, _RUN_GAP + 2, 1_000_000, 1_000_001,
+)
+# real and imaginary parts are 0 or powers of two, so every product is exact
+ORACLE_COEFFICIENTS = (1.0, -1.0, 0.5j, -2.0, 0.25 - 0.5j)
+
+
+def oracle_entries(rng, start: int) -> dict[int, complex]:
+    """Up to 11 entries from ``start`` on, spaced by ``ORACLE_GAPS``; may be empty."""
+    entries, site = {}, start
+    for _ in range(rng.integers(0, 12)):
+        entries[site] = complex(*rng.normal(size=2))
+        site += int(rng.choice(ORACLE_GAPS))
+    return entries
+
+
+def oracle_pair(rng, layout: str) -> tuple[dict[int, complex], dict[int, complex]]:
+    """Entries of f and g whose runs overlap, interleave, stay clear or share values."""
+    f = oracle_entries(rng, int(rng.integers(-50, 50)))
+    sites = sorted(f) or [0]
+    if layout == "overlap":
+        g = oracle_entries(rng, int(rng.choice(sites)) + int(rng.integers(-3, 4)))
+    elif layout == "interleave":
+        g = {site + 1: complex(*rng.normal(size=2)) for site in f}
+    elif layout == "clear":
+        g = oracle_entries(rng, sites[-1] + int(rng.choice(ORACLE_GAPS)) + _RUN_GAP)
+    else:  # "shared": g repeats some of f's entries exactly, so they can cancel
+        g = {site: z for site, z in f.items() if rng.random() < 0.5}
+        g.update(oracle_entries(rng, int(rng.choice(sites)) + 1))
+    return f, g
+
+
+def check_pointwise(f: dict[int, complex], g: dict[int, complex], alpha, beta) -> None:
+    """``superpose``, ``max_difference`` and ``_mismatch`` of f and g against dict arithmetic."""
+    sites = f.keys() | g.keys()
+    on_f = {site: f.get(site, 0j) for site in sites}
+    on_g = {site: g.get(site, 0j) for site in sites}
+    field_f, field_g = AmplitudeField(f), AmplitudeField(g)
+
+    want = {site: alpha * on_f[site] + beta * on_g[site] for site in sites}
+    assert superpose(field_f, field_g, alpha, beta) == AmplitudeField(want)
+
+    diff = max((abs(on_f[site] - on_g[site]) for site in sites), default=0.0)
+    assert max_difference(field_f, field_g) == pytest.approx(diff, rel=1e-15, abs=0)
+    masses = max(
+        (abs(abs(on_g[site]) ** 2 - abs(on_f[site]) ** 2) for site in sites), default=0.0
+    )
+    amp, prob = _mismatch(field_f, field_g)
+    assert amp == pytest.approx(diff, rel=1e-15, abs=0)
+    assert prob == pytest.approx(masses, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("layout", ["overlap", "interleave", "clear", "shared"])
+def test_pointwise_operations_match_a_dict_oracle(layout):
+    rng = np.random.default_rng(["overlap", "interleave", "clear", "shared"].index(layout))
+    for _ in range(200):
+        f, g = oracle_pair(rng, layout)
+        # shared entries cancel exactly
+        coefficients = (1, -1) if layout == "shared" else rng.choice(ORACLE_COEFFICIENTS, 2)
+        check_pointwise(f, g, *map(complex, coefficients))
+
+
+def test_pointwise_operations_on_empty_fields():
+    check_pointwise({}, {}, 1.0, 1.0)
+    check_pointwise({0: 0.6, 40: 0.8j}, {}, -2.0, 0.5j)
+    check_pointwise({}, {-3: 1j}, 1.0, -1.0)
+
+
+def test_pointwise_operations_allocate_nothing_across_the_gap():
+    f = AmplitudeField({0: 0.6, 5_000_000: 0.8j})
+    g = AmplitudeField({1: 0.5, 5_000_000: 1j})
+    superpose(f, g, 1.0, -1.0)
+    max_difference(f, g)
+    tracemalloc.start()
+    try:
+        combined = superpose(f, g, 1.0, -1.0)
+        difference = max_difference(f, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert combined.items() == [(0, 0.6 + 0j), (1, -0.5 + 0j), (5_000_000, 0.8j - 1j)]
+    assert difference == pytest.approx(0.6)
 
 
 def test_distribution_rejects_negative_mass():
@@ -265,10 +357,9 @@ def test_getitem_returns_python_complex():
 
 
 def test_only_amplitudes_reads_the_run_layout():
-    helpers = {
-        "_coalesced", "_pruned", "_flatten", "_run_at", "_runs_from_sorted",
-        "_packed", "_trimmed", "_run_bounds", "_zero_dust",
-    }
+    helpers = {"_packed", "_unpacked", "_trimmed", "_run_bounds", "_zero_dust", "_occupied"}
+    # the list names helpers that exist, so it cannot go stale
+    assert [name for name in sorted(helpers) if not hasattr(amplitudes, name)] == []
     offenders = []
     for path in sorted(Path(qcawalk.__file__).parent.glob("*.py")):
         if path.name == "amplitudes.py":

@@ -101,29 +101,29 @@ def test_pairings_hold_for_confined_tuples():
 
 @pytest.mark.parametrize("upper_offset,order", [(-1, R_UPPER), (0, L_UPPER)])
 def test_pairing_check_measures_each_mismatch(upper_offset, order):
-    from qcawalk.amplitudes import _RUN_GAP
-    from qcawalk.correspondence import _check_pairing
+    from qcawalk.amplitudes import _RUN_GAP, _paired_field
+    from qcawalk.correspondence import _mismatch
 
     # walk site k holds lattice sites 2k + upper_offset and 2k + upper_offset + 1
     eta = AmplitudeField({upper_offset: 0.6, upper_offset + 1: 0.8j, 6 + upper_offset: 0.1})
     walk = WalkState({0: (0.6, 0.8j), 3: (0.1, 0.0)}, order)
-    assert _check_pairing(walk, eta, upper_offset) == (0.0, 0.0)
+    assert _mismatch(_paired_field(walk, upper_offset), eta) == (0.0, 0.0)
 
     off = WalkState({0: (0.6, 0.8j + 0.25), 3: (0.1, 0.0)}, order)
-    amp, prob = _check_pairing(off, eta, upper_offset)
+    amp, prob = _mismatch(_paired_field(off, upper_offset), eta)
     assert amp == pytest.approx(0.25)
     assert prob == pytest.approx(abs(0.8j + 0.25) ** 2 - 0.64)
 
     far = superpose(eta, AmplitudeField.delta(41 + upper_offset), 1.0, 0.3)
-    assert _check_pairing(walk, far, upper_offset)[0] == pytest.approx(0.3)
+    assert _mismatch(_paired_field(walk, upper_offset), far)[0] == pytest.approx(0.3)
     moved = WalkState({0: (0.6, 0.8j), 4: (0.1, 0.0)}, order)
-    assert _check_pairing(moved, eta, upper_offset)[0] == pytest.approx(0.1)
+    assert _mismatch(_paired_field(moved, upper_offset), eta)[0] == pytest.approx(0.1)
 
     # the first pair's upper component is zero, so its lattice run starts one site later
     lower_only = WalkState({0: (0.0, 0.8j), 3: (0.1, 0.0)}, order)
     tail = AmplitudeField({upper_offset + 1: 0.8j, 6 + upper_offset: 0.1})
-    assert _check_pairing(lower_only, tail, upper_offset) == (0.0, 0.0)
-    amp, prob = _check_pairing(lower_only, eta, upper_offset)
+    assert _mismatch(_paired_field(lower_only, upper_offset), tail) == (0.0, 0.0)
+    amp, prob = _mismatch(_paired_field(lower_only, upper_offset), eta)
     assert (amp, prob) == (pytest.approx(0.6), pytest.approx(0.36))
 
     # walk runs more than _RUN_GAP apart stay separate runs on the lattice too
@@ -132,9 +132,9 @@ def test_pairing_check_measures_each_mismatch(upper_offset, order):
     paired = AmplitudeField(
         {upper_offset: 0.6, upper_offset + 1: 0.8j, 2 * k + upper_offset + 1: 0.1}
     )
-    assert _check_pairing(split, paired, upper_offset) == (0.0, 0.0)
+    assert _mismatch(_paired_field(split, upper_offset), paired) == (0.0, 0.0)
     shifted = paired.shifted(2)
-    assert _check_pairing(split, shifted, upper_offset)[0] == pytest.approx(0.8)
+    assert _mismatch(_paired_field(split, upper_offset), shifted)[0] == pytest.approx(0.8)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""The package exports exactly the union of its modules' export lists."""
+"""The package exports exactly the union of its modules' export lists, and keeps no dead names."""
+
+import ast
+from pathlib import Path
 
 import qcawalk
 from qcawalk import amplitudes, asymptotics, coined_walks, correspondence, qca_core
@@ -30,3 +33,33 @@ def test_removed_names_are_not_exported():
     for name in removed:
         assert name not in qcawalk.__all__
         assert not any(hasattr(obj, name) for obj in (qcawalk, *MODULES)), name
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    """Names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(Path(qcawalk.__file__).parent.glob("*.py"))
+    }
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        for name in _defined(node)
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+    assert unused == []
