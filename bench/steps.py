@@ -1,25 +1,30 @@
-"""Per-layer step timings: the two stepping kernels and the certificates built on them.
+"""Per-layer timings: the stepping kernels, the certificates built on them, and the jump.
 
     python bench/steps.py [--baseline SRC] [--rounds R] [--scale F] [--out PATH]
 
 Run from the repository root.  Each round starts one child process per
 source tree, and each child imports ``qcawalk`` from that tree, runs every
-case once to warm up, and then times it ``REPS`` times; the round's sample
-is the median of those.  With ``--baseline`` (the ``src`` directory of
-another checkout, for example one made with ``git archive REV src | tar -x
--C DIR``) the rounds alternate which tree runs first, and each case reports
-both trees' medians and quartiles over the rounds, the ratio of the
-medians, and the rounds the tree under test won.  A case a tree does not
-have (a ``verify --kind`` its CLI rejects) reads null there.  ``--scale``
-multiplies every step count, so a quick run can check that the harness
-still works.  The JSON report goes to stdout, or to ``--out``.
+case once to warm up, and then times it at least ``REPS`` times and for at
+least ``MIN_SECONDS``; the round's sample is the minimum of those, the
+run least disturbed by other load on the machine.  With ``--baseline``
+(the ``src`` directory of another checkout, for example one made with
+``git archive REV src | tar -x -C DIR``) the rounds alternate which tree
+runs first, and each case reports both trees' medians and quartiles of
+the per-round minima, the ratio of the medians, and the rounds the tree
+under test won.  A case a tree does not have (a ``verify --kind`` its
+CLI rejects) reads null there.  ``--scale`` multiplies every step count,
+so a quick run can check that the harness still works.  The JSON report
+goes to stdout, or to ``--out``.
 
-The cases are those of the stepping path: 1000 steps of a B- and an
+The stepping path's cases are 1000 steps of a B- and an
 A-family walk (the long-run benchmark's walk task steps the B walk), 1000
 ``qca_step`` calls, ``verify --kind A`` and ``--kind B`` at 500 and at 50
 steps (walk and lattice in lockstep, compared at every step) and ``verify
 --kind spectral`` at 5000 (the jump against 5000 ``qca_step`` calls).  A
-``verify.K.50`` case is ``verify --kind K`` at 50 steps.
+``verify.K.50`` case is ``verify --kind K`` at 50 steps.  The jump's cases
+are ``qca_distribution`` at 1000 and 5000 steps (``jump.qdist.N``) and, at
+the reference point, ``rescaled_qca_sample`` plus ``kolmogorov_distance``
+at 1000 (``sample.ks``), the long-run benchmark's sample task.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -35,9 +41,13 @@ import subprocess
 import sys
 import time
 
-REPS = 3
+REPS = 9
+MIN_SECONDS = 0.25
 THETA, PHI, DELTA = 1.1, 0.4, 2.0
 QUBIT = (0.6, 0.8j)
+# limit-compare's default: the one point where the limit law applies
+REFERENCE = (math.pi / 4, math.pi / 4, math.pi / 2)
+REFERENCE_QUBIT = (math.sqrt(0.5), math.sqrt(0.5))
 # name -> base step count
 CASES = {
     "walk_step.B": 1000,
@@ -48,6 +58,9 @@ CASES = {
     "verify.A.50": 50,
     "verify.B.50": 50,
     "verify.spectral": 5000,
+    "jump.qdist.1000": 1000,
+    "jump.qdist.5000": 5000,
+    "sample.ks": 1000,
 }
 
 
@@ -63,6 +76,11 @@ def _case(q, name: str, n: int):
                 state = q.walk_step(state, blocks)
             return state
         return walk
+    if name.startswith("jump.qdist."):
+        return lambda: q.qca_distribution(0, "+", QUBIT, n, params)
+    if name == "sample.ks":
+        reference = q.params_from_angles(q.AngleTriple(*REFERENCE))
+        return lambda: q.kolmogorov_distance(q.rescaled_qca_sample(reference, REFERENCE_QUBIT, n))
     if name == "qca_step":
         def step():
             field = q.AmplitudeField({0: QUBIT[0], 1: QUBIT[1]})
@@ -88,7 +106,7 @@ def _case(q, name: str, n: int):
 
 
 def child(src: str, scale: float) -> dict:
-    """Median ms of every case in this process, which imports qcawalk from ``src``."""
+    """Least ms of every case in this process, which imports qcawalk from ``src``."""
     sys.path.insert(0, os.path.abspath(src))
     import qcawalk as q
     import qcawalk.cli  # noqa: F401  (q.cli)
@@ -102,12 +120,12 @@ def child(src: str, scale: float) -> dict:
             times[name] = None
             continue
         run()
-        samples = []
-        for _ in range(REPS):
+        samples, until = [], time.perf_counter() + MIN_SECONDS
+        while len(samples) < REPS or time.perf_counter() < until:
             start = time.perf_counter()
             run()
             samples.append((time.perf_counter() - start) * 1e3)
-        times[name] = statistics.median(samples)
+        times[name] = min(samples)
     return times
 
 
@@ -172,6 +190,7 @@ def main() -> int:
             entry["change_wins"] = sum(p > c for p, c in pairs)
         cases[name] = entry
     report = {"machine": _machine(), "rounds": args.rounds, "reps": REPS,
+              "min_seconds": MIN_SECONDS,
               "scale": args.scale, "cases": cases}
     text = json.dumps(report, indent=2) + "\n"
     if args.out:

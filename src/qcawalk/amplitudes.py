@@ -278,24 +278,28 @@ class AmplitudeField(_Runs):
         """The field after an evolution that commutes with translation by two sites.
 
         Cell k holds sites (2k, 2k+1), and no entry moves more than
-        ``reach`` sites.  ``kernel(cells)`` maps the (2, N) cell array of a
-        ring of N cells to the evolved one.  The ring holds the cone
-        [first site - reach, last site + reach] with no wrap, plus a guard
-        band at least as wide, where the exact answer is zero.  The largest
-        entry the kernel leaves in that band is its noise floor on this
-        run: cone entries no larger than it are zeroed, and so is dust.
+        ``reach`` sites.  ``kernel(start, N)`` maps the (2, m) cells of the
+        start, the first at cell 0 of a ring of N cells, to the evolved
+        (2, N) ring.  The ring holds the cone [first site - reach, last
+        site + reach], whose cells left of the start wrap to the ring's
+        end, plus a guard band at least as wide in the middle, where the
+        exact answer is zero.  The largest entry the kernel leaves in that
+        band is its noise floor on this run: cone entries no larger than
+        it are zeroed, and so is dust.
         """
         sites, values = self._flat()
         if not sites.size:
             return self
         lo, hi = int(sites[0]) - reach, int(sites[-1]) + reach
-        first = lo >> 1
-        width = (hi >> 1) - first + 1
-        cells = np.zeros((2, 1 << (2 * width - 1).bit_length()), np.complex128)
-        cells[sites & 1, (sites >> 1) - first] = values
-        cells = kernel(cells)
-        floor = float(np.abs(cells[:, width:]).max())
-        out = cells[:, :width].T.ravel()[lo - 2 * first : hi - 2 * first + 1]
+        first, origin = lo >> 1, int(sites[0]) >> 1
+        width, left = (hi >> 1) - first + 1, origin - first
+        start = np.zeros((2, (int(sites[-1]) >> 1) - origin + 1), np.complex128)
+        start[sites & 1, (sites >> 1) - origin] = values
+        ring = 1 << (2 * width - 1).bit_length()
+        cells = kernel(start, ring)
+        floor = float(np.abs(cells[:, width - left : ring - left]).max())
+        cone = np.concatenate((cells[:, ring - left :], cells[:, : width - left]), axis=1)
+        out = cone.T.ravel()[lo - 2 * first : hi - 2 * first + 1]
         out[np.abs(out) <= floor] = 0
         return self._from_runs(_unpacked(lo, out, [(lo, 0)]))
 

@@ -61,7 +61,7 @@ class RescaledSample:
         pts = self.points
         if not (isinstance(pts, np.ndarray) and pts.shape[1:] == (2,)):
             pts = np.fromiter(pts, np.dtype((np.float64, 2)))  # rejects a non-pair
-        pts = np.asarray(pts, np.float64)
+        pts = np.array(pts, np.float64)  # a copy: the caller's array is never frozen
         if not np.isfinite(pts).all():
             raise ValueError("sample positions and masses must be finite")
         if (pts[:, 1] < 0.0).any():
@@ -72,7 +72,10 @@ class RescaledSample:
         n = operator.index(self.n)
         if n < 1:
             raise ValueError(f"step count must be at least 1, got {n}")
-        pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        x, m = pts.T
+        step = np.diff(x)
+        if not ((step > 0.0) | ((step == 0.0) & (np.diff(m) >= 0.0))).all():
+            pts = pts[np.lexsort((m, x))]
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "n", n)

@@ -200,7 +200,7 @@ _I_POWERS = (1, 1j, -1, -1j)
 
 
 def _fourier_power(n: int, params: QcaParams):
-    """Kernel applying ``n`` steps to a ring of 2-site cells in Fourier space.
+    """Kernel applying ``n`` steps to a start on a ring of 2-site cells in Fourier space.
 
     On cells (2k, 2k+1) the step is translation-invariant, so ``n`` steps
     multiply the cell transform by ``U(p)**n`` with the symbol
@@ -210,6 +210,11 @@ def _fourier_power(n: int, params: QcaParams):
     ``M = [[alpha, -conj(beta)], [beta, conj(alpha)]]``, its first column
     normalized.  With ``cos w = Re alpha``, ``M**n = cos(nw) I + sin(nw) /
     sin(w) (M - cos(w) I)`` is unitary to rounding, so mass holds at any n.
+
+    ``kernel(start, ring)`` takes the start's (2, m) cells, the first at
+    ring cell 0, and returns the (2, ring) evolved ring.  The start's
+    transform ``x(p) = sum_j start[:, j] e^{-ipj}`` is formed by Horner's
+    rule, so the inverse FFT is the only one.
     """
     a, b, c, d = params.astuple()
     # one arg s for every p, free of a sqrt's rounding and s**n's drift, both n-fold;
@@ -221,10 +226,9 @@ def _fourier_power(n: int, params: QcaParams):
     s = _I_POWERS[k] * cmath.exp(1j * half)
     phase = _I_POWERS[n * k % 4] * cmath.exp(1j * n * half)
 
-    def kernel(cells: np.ndarray) -> np.ndarray:
+    def kernel(start: np.ndarray, ring: int) -> np.ndarray:
         from numpy import fft  # loaded on the first jump only
 
-        ring = cells.shape[-1]
         e = np.exp(2j * math.pi / ring * np.arange(ring))
         alpha, beta = (b + d * e) / s, (c + a * e) / s
         norm = np.sqrt(_sq_modulus(alpha) + _sq_modulus(beta))
@@ -234,7 +238,10 @@ def _fourier_power(n: int, params: QcaParams):
         w = np.arctan2(sin_w, alpha.real)
         ratio = np.divide(np.sin(n * w), sin_w, out=np.zeros(ring), where=sin_w > 0)
         mu, nu = np.cos(n * w) + 1j * ratio * alpha.imag, ratio * beta
-        x0, x1 = fft.fft(cells)
+        x, back = start[:, -1:], e.conj()  # x(p) by Horner's rule in e^{-ip}
+        for column in start[:, -2::-1].T:
+            x = x * back + column[:, None]
+        x0, x1 = x
         return fft.ifft(phase * np.stack((mu * x0 - nu.conj() * x1, nu * x0 + mu.conj() * x1)))
 
     return kernel

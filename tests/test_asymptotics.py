@@ -229,8 +229,32 @@ def test_sample_takes_any_iterable_of_pairs_and_leaves_a_given_array_writable():
     ]
     given[0, 0] = 3.0  # the sample holds its own sorted copy
     assert from_array.points.tolist() == [[-1.0, 0.75], [1.0, 0.25]]
+    # an array already in order is copied too, and neither frozen nor changed
+    in_order = np.array([[-1.0, 0.25], [0.0, 0.25], [0.0, 0.5]])
+    sample = RescaledSample(in_order, 2)
+    assert in_order.flags.writeable and in_order.tolist() == sample.points.tolist()
+    assert not sample.points.flags.writeable and not np.shares_memory(sample.points, in_order)
     with pytest.raises(ValueError):
         RescaledSample(((0.0, 0.5, 0.5),), 1)
+
+
+def lexsorted(points):
+    points = np.asarray(points, np.float64)
+    return points[np.lexsort((points[:, 1], points[:, 0]))].tolist()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_orders_unsorted_and_tied_points_as_lexsort_does(seed):
+    rng = np.random.default_rng(seed)
+    masses = rng.dirichlet(np.ones(30))
+    positions = rng.integers(-3, 4, 30) / 2.0  # few positions: many ties
+    unsorted = np.column_stack((positions, masses))
+    assert RescaledSample(unsorted, 2).points.tolist() == lexsorted(unsorted)
+    # sorted by position but not by mass within ties; -0.0 ties 0.0
+    by_position = unsorted[np.argsort(positions, kind="stable")]
+    assert RescaledSample(by_position, 2).points.tolist() == lexsorted(by_position)
+    tied = [(0.0, 0.5), (-0.0, 0.25), (1.0, 0.25)]
+    assert RescaledSample(tied, 1).points.tolist() == lexsorted(tied)
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ def test_verify_spectral_fails_on_a_perturbed_power(capsys, monkeypatch):
 
     def perturbed(n, params):
         kernel = exact(n, params)
-        return lambda cells: kernel(cells) * (1 + 1e-9)
+        return lambda *args: kernel(*args) * (1 + 1e-9)
 
     monkeypatch.setattr(qca_core, "_fourier_power", perturbed)
     code, out, err = run_inprocess(capsys, "verify", "--kind", "spectral", *REFERENCE)

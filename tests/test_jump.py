@@ -17,7 +17,6 @@ Where ``n * eps`` is small, the per-step pruning of the stepped engine at
 ``PRUNE_TOLERANCE`` can dominate; hence the floor.
 """
 
-import cmath
 import math
 import subprocess
 import sys
@@ -66,19 +65,32 @@ def qubit_start(qubit):
 
 angle = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
 type_v = st.builds(lambda t, p, d: params_from_angles(AngleTriple(t, p, d)), angle, angle, angle)
-qubits = st.builds(
-    lambda chi, pa, pb: (math.cos(chi) * cmath.exp(1j * pa), math.sin(chi) * cmath.exp(1j * pb)),
-    st.floats(0.0, math.pi / 2),
-    angle,
-    angle,
+amplitude = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+# The sites of a start: pairs {m, m +- 1} for even and odd m, starts over 3
+# and 5 cells (Horner's rule beyond one cell), and a far start, which the
+# jump lays out around ring cell 0 like any other.
+START_SITES = [
+    (0, 1), (0, -1), (1, 2), (1, 0), (-1, 0, 3), (1, 2, 5, 9),
+    tuple(10**6 + k for k in range(-3, 3)),
+]
+
+
+def unit_start(sites, amplitudes):
+    norm = math.sqrt(sum(abs(z) ** 2 for z in amplitudes))
+    return AmplitudeField({k: z / norm for k, z in zip(sites, amplitudes)})
+
+
+starts = st.sampled_from(START_SITES).flatmap(
+    lambda sites: st.lists(amplitude, min_size=len(sites), max_size=len(sites))
+    .filter(lambda zs: sum(abs(z) ** 2 for z in zs) >= 0.01)
+    .map(lambda zs: unit_start(sites, zs))
 )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(type_v, qubits, st.integers(1, 200))
-def test_jump_agrees_with_stepping_within_the_budget(params, qubit, n):
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(type_v, starts, st.integers(1, 200))
+def test_jump_agrees_with_stepping_within_the_budget(params, start, n):
     assume(min(map(abs, params.astuple())) >= RESIDUAL_TOLERANCE)
-    start = qubit_start(qubit)
     jumped = qca_core._evolve(start, n, params)
     assert max_difference(jumped, stepped(start, n, params)) <= budget(n)
 
