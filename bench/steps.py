@@ -24,7 +24,8 @@ steps (walk and lattice in lockstep, compared at every step) and ``verify
 ``verify.K.50`` case is ``verify --kind K`` at 50 steps.  The jump's cases
 are ``qca_distribution`` at 1000 and 5000 steps (``jump.qdist.N``) and, at
 the reference point, ``rescaled_qca_sample`` plus ``kolmogorov_distance``
-at 1000 (``sample.ks``), the long-run benchmark's sample task.
+at 1000 (``sample.ks``, the long-run benchmark's sample task) and at 5000
+(``sample.ks.5000``).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ CASES = {
     "jump.qdist.1000": 1000,
     "jump.qdist.5000": 5000,
     "sample.ks": 1000,
+    "sample.ks.5000": 5000,
 }
 
 
@@ -78,7 +80,7 @@ def _case(q, name: str, n: int):
         return walk
     if name.startswith("jump.qdist."):
         return lambda: q.qca_distribution(0, "+", QUBIT, n, params)
-    if name == "sample.ks":
+    if name.startswith("sample.ks"):
         reference = q.params_from_angles(q.AngleTriple(*REFERENCE))
         return lambda: q.kolmogorov_distance(q.rescaled_qca_sample(reference, REFERENCE_QUBIT, n))
     if name == "qca_step":

@@ -207,14 +207,18 @@ def _fourier_power(n: int, params: QcaParams):
     ``U(p) = [[b + d e^{ip}, c + a e^{-ip}], [c + a e^{ip}, b + d e^{-ip}]]``.
     A validated tuple has ``bd = ac``, so ``det U(p) = s**2 = b**2 + d**2 -
     a**2 - c**2`` for every p, and ``U(p) / s`` is the SU(2) matrix
-    ``M = [[alpha, -conj(beta)], [beta, conj(alpha)]]``, its first column
-    normalized.  With ``cos w = Re alpha``, ``M**n = cos(nw) I + sin(nw) /
-    sin(w) (M - cos(w) I)`` is unitary to rounding, so mass holds at any n.
+    ``M = [[alpha, -conj(beta)], [beta, conj(alpha)]]``.  With ``cos w = Re
+    alpha``, ``M**n = cos(nw) I + sin(nw) / sin(w) (M - cos(w) I)`` is unitary
+    to rounding, so mass holds at any n.  It reads (alpha, beta) only through
+    w, ``Im alpha / sin w`` and ``beta / sin w``, which no scaling of (alpha,
+    beta) changes: taking ``sin w`` from the same components projects onto
+    SU(2) without a normalization.  ``cos w = b/s + (d/s) cos p`` is even in
+    p, so the terms in w are taken on p in [0, pi] and mirrored.
 
     ``kernel(start, ring)`` takes the start's (2, m) cells, the first at
-    ring cell 0, and returns the (2, ring) evolved ring.  The start's
-    transform ``x(p) = sum_j start[:, j] e^{-ipj}`` is formed by Horner's
-    rule, so the inverse FFT is the only one.
+    cell 0 of a ring of any size, and returns the (2, ring) evolved ring.
+    The start's transform ``x(p) = sum_j start[:, j] e^{-ipj}`` is formed by
+    Horner's rule, so the inverse FFT is the only one.
     """
     a, b, c, d = params.astuple()
     # one arg s for every p, free of a sqrt's rounding and s**n's drift, both n-fold;
@@ -222,27 +226,33 @@ def _fourier_power(n: int, params: QcaParams):
     # and i**(n * k) is exact
     s_sq = b * b + d * d - a * a - c * c
     k = 1 if s_sq.real < 0 else 0
-    half = cmath.phase(-s_sq if k else s_sq) / 2
-    s = _I_POWERS[k] * cmath.exp(1j * half)
-    phase = _I_POWERS[n * k % 4] * cmath.exp(1j * n * half)
+    half_arg = cmath.phase(-s_sq if k else s_sq) / 2
+    s = _I_POWERS[k] * cmath.exp(1j * half_arg)
+    phase = _I_POWERS[n * k % 4] * cmath.exp(1j * n * half_arg)
+    a, b, c, d = a / s, b / s, c / s, d / s
 
     def kernel(start: np.ndarray, ring: int) -> np.ndarray:
         from numpy import fft  # loaded on the first jump only
 
-        e = np.exp(2j * math.pi / ring * np.arange(ring))
-        alpha, beta = (b + d * e) / s, (c + a * e) / s
-        norm = np.sqrt(_sq_modulus(alpha) + _sq_modulus(beta))
-        alpha, beta = alpha / norm, beta / norm
+        half = ring // 2 + 1  # p = 2 pi j / ring for j <= ring / 2
+        mirror = slice((ring - 1) // 2, 0, -1)  # entry ring - j of the ring is entry j
+        e = np.exp(2j * math.pi / ring * np.arange(half))
+        e = np.concatenate((e, e[mirror].conj()))
+        alpha, beta = b + d * e, c + a * e
         # arctan2, not arccos(Re alpha), keeps w accurate where M is near +-I
-        sin_w = np.sqrt(alpha.imag * alpha.imag + _sq_modulus(beta))
-        w = np.arctan2(sin_w, alpha.real)
-        ratio = np.divide(np.sin(n * w), sin_w, out=np.zeros(ring), where=sin_w > 0)
-        mu, nu = np.cos(n * w) + 1j * ratio * alpha.imag, ratio * beta
+        sin_w = np.sqrt(alpha.imag[:half] ** 2 + _sq_modulus(beta[:half]))
+        nw = n * np.arctan2(sin_w, alpha.real[:half])
+        ratio = np.divide(np.sin(nw), sin_w, out=np.zeros(half), where=sin_w > 0)
+        cos_nw, ratio = (np.concatenate((v, v[mirror])) for v in (np.cos(nw), ratio))
+        mu, nu = cos_nw + 1j * ratio * alpha.imag, ratio * beta
         x, back = start[:, -1:], e.conj()  # x(p) by Horner's rule in e^{-ip}
         for column in start[:, -2::-1].T:
             x = x * back + column[:, None]
-        x0, x1 = x
-        return fft.ifft(phase * np.stack((mu * x0 - nu.conj() * x1, nu * x0 + mu.conj() * x1)))
+        x0, x1 = phase * x
+        out = np.empty((2, ring), np.complex128)
+        out[0] = mu * x0 - nu.conj() * x1
+        out[1] = nu * x0 + mu.conj() * x1
+        return fft.ifft(out)
 
     return kernel
 

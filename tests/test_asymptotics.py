@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcawalk.amplitudes import Distribution
 from qcawalk.asymptotics import (
@@ -16,7 +18,7 @@ from qcawalk.asymptotics import (
     rescaled_qca_sample,
     symmetry_defect,
 )
-from qcawalk.qca_core import AngleTriple, params_from_angles, qca_distribution
+from qcawalk.qca_core import RESIDUAL_TOLERANCE, AngleTriple, params_from_angles, qca_distribution
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PATEL = params_from_angles(AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2))
@@ -255,6 +257,63 @@ def test_sample_orders_unsorted_and_tied_points_as_lexsort_does(seed):
     assert RescaledSample(by_position, 2).points.tolist() == lexsorted(by_position)
     tied = [(0.0, 0.5), (-0.0, 0.25), (1.0, 0.25)]
     assert RescaledSample(tied, 1).points.tolist() == lexsorted(tied)
+
+
+def fsum_mass_gate(masses):
+    """The sample's mass check as one exact sum, the reference for the certified one."""
+    total = math.fsum(masses.tolist())
+    if abs(total - 1.0) > RESIDUAL_TOLERANCE:
+        raise ValueError(f"sample masses must total 1, got {total!r}")
+
+
+def gate_message(check):
+    try:
+        check()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def masses_near_the_edge(seed, k, ulps, side, tiny_share):
+    """k masses whose exact total is within about an ulp of 1 + side * 1e-12 + ulps ulps."""
+    target = 1.0 + side * RESIDUAL_TOLERANCE
+    target += ulps * np.spacing(target)
+    rng = np.random.default_rng(seed)
+    rest = np.where(rng.random(k - 1) < tiny_share, 10.0 ** rng.uniform(-30, -3, k - 1),
+                    rng.random(k - 1))
+    if rest.size:
+        rest *= 0.5 / rest.sum()
+    masses = np.append(rest, target - math.fsum(rest.tolist()))
+    return masses[rng.permutation(k)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 20_000),
+    # a few ulps either side of the edge, or anywhere within twice the tolerance
+    # (about 4500 ulps), where the bound decides alone
+    st.one_of(st.integers(-4, 4), st.integers(-9000, 9000)),
+    st.sampled_from([-1, 1]),
+    st.floats(0.0, 1.0),
+)
+def test_certified_mass_gate_decides_as_fsum_does(seed, k, ulps, side, tiny_share):
+    masses = masses_near_the_edge(seed, k, ulps, side, tiny_share)
+    points = np.column_stack((np.arange(k) / k, masses))
+    want = gate_message(lambda: fsum_mass_gate(masses))
+    assert gate_message(lambda: RescaledSample(points, 1)) == want
+
+
+def test_reference_point_samples_certify_their_mass_without_fsum(monkeypatch):
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
+    for n in (1000, 5000):
+        assert rescaled_qca_sample(PATEL, SYMMETRIC, n).n == n
+    assert calls == []
+    # a total the bound cannot decide goes to fsum
+    RescaledSample(((0.0, 0.5), (1.0, 0.5 + 0.9 * RESIDUAL_TOLERANCE)), 1)
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
