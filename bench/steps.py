@@ -26,6 +26,14 @@ are ``qca_distribution`` at 1000 and 5000 steps (``jump.qdist.N``) and, at
 the reference point, ``rescaled_qca_sample`` plus ``kolmogorov_distance``
 at 1000 (``sample.ks``, the long-run benchmark's sample task) and at 5000
 (``sample.ks.5000``).
+
+Every case also reports the minor page faults per timed call
+(``ru_minflt``), which count the fresh pages a call's allocations touch.
+The ``rotation.*`` cases repeat the long-run benchmark's task rotation:
+``sample.ks``, ``jump.qdist.1000`` and ``walk_step.B`` in turn, each
+timed between the other two, in a child of their own.  In the child
+that runs the other cases, the n = 5000 warm-ups raise glibc's mmap and
+trim thresholds, and the faults that the rotation takes do not show.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import json
 import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -64,6 +73,8 @@ CASES = {
     "sample.ks": 1000,
     "sample.ks.5000": 5000,
 }
+# The long-run benchmark's rotation, run in a child of its own.
+ROTATION = ("sample.ks", "jump.qdist.1000", "walk_step.B")
 
 
 def _case(q, name: str, n: int):
@@ -107,33 +118,56 @@ def _case(q, name: str, n: int):
     return verify if known else None
 
 
-def child(src: str, scale: float) -> dict:
-    """Least ms of every case in this process, which imports qcawalk from ``src``."""
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _measure(group: list) -> dict:
+    """[least ms, mean minor faults] per call of every (name, run) in ``group``.
+
+    Each pass calls the runs in turn, so each is timed between the others.
+    """
+    for _, run in group:
+        run()
+    samples = {name: [] for name, _ in group}
+    faults = dict.fromkeys(samples, 0)
+    until = time.perf_counter() + MIN_SECONDS
+    while len(samples[group[0][0]]) < REPS or time.perf_counter() < until:
+        for name, run in group:
+            before = _minflt()
+            start = time.perf_counter()
+            run()
+            samples[name].append((time.perf_counter() - start) * 1e3)
+            faults[name] += _minflt() - before
+    return {name: [min(ms), faults[name] / len(ms)] for name, ms in samples.items()}
+
+
+def child(src: str, scale: float, rotation: bool) -> dict:
+    """[least ms, faults per call] of every case, or of the rotation's, in this process.
+
+    The process imports qcawalk from ``src``.
+    """
     sys.path.insert(0, os.path.abspath(src))
     import qcawalk as q
     import qcawalk.cli  # noqa: F401  (q.cli)
 
     if not q.__file__.startswith(os.path.abspath(src)):
         raise SystemExit(f"imported qcawalk from {q.__file__}, not from {src}")
+    if rotation:
+        group = [(f"rotation.{name}", _case(q, name, max(1, round(CASES[name] * scale))))
+                 for name in ROTATION]
+        return _measure(group)
     times = {}
     for name, base in CASES.items():
         run = _case(q, name, max(1, round(base * scale)))
-        if run is None:
-            times[name] = None
-            continue
-        run()
-        samples, until = [], time.perf_counter() + MIN_SECONDS
-        while len(samples) < REPS or time.perf_counter() < until:
-            start = time.perf_counter()
-            run()
-            samples.append((time.perf_counter() - start) * 1e3)
-        times[name] = min(samples)
+        times.update(_measure([(name, run)]) if run else {name: None})
     return times
 
 
-def _run_child(src: str, scale: float) -> dict:
+def _run_child(src: str, scale: float, rotation: bool) -> dict:
     done = subprocess.run(
-        [sys.executable, __file__, "--child", src, "--scale", repr(scale)],
+        [sys.executable, __file__, "--child", src, "--scale", repr(scale),
+         *(["--rotation"] if rotation else [])],
         capture_output=True, text=True, timeout=600,
     )
     if done.returncode != 0:
@@ -141,11 +175,14 @@ def _run_child(src: str, scale: float) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def _summary(samples: list) -> dict | None:
-    if any(s is None for s in samples):
+def _summary(runs: list) -> dict | None:
+    """Medians and quartiles over the rounds of [least ms, faults per call] pairs."""
+    if any(r is None for r in runs):
         return None
+    samples, faults = (list(column) for column in zip(*runs))
     q1, median, q3 = statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
-    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "runs_ms": samples}
+    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "runs_ms": samples,
+            "faults_per_call": statistics.median(faults), "faults_runs": faults}
 
 
 def _machine() -> dict:
@@ -166,9 +203,10 @@ def main() -> int:
     parser.add_argument("--scale", type=float, default=1.0, help="step-count factor")
     parser.add_argument("--out", default=None, help="write the JSON report here")
     parser.add_argument("--child", default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--rotation", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child is not None:
-        print(json.dumps(child(args.child, args.scale)))
+        print(json.dumps(child(args.child, args.scale, args.rotation)))
         return 0
     if args.rounds < 1 or args.scale <= 0:
         parser.error("--rounds must be at least 1 and --scale positive")
@@ -179,10 +217,12 @@ def main() -> int:
     rounds = {side: [] for side in trees}
     for r in range(args.rounds):
         for side in (list(trees) if r % 2 else list(trees)[::-1]):
-            rounds[side].append(_run_child(trees[side], args.scale))
+            rounds[side].append({**_run_child(trees[side], args.scale, False),
+                                 **_run_child(trees[side], args.scale, True)})
 
+    steps = {**CASES, **{f"rotation.{name}": CASES[name] for name in ROTATION}}
     cases = {}
-    for name, base in CASES.items():
+    for name, base in steps.items():
         entry = {"steps": max(1, round(base * args.scale))}
         for side in trees:
             entry[side] = _summary([times[name] for times in rounds[side]])

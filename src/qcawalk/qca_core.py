@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .amplitudes import AmplitudeField, Distribution, _sq_modulus, to_distribution
+from .amplitudes import AmplitudeField, Distribution, to_distribution
 
 __all__ = [
     "RESIDUAL_TOLERANCE",
@@ -197,6 +198,32 @@ def qca_step(field: AmplitudeField, params: QcaParams) -> AmplitudeField:
 
 
 _I_POWERS = (1, 1j, -1, -1j)
+# The jump kernel's rows, each one ring long: the twiddles, alpha, beta, mu,
+# the real terms (cos nw and sin nw / sin w, side by side) and the start's
+# two-row transform.
+_ROWS = 7
+
+
+class _Workspace(threading.local):
+    """One thread's buffers for the jump kernel, kept between jumps.
+
+    numpy ufuncs release the GIL, so each thread has its own.  The buffers
+    only grow: a ring smaller than the largest seen so far takes a
+    contiguous view of them, so alternating ring sizes allocate nothing.
+    """
+
+    index = np.arange(0)
+    rows = np.empty(0, np.complex128)
+
+    def views(self, ring: int) -> tuple[np.ndarray, np.ndarray]:
+        """The twiddle indices 0 .. ring // 2 and the (_ROWS, ring) complex rows."""
+        half, size = ring // 2 + 1, _ROWS * ring
+        if self.rows.size < size:
+            self.index, self.rows = np.arange(half), np.empty(size, np.complex128)
+        return self.index[:half], self.rows[:size].reshape(_ROWS, ring)
+
+
+_WORKSPACE = _Workspace()
 
 
 def _fourier_power(n: int, params: QcaParams):
@@ -218,7 +245,9 @@ def _fourier_power(n: int, params: QcaParams):
     ``kernel(start, ring)`` takes the start's (2, m) cells, the first at
     cell 0 of a ring of any size, and returns the (2, ring) evolved ring.
     The start's transform ``x(p) = sum_j start[:, j] e^{-ipj}`` is formed by
-    Horner's rule, so the inverse FFT is the only one.
+    Horner's rule, so the inverse FFT is the only one.  Every ring-long
+    intermediate, and the returned ring, lives in this thread's
+    ``_Workspace``: the result is valid until the thread's next jump.
     """
     a, b, c, d = params.astuple()
     # one arg s for every p, free of a sqrt's rounding and s**n's drift, both n-fold;
@@ -236,23 +265,46 @@ def _fourier_power(n: int, params: QcaParams):
 
         half = ring // 2 + 1  # p = 2 pi j / ring for j <= ring / 2
         mirror = slice((ring - 1) // 2, 0, -1)  # entry ring - j of the ring is entry j
-        e = np.exp(2j * math.pi / ring * np.arange(half))
-        e = np.concatenate((e, e[mirror].conj()))
-        alpha, beta = b + d * e, c + a * e
+        index, rows = _WORKSPACE.views(ring)
+        e, alpha, beta, mu = rows[:4]
+        cos_nw, ratio = rows[4].view(np.float64).reshape(2, ring)
+        # the half-ring terms in w sit in mu's row until mu is formed
+        sin_w, nw = mu.view(np.float64)[: 2 * half].reshape(2, half)
+        transform = rows[5:]
+        np.exp(np.multiply(2j * math.pi / ring, index, out=e[:half]), out=e[:half])
+        np.conjugate(e[mirror], out=e[half:])
+        np.add(b, np.multiply(d, e, out=alpha), out=alpha)
+        np.add(c, np.multiply(a, e, out=beta), out=beta)
+        # sin w = sqrt(Im(alpha)**2 + |beta|**2), cos_nw and ratio still free;
         # arctan2, not arccos(Re alpha), keeps w accurate where M is near +-I
-        sin_w = np.sqrt(alpha.imag[:half] ** 2 + _sq_modulus(beta[:half]))
-        nw = n * np.arctan2(sin_w, alpha.real[:half])
-        ratio = np.divide(np.sin(nw), sin_w, out=np.zeros(half), where=sin_w > 0)
-        cos_nw, ratio = (np.concatenate((v, v[mirror])) for v in (np.cos(nw), ratio))
-        mu, nu = cos_nw + 1j * ratio * alpha.imag, ratio * beta
-        x, back = start[:, -1:], e.conj()  # x(p) by Horner's rule in e^{-ip}
+        beta_sq = np.multiply(beta.real[:half], beta.real[:half], out=cos_nw[:half])
+        beta_sq += np.multiply(beta.imag[:half], beta.imag[:half], out=ratio[:half])
+        np.add(np.square(alpha.imag[:half], out=sin_w), beta_sq, out=sin_w)
+        np.sqrt(sin_w, out=sin_w)
+        np.multiply(n, np.arctan2(sin_w, alpha.real[:half], out=nw), out=nw)
+        ratio[:half] = 0.0
+        np.divide(np.sin(nw, out=cos_nw[:half]), sin_w, out=ratio[:half], where=sin_w > 0)
+        np.cos(nw, out=cos_nw[:half])
+        cos_nw[half:], ratio[half:] = cos_nw[mirror], ratio[mirror]
+        # mu = cos_nw + 1j * ratio * Im(alpha), nu = ratio * beta
+        np.multiply(np.multiply(1j, ratio, out=mu), alpha.imag, out=mu)
+        np.add(cos_nw, mu, out=mu)
+        nu = np.multiply(ratio, beta, out=beta)
+        back = np.conjugate(e, out=e)
+        x = start[:, -1:]  # x(p) by Horner's rule in e^{-ip}
         for column in start[:, -2::-1].T:
-            x = x * back + column[:, None]
-        x0, x1 = phase * x
-        out = np.empty((2, ring), np.complex128)
-        out[0] = mu * x0 - nu.conj() * x1
-        out[1] = nu * x0 + mu.conj() * x1
-        return fft.ifft(out)
+            x = np.multiply(x, back, out=transform)
+            x += column[:, None]
+        # a one-cell start is its own transform: (2, 1), scaled into a new pair
+        x0, x1 = np.multiply(phase, x, out=transform if x is transform else None)
+        # the output takes alpha's row, spent, and nu's, each entry read before it
+        # is overwritten; e's row, spent too, takes the conjugate products
+        out = rows[1:3]
+        nu_x1 = np.multiply(np.conjugate(nu, out=e), x1, out=e)
+        np.subtract(np.multiply(mu, x0, out=out[0]), nu_x1, out=out[0])
+        np.multiply(nu, x0, out=out[1])
+        np.add(out[1], np.multiply(np.conjugate(mu, out=e), x1, out=e), out=out[1])
+        return fft.ifft(out, out=out)
 
     return kernel
 

@@ -23,7 +23,9 @@ import cmath
 import math
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,10 +158,82 @@ cells = st.integers(1, 5).flatmap(
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(type_v, cells, st.integers(1, 200))
 def test_kernel_agrees_with_the_normalized_full_ring_reference(ring, params, start, n):
-    got = qca_core._fourier_power(n, params)(start, ring)
+    got = qca_core._fourier_power(n, params)(start, ring).copy()
     want = reference_fourier_power(n, params)(start, ring)
     assert got.shape == (2, ring)
     assert float(np.abs(got - want).max()) <= 2 * (n + 1) * EPS
+
+
+def in_fresh_thread(run):
+    """``run()`` on a new thread, which starts with an empty kernel workspace."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(run()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return result[0]
+
+
+ONE_CELL = unit_cells([0.6, 0.8j])
+THREE_CELLS = unit_cells([0.3, -0.2j, 0.5 + 0.1j, 0.4, 0.1j, -0.6])
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        [(4096, ONE_CELL), (9, ONE_CELL), (4096, ONE_CELL)],
+        [(64, ONE_CELL), (64, THREE_CELLS)],
+    ],
+    ids=["rings 4096, 9, 4096", "one cell, then three"],
+)
+def test_a_jump_does_not_depend_on_the_earlier_jumps_of_its_thread(calls):
+    kernel = qca_core._fourier_power(100, RANDOM_TYPE_V[0])
+    firsts = [in_fresh_thread(lambda: kernel(start, ring).tobytes()) for ring, start in calls]
+    in_turn = in_fresh_thread(lambda: [kernel(start, ring).tobytes() for ring, start in calls])
+    assert in_turn == firsts
+
+
+def test_threads_jumping_at_once_on_different_rings_each_get_their_own_workspace():
+    kernel = qca_core._fourier_power(100, RANDOM_TYPE_V[1])
+    rings = (4096, 512, 4096, 512)  # more threads than cores, on two ring sizes
+    firsts = {
+        ring: in_fresh_thread(lambda: kernel(THREE_CELLS, ring).tobytes()) for ring in set(rings)
+    }
+    barrier, mismatches = threading.Barrier(len(rings), timeout=60), []
+
+    def jumps(ring):
+        barrier.wait()
+        for _ in range(30):
+            if kernel(THREE_CELLS, ring).tobytes() != firsts[ring]:
+                mismatches.append(ring)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=jumps, args=(ring,)) for ring in rings]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+
+
+def test_a_warm_jump_at_1000_steps_allocates_no_ring_sized_temporaries():
+    # the start {0, 1} at n = 1000 jumps on a ring of 4096 cells
+    params = params_from_angles(AngleTriple(1.1, 0.4, 2.0))
+    qca_distribution(0, "+", (0.6, 0.8j), 1000, params)  # grows this thread's workspace
+    tracemalloc.start()
+    try:
+        qca_distribution(0, "+", (0.6, 0.8j), 1000, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # what is left is the cone's copies, its masses and the distribution: about 270 KB,
+    # where one more ring-sized complex temporary per intermediate comes to 800 KB
+    assert peak <= 6 * 16 * 4096
 
 
 @pytest.mark.parametrize("n", [1000, 2000])
