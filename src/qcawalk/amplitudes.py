@@ -10,8 +10,8 @@ layout and the one step driver, and no other module reads the runs.
 
 One routine lines runs up: ``_packed`` lays them out on one axis, for a
 step, for construction (one run per entry) and, one row per field, for
-superposition and comparison (``_aligned``).  One routine cuts them back:
-``_unpacked`` zeroes dust and trims the runs out of a packed array.
+superposition and comparison (``_aligned``).  One routine cuts them back,
+``_unpacked``, and its ``_zero_dust`` alone drops mass: dust, and a jump's noise.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ PRUNE_TOLERANCE = 1e-15
 _RUN_GAP = 32
 
 # A step moves an entry at most two sites, so runs packed ``_PACK_GAP`` or
-# more sites apart for one kernel call keep their outputs apart.  Packing
-# shifts are even, because the lattice stencil only commutes with
-# translations by two sites.
+# more sites apart, or ``_PACK_GAP // 2`` from a pack's zero-padded end, keep
+# their outputs apart and in the pack.  Packing shifts are even, because the
+# lattice stencil only commutes with translations by two sites.
 _PACK_GAP = 8
 
 _Entries = Mapping[int, complex] | Iterable[Tuple[int, complex]]
@@ -56,12 +56,12 @@ def _occupied(values: np.ndarray) -> np.ndarray:
     return values != 0 if values.ndim == 1 else values.any(axis=0)
 
 
-def _zero_dust(values: np.ndarray) -> np.ndarray:
-    """Zero entries below ``PRUNE_TOLERANCE`` in place; mask of sites left nonzero."""
+def _zero_dust(values: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Zero entries below ``PRUNE_TOLERANCE`` or at most ``floor``; mask of sites left nonzero."""
     mag = np.abs(values)
     if mag.size and not math.isfinite(mag.max()):
         raise ValueError("non-finite amplitude")
-    dust = mag < PRUNE_TOLERANCE
+    dust = mag < max(PRUNE_TOLERANCE, math.nextafter(floor, math.inf))
     np.putmask(values, dust, 0)
     return ~dust if dust.ndim == 1 else ~dust.all(axis=0)
 
@@ -80,9 +80,9 @@ def _packed(runs: Sequence[_Run]) -> tuple[int, np.ndarray, list[tuple[int, int]
     ``_RUN_GAP`` sites keep their width, filled with zeros; each wider gap
     is shortened by an even shift to ``_PACK_GAP`` or one more sites.  A
     stretch is (packed first site, shift) of the runs between two
-    shortened gaps.
+    shortened gaps; ``_PACK_GAP // 2`` zero sites pad both ends.
     """
-    lo = runs[0][0]
+    lo, pad = runs[0][0], _PACK_GAP // 2
     last = lo - 1
     stretches, placed = [(lo, 0)], []
     for run_lo, arr in runs:
@@ -90,25 +90,27 @@ def _packed(runs: Sequence[_Run]) -> tuple[int, np.ndarray, list[tuple[int, int]
         if run_lo - last > _RUN_GAP:
             shift += (run_lo - last - _PACK_GAP) & ~1
             stretches.append((run_lo - shift, shift))
-        placed.append((run_lo - shift - lo, arr, run_lo <= last))
+        placed.append((run_lo - shift - lo + pad, arr, run_lo <= last))
         last = max(last, run_lo + arr.shape[-1] - 1)
-    values = np.zeros(arr.shape[:-1] + (last - shift - lo + 1,), np.complex128)
+    values = np.zeros(arr.shape[:-1] + (last - shift - lo + 1 + 2 * pad,), np.complex128)
     for at, arr, overlaps in placed:
         if overlaps:
             values[..., at : at + arr.shape[-1]] += arr
         else:
             values[..., at : at + arr.shape[-1]] = arr
-    return lo, values, stretches
+    return lo - pad, values, stretches
 
 
-def _unpacked(lo: int, values: np.ndarray, stretches: list[tuple[int, int]]) -> list[_Run]:
+def _unpacked(
+    lo: int, values: np.ndarray, stretches: list[tuple[int, int]], floor: float = 0.0
+) -> list[_Run]:
     """The runs of packed ``values`` (first packed site ``lo``) back at their own sites.
 
-    Dust is zeroed in place (``_zero_dust``), each shortened gap is cut in
-    its middle, out of reach of a step from either side, and each stretch
-    is shifted back and trimmed by ``_trimmed``.
+    ``_zero_dust`` zeroes dust and entries at most ``floor`` in place, each
+    shortened gap is cut in its middle, out of reach of a step from either
+    side, and each stretch is shifted back and trimmed by ``_trimmed``.
     """
-    keep = _zero_dust(values)
+    keep = _zero_dust(values, floor)
     cuts = [0, *(first - _PACK_GAP // 2 - lo for first, _ in stretches[1:]), keep.size]
     runs = []
     for start, stop, (_, shift) in zip(cuts, cuts[1:], stretches):
@@ -171,9 +173,11 @@ class _Runs:
 
     @classmethod
     def _from_runs(cls, runs: Iterable[_Run], **attrs):
-        """Internal fast path: wrap runs that are already pruned and sorted."""
+        """Internal fast path: wrap pruned, sorted runs; a site past int64 raises OverflowError."""
         new = cls.__new__(cls)
-        new._runs = tuple(runs)
+        runs = new._runs = tuple(runs)
+        if runs and not -(2**63) <= runs[0][0] <= runs[-1][0] + runs[-1][1].shape[-1] - 1 < 2**63:
+            raise OverflowError("lattice site out of int64 range")
         for name, value in attrs.items():
             setattr(new, name, value)
         return new
@@ -181,8 +185,8 @@ class _Runs:
     def _stepped(self, kernel, **attrs):
         """Apply ``kernel(lo, values) -> (out_lo, out_values)`` to all runs in one call.
 
-        The kernel sees the runs packed (``_packed``), and its output is
-        cut back into runs (``_unpacked``) and wrapped with ``attrs``.
+        The kernel sees the runs zero-padded in one pack (``_packed``), and its
+        output is cut back into runs (``_unpacked``) and wrapped with ``attrs``.
         """
         if not self._runs:
             return self._from_runs((), **attrs)
@@ -284,8 +288,8 @@ class AmplitudeField(_Runs):
         site + reach], whose cells left of the start wrap to the ring's
         end, plus a guard band at least as wide in the middle, where the
         exact answer is zero.  The largest entry the kernel leaves in that
-        band is its noise floor on this run: cone entries no larger than
-        it are zeroed, and so is dust.
+        band is its noise floor on this run: ``_zero_dust`` zeroes cone
+        entries no larger than it, with dust.
         """
         sites, values = self._flat()
         if not sites.size:
@@ -298,10 +302,10 @@ class AmplitudeField(_Runs):
         ring = 1 << (2 * width - 1).bit_length()
         cells = kernel(start, ring)
         floor = float(np.abs(cells[:, width - left : ring - left]).max())
-        cone = np.concatenate((cells[:, ring - left :], cells[:, : width - left]), axis=1)
-        out = cone.T.ravel()[lo - 2 * first : hi - 2 * first + 1]
-        out[np.abs(out) <= floor] = 0
-        return self._from_runs(_unpacked(lo, out, [(lo, 0)]))
+        cone = np.empty((width, 2), np.complex128)
+        cone[:left], cone[left:] = cells[:, ring - left :].T, cells[:, : width - left].T
+        out = cone.ravel()[lo - 2 * first : hi - 2 * first + 1]
+        return self._from_runs(_unpacked(lo, out, [(lo, 0)], floor))
 
 
 def _paired_field(pairs: _Runs, upper_offset: int) -> AmplitudeField:

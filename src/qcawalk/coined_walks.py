@@ -21,7 +21,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .amplitudes import Distribution, _Runs
+from .amplitudes import _PACK_GAP, Distribution, _Runs
 from .qca_core import RESIDUAL_TOLERANCE, QcaParams, _abs_sq, normalized_qubit
 
 __all__ = [
@@ -224,18 +224,18 @@ def walk_step(state: WalkState, blocks: CoinBlocks) -> WalkState:
             f"state is {state.order} but blocks are written {blocks.order}; "
             "reorder explicitly before stepping"
         )
-    # Output index i is site lo - 1 + i.  Row m of the stack holds the input
-    # shifted m sites right, which the stencil's columns 2m, 2m + 1 meet with
-    # the block that moves an entry by m - 1 sites, so one (2, 6) @ (6, width
-    # + 2) product applies P, T and Q.
-    stencil = blocks._stencil
+    # Output index i is site lo + pad - 1 + i: the stack takes one of the pack's
+    # ``pad`` zero sites at each end, no more, as the product's last bits depend
+    # on its width.  Row m holds the input shifted m sites right, which the
+    # stencil's columns 2m, 2m + 1 meet with the block moving an entry m - 1 sites.
+    stencil, pad = blocks._stencil, _PACK_GAP // 2
 
     def kernel(lo: int, x: np.ndarray) -> tuple[int, np.ndarray]:
-        width = x.shape[1]
-        stack = np.zeros((3, 2, width + 2), dtype=np.complex128)
+        width = x.shape[1] - 2 * pad + 2
+        stack = np.empty((3, 2, width), dtype=np.complex128)
         for m in range(3):
-            stack[m, :, m : m + width] = x
-        return lo - 1, stencil @ stack.reshape(6, width + 2)
+            stack[m] = x[:, pad - m : pad - m + width]
+        return lo + pad - 1, stencil @ stack.reshape(6, width)
 
     return state._stepped(kernel, order=state.order)
 

@@ -185,13 +185,11 @@ def qca_step(field: AmplitudeField, params: QcaParams) -> AmplitudeField:
     stencil = np.array([[a, d], [b, c], [c, b], [d, a]], dtype=np.complex128)
 
     def kernel(lo: int, x: np.ndarray) -> tuple[int, np.ndarray]:
-        base = (lo - 2) & ~1            # even-aligned left edge of the output range
-        npairs = (lo + x.size + 3 - base) // 2
-        # buf[j] holds the input amplitude at site base - 1 + j.
-        buf = np.zeros(2 * npairs + 3, dtype=np.complex128)
-        buf[lo - base + 1 : lo - base + 1 + x.size] = x
-        step = buf.strides[0]
-        windows = np.ndarray((npairs, 4), np.complex128, buf, 0, (2 * step, step))
+        # every window that fits in the pack, whose zero ends hold each site a step reaches
+        base = (lo + 2) & ~1            # even-aligned left edge of the output range
+        npairs = (lo + x.size - 1 - base) // 2
+        at, step = base - 1 - lo, x.strides[0]
+        windows = np.ndarray((npairs, 4), np.complex128, x, at * step, (2 * step, step))
         return base, (windows @ stencil).ravel()
 
     return field._stepped(kernel)

@@ -16,11 +16,15 @@ from qcawalk.amplitudes import (
     PRUNE_TOLERANCE,
     AmplitudeField,
     Distribution,
+    _packed,
+    _unpacked,
     max_difference,
     superpose,
     to_distribution,
 )
+from qcawalk.coined_walks import L_UPPER, WalkState, generalized_blocks_from_qca, walk_step
 from qcawalk.correspondence import _mismatch
+from qcawalk.qca_core import AngleTriple, evolve_eta, params_from_angles, qca_step
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -224,6 +228,63 @@ def test_pointwise_operations_allocate_nothing_across_the_gap():
     assert peak < 100_000
     assert combined.items() == [(0, 0.6 + 0j), (1, -0.5 + 0j), (5_000_000, 0.8j - 1j)]
     assert difference == pytest.approx(0.6)
+
+
+def test_every_pack_has_a_zero_margin_at_each_end():
+    # the step kernels read this margin instead of padding copies of their own
+    rng = np.random.default_rng(17)
+    pad = _PACK_GAP // 2
+    for _ in range(200):
+        f, g = oracle_pair(rng, "overlap")
+        field = AmplitudeField(f or {0: 1.0})
+        walk = WalkState({site: (z, -z) for site, z in (g or {0: 1.0}).items()}, L_UPPER)
+        overlapping = sorted([*field._runs, *field.shifted(2)._runs], key=lambda run: run[0])
+        for runs in (field._runs, walk._runs, overlapping):
+            _, values, _ = _packed(runs)
+            assert not values[..., :pad].any() and not values[..., -pad:].any()
+        lo, values, stretches = _packed(field._runs)
+        assert AmplitudeField._from_runs(_unpacked(lo, values, stretches)) == field
+
+
+INT64_MAX = 2**63 - 1
+EDGE = params_from_angles(AngleTriple(1.1, 0.4, 2.0))
+EDGE_BLOCKS = {family: generalized_blocks_from_qca(EDGE, family) for family in "AB"}
+
+
+def edge_walk(site, family):
+    blocks = EDGE_BLOCKS[family]
+    return walk_step(WalkState({site: (0.0, 1.0)}, blocks.order), blocks)
+
+
+PAST_INT64 = {
+    "construction": lambda: AmplitudeField({INT64_MAX + 1: 1.0}),
+    "qca_step.top": lambda: qca_step(AmplitudeField({INT64_MAX: 1.0}), EDGE),
+    "qca_step.bottom": lambda: qca_step(AmplitudeField({-INT64_MAX - 1: 1.0}), EDGE),
+    "jump.top": lambda: evolve_eta(INT64_MAX, 3, EDGE),
+    "jump.bottom": lambda: evolve_eta(-INT64_MAX - 1, 3, EDGE),
+    "walk_step.A": lambda: edge_walk(INT64_MAX, "A"),
+    "walk_step.B": lambda: edge_walk(INT64_MAX, "B"),
+    "shifted.top": lambda: AmplitudeField({INT64_MAX: 1.0}).shifted(5),
+    "shifted.bottom": lambda: AmplitudeField({-INT64_MAX - 1: 1.0}).shifted(-5),
+}
+
+
+@pytest.mark.parametrize("path", sorted(PAST_INT64))
+def test_a_site_carried_past_int64_raises_instead_of_wrapping(path):
+    with pytest.raises(OverflowError):
+        PAST_INT64[path]()
+
+
+def test_steps_up_to_the_int64_edge_keep_their_sites():
+    assert list(qca_step(AmplitudeField({INT64_MAX - 2: 1.0}), EDGE)) == [
+        INT64_MAX - 3, INT64_MAX - 2, INT64_MAX - 1, INT64_MAX
+    ]
+    assert list(qca_step(AmplitudeField({-INT64_MAX + 1: 1.0}), EDGE)) == [
+        -INT64_MAX - 1, -INT64_MAX, -INT64_MAX + 1, -INT64_MAX + 2
+    ]
+    assert list(AmplitudeField({INT64_MAX - 5: 1.0}).shifted(5)) == [INT64_MAX]
+    for family in "AB":
+        assert max(site for site, _ in edge_walk(INT64_MAX - 1, family).items()) <= INT64_MAX
 
 
 def test_distribution_rejects_negative_mass():

@@ -231,9 +231,31 @@ def test_a_warm_jump_at_1000_steps_allocates_no_ring_sized_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # what is left is the cone's copies, its masses and the distribution: about 270 KB,
-    # where one more ring-sized complex temporary per intermediate comes to 800 KB
+    # what is left is the field read out of the ring and the distribution built from it:
+    # about 270 KB, where one more ring-sized complex temporary per intermediate comes to 800 KB
     assert peak <= 6 * 16 * 4096
+
+
+@pytest.mark.parametrize(
+    "floor, cone, kept",
+    [
+        # an entry equal to the floor goes, the next float above it stays
+        (1e-10, {0: 1e-10j, 1: math.nextafter(1e-10, 1.0), 2: 0.5}, [1, 2]),
+        # an entry under PRUNE_TOLERANCE goes, however far above the floor
+        (1e-16, {-1: 1e-16, 0: 0.9e-15j, 1: PRUNE_TOLERANCE}, [1]),
+    ],
+)
+def test_the_jump_zeroes_its_cone_at_or_below_the_noise_floor(floor, cone, kept):
+    def kernel(start, ring):
+        # a one-step jump from site 0 reads sites -2 .. 2, cells -1 .. 1, off a ring of 8
+        cells = np.zeros((2, ring), np.complex128)
+        for site, z in cone.items():
+            cells[site & 1, (site >> 1) % ring] = z
+        cells[1, ring // 2] = -floor  # the largest entry in the guard band
+        return cells
+
+    jumped = AmplitudeField.delta(0)._jumped(2, kernel)
+    assert jumped.items() == [(site, complex(cone[site])) for site in kept]
 
 
 @pytest.mark.parametrize("n", [1000, 2000])
