@@ -11,21 +11,25 @@ run least disturbed by other load on the machine.  With ``--baseline``
 ``git archive REV src | tar -x -C DIR``) the rounds alternate which tree
 runs first, and each case reports both trees' medians and quartiles of
 the per-round minima, the ratio of the medians, and the rounds the tree
-under test won.  A case a tree does not have (a ``verify --kind`` its
-CLI rejects) reads null there.  ``--scale`` multiplies every step count,
+under test won.  A case a tree does not have (a ``verify_*`` function its
+package lacks) reads null there.  ``--scale`` multiplies every step count,
 so a quick run can check that the harness still works.  The JSON report
 goes to stdout, or to ``--out``.
 
 The stepping path's cases are 1000 steps of a B- and an
 A-family walk (the long-run benchmark's walk task steps the B walk), 1000
-``qca_step`` calls, ``verify --kind A`` and ``--kind B`` at 500 and at 50
-steps (walk and lattice in lockstep, compared at every step) and ``verify
---kind spectral`` at 5000 (the jump against 5000 ``qca_step`` calls).  A
-``verify.K.50`` case is ``verify --kind K`` at 50 steps.  The jump's cases
+``qca_step`` calls, ``verify_A_correspondence`` and
+``verify_B_correspondence`` at 500 and at 50 steps (``verify.A``,
+``verify.B``, ``verify.A.50``, ``verify.B.50``: walk and lattice in
+lockstep, compared at every step) and ``verify_spectral`` at 5000
+(``verify.spectral``: the jump against 5000 ``qca_step`` calls).  A
+``verify.*`` case fails the run if its report's error is above 1e-12, the
+pass line of ``qcawalk verify``.  The jump's cases
 are ``qca_distribution`` at 1000 and 5000 steps (``jump.qdist.N``) and, at
 the reference point, ``rescaled_qca_sample`` plus ``kolmogorov_distance``
 at 1000 (``sample.ks``, the long-run benchmark's sample task) and at 5000
-(``sample.ks.5000``).
+(``sample.ks.5000``).  ``distribution.1000`` is ``to_distribution`` of the
+field ``evolve_eta(0, 1000)``, evolved once before the timing.
 
 Every case also reports the minor page faults per timed call
 (``ru_minflt``), which count the fresh pages a call's allocations touch.
@@ -40,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import math
 import os
@@ -72,7 +75,13 @@ CASES = {
     "jump.qdist.5000": 5000,
     "sample.ks": 1000,
     "sample.ks.5000": 5000,
+    "distribution.1000": 1000,
 }
+# verify.K calls this function of the package; a tree without it lacks the case
+VERIFY = {"A": "verify_A_correspondence", "B": "verify_B_correspondence",
+          "spectral": "verify_spectral"}
+# the pass line of ``qcawalk verify``
+TOLERANCE = 1e-12
 # The long-run benchmark's rotation, run in a child of its own.
 ROTATION = ("sample.ks", "jump.qdist.1000", "walk_step.B")
 
@@ -101,21 +110,19 @@ def _case(q, name: str, n: int):
                 field = q.qca_step(field, params)
             return field
         return step
-    argv = ["verify", "--kind", name.split(".")[1], "--theta", str(THETA), "--phi", str(PHI),
-            "--delta", str(DELTA), "--qubit", "0.6", "0", "0", "0.8", "--steps", str(n)]
+    if name.startswith("distribution."):
+        field = q.evolve_eta(0, n, params)
+        return lambda: q.to_distribution(field)
+    verify = getattr(q, VERIFY[name.split(".")[1]], None)
+    if verify is None:
+        return None
 
-    def verify():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = q.cli.main(argv)
-        if code != 0:
-            raise RuntimeError(f"exit {code}: {err.getvalue().strip()}")
-        return out.getvalue()
-
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        # a --kind the parser rejects is a case this tree does not have
-        known = q.cli.main([*argv[:3], "--help"]) == 0
-    return verify if known else None
+    def check():
+        report = verify(params, QUBIT, n)
+        if not report.max_error() <= TOLERANCE:
+            raise RuntimeError(f"{name}: error {report.max_error()!r} above {TOLERANCE}")
+        return report
+    return check
 
 
 def _minflt() -> int:
@@ -149,7 +156,6 @@ def child(src: str, scale: float, rotation: bool) -> dict:
     """
     sys.path.insert(0, os.path.abspath(src))
     import qcawalk as q
-    import qcawalk.cli  # noqa: F401  (q.cli)
 
     if not q.__file__.startswith(os.path.abspath(src)):
         raise SystemExit(f"imported qcawalk from {q.__file__}, not from {src}")

@@ -203,7 +203,8 @@ class _Runs:
         return np.concatenate(sites), np.concatenate(values, axis=-1)
 
     def _at(self, site: int) -> np.ndarray:
-        """The entry at ``site``, zero off the support."""
+        """The entry at ``site``, zero off the support; a non-integer site raises TypeError."""
+        site = operator.index(site)
         i = bisect_right(self._runs, site, key=operator.itemgetter(0)) - 1
         if i >= 0:
             lo, arr = self._runs[i]
@@ -225,11 +226,13 @@ class _Runs:
         return math.fsum(x for _, arr in self._runs for x in _sq_modulus(arr).ravel().tolist())
 
     def _distribution(self) -> "Distribution":
-        """Site masses: the squared moduli at each site, summed over components."""
-        sites, values = self._flat()
-        masses = _sq_modulus(values)
+        """Site masses: whole runs squared, summed over components; ``_store`` drops zeros."""
+        sites, masses = [np.empty(0, np.int64)], [np.empty(0)]
+        for lo, arr in self._runs:
+            sites.append(np.arange(lo, lo + arr.shape[-1], dtype=np.int64))
+            masses.append(_sq_modulus(arr).sum(axis=0) if self._lead else _sq_modulus(arr))
         dist = Distribution.__new__(Distribution)
-        dist._store(sites, masses if masses.ndim == 1 else masses.sum(axis=0))
+        dist._store(np.concatenate(sites), np.concatenate(masses))
         return dist
 
 
@@ -350,6 +353,7 @@ class Distribution:
         return self._sites, self._masses
 
     def __getitem__(self, site: int) -> float:
+        site = operator.index(site)
         i = np.searchsorted(self._sites, site)
         return float(self._masses[i]) if self._sites[i : i + 1].tolist() == [site] else 0.0
 
@@ -414,3 +418,11 @@ def max_difference(f: AmplitudeField, g: AmplitudeField) -> float:
     """Largest pointwise amplitude difference between two fields."""
     _, (on_f, on_g), _ = _aligned(f, g)
     return float(np.abs(on_f - on_g).max(initial=0.0))
+
+
+def _mismatch(got: AmplitudeField, want: AmplitudeField) -> tuple[float, float]:
+    """Largest amplitude and mass mismatch between two fields."""
+    _, (got, want), _ = _aligned(got, want)
+    amp_err = float(np.abs(got - want).max(initial=0.0))
+    prob_err = float(np.abs(_sq_modulus(want) - _sq_modulus(got)).max(initial=0.0))
+    return amp_err, prob_err

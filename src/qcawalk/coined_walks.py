@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .amplitudes import _PACK_GAP, Distribution, _Runs
-from .qca_core import RESIDUAL_TOLERANCE, QcaParams, _abs_sq, normalized_qubit
+from .qca_core import RESIDUAL_TOLERANCE, QcaParams, normalized_qubit
 
 __all__ = [
     "L_UPPER",
@@ -56,14 +56,9 @@ class CoinMatrix:
             if not cmath.isfinite(z):
                 raise ValueError(f"non-finite coin entry {name}={z!r}")
             object.__setattr__(self, name, z)
-        a, b, c, d = self.a, self.b, self.c, self.d
-        bad = max(
-            abs(_abs_sq(a) + _abs_sq(b) - 1.0),
-            abs(_abs_sq(c) + _abs_sq(d) - 1.0),
-            abs(a * c.conjugate() + b * d.conjugate()),
-        )
-        if bad > RESIDUAL_TOLERANCE:
-            raise ValueError(f"coin matrix is not unitary (residual {bad:.3e})")
+        # the plain walk's blocks, rows of the coin and no stay block, have
+        # P^H P + Q^H Q = U^H U and P^H Q = 0: the step is unitary when the coin is
+        plain_blocks(self, "A")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -155,13 +150,13 @@ class CoinBlocks:
         object.__setattr__(self, "_stencil", np.hstack([by_move[m - 1] for m in range(3)]))
 
     def unitarity_residual(self) -> float:
-        """Largest entry of the three block-orthogonality defects."""
+        """Largest entry of the three block-orthogonality defects; inf where one overflows."""
         p, t, q = self.P, self.T, self.Q
         ph, th, qh = p.conj().T, t.conj().T, q.conj().T
-        r1 = np.abs(ph @ p + th @ t + qh @ q - np.eye(2)).max()
-        r2 = np.abs(ph @ t + th @ q).max()
-        r3 = np.abs(ph @ q).max()
-        return float(max(r1, r2, r3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            defects = np.abs([ph @ p + th @ t + qh @ q - np.eye(2), ph @ t + th @ q, ph @ q])
+        residual = float(defects.max())
+        return np.inf if np.isnan(residual) else residual
 
     @property
     def coin(self) -> np.ndarray:

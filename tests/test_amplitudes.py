@@ -16,6 +16,7 @@ from qcawalk.amplitudes import (
     PRUNE_TOLERANCE,
     AmplitudeField,
     Distribution,
+    _mismatch,
     _packed,
     _unpacked,
     max_difference,
@@ -23,7 +24,6 @@ from qcawalk.amplitudes import (
     to_distribution,
 )
 from qcawalk.coined_walks import L_UPPER, WalkState, generalized_blocks_from_qca, walk_step
-from qcawalk.correspondence import _mismatch
 from qcawalk.qca_core import AngleTriple, evolve_eta, params_from_angles, qca_step
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -287,6 +287,26 @@ def test_steps_up_to_the_int64_edge_keep_their_sites():
         assert max(site for site, _ in edge_walk(INT64_MAX - 1, family).items()) <= INT64_MAX
 
 
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        AmplitudeField({2: 1.0, 3: 0.5}),
+        WalkState({2: (1.0, 0.0), 3: (0.0, 0.5)}, L_UPPER),
+        to_distribution(AmplitudeField({2: 1.0, 3: 0.5})),
+    ],
+    ids=["field", "walk", "distribution"],
+)
+def test_lattice_reads_take_integer_sites_only(lattice):
+    for key in (2.0, 1.5, 2.5, "a", None):
+        with pytest.raises(TypeError):
+            lattice[key]
+    assert lattice[np.int64(2)] == lattice[2] and lattice[np.int32(3)] == lattice[3]
+    assert lattice[np.int64(4)] == lattice[4]
+    if isinstance(lattice, AmplitudeField):
+        with pytest.raises(TypeError):
+            2.0 in lattice
+
+
 def test_distribution_rejects_negative_mass():
     with pytest.raises(ValueError):
         Distribution({0: -0.1})
@@ -418,7 +438,10 @@ def test_getitem_returns_python_complex():
 
 
 def test_only_amplitudes_reads_the_run_layout():
-    helpers = {"_packed", "_unpacked", "_trimmed", "_run_bounds", "_zero_dust", "_occupied"}
+    helpers = {
+        "_packed", "_unpacked", "_trimmed", "_run_bounds", "_zero_dust", "_occupied",
+        "_aligned", "_sq_modulus",
+    }
     # the list names helpers that exist, so it cannot go stale
     assert [name for name in sorted(helpers) if not hasattr(amplitudes, name)] == []
     offenders = []

@@ -181,6 +181,11 @@ def test_sample_rejects_non_finite_points(points):
         RescaledSample(points, 1)
 
 
+def test_sample_rejects_negative_masses():
+    with pytest.raises(ValueError, match="nonnegative"):
+        RescaledSample(((0.0, -0.5), (1.0, 1.5)), 1)
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_sample_rejects_step_count_below_one(n):
     with pytest.raises(ValueError, match="at least 1"):

@@ -132,6 +132,24 @@ def test_coin_blocks_reject_non_unitary_assembly():
         CoinBlocks(bad, np.zeros((2, 2)), bad)
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: CoinBlocks([[math.nan, 0], [0, 1]], np.zeros((2, 2)), np.zeros((2, 2))),
+         "non-finite"),
+        (lambda: CoinBlocks(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), p_side=0), "p_side"),
+        (lambda: CoinBlocks(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)), order="up"),
+         "order"),
+        (lambda: WalkState({0: (1.0, 0.0)}, "up"), "order"),
+        (lambda: plain_blocks(BALANCED_COIN, "C"), "family"),
+        (lambda: generalized_blocks_from_qca(PATEL, "C"), "family"),
+    ],
+)
+def test_constructors_reject_invalid_arguments(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_stay_block_weight_follows_angles():
     # Total stay weight depends only on the first angle; the direct
     # stay-in-place entry grows with the second.
@@ -171,6 +189,11 @@ def test_identity_coin_splits_left_right():
     state = walk_step(WalkState.origin((0.6, 0.8), L_UPPER), blocks)
     assert state[-1] == (0.6, 0j)
     assert state[1] == (0j, 0.8)
+
+
+def test_empty_walk_steps_to_empty():
+    state = walk_step(WalkState({}, L_UPPER), plain_blocks(BALANCED_COIN, "B"))
+    assert len(state) == 0 and state.order == L_UPPER
 
 
 def test_step_rejects_order_mismatch():

@@ -101,8 +101,7 @@ def test_pairings_hold_for_confined_tuples():
 
 @pytest.mark.parametrize("upper_offset,order", [(-1, R_UPPER), (0, L_UPPER)])
 def test_pairing_check_measures_each_mismatch(upper_offset, order):
-    from qcawalk.amplitudes import _RUN_GAP, _paired_field
-    from qcawalk.correspondence import _mismatch
+    from qcawalk.amplitudes import _RUN_GAP, _mismatch, _paired_field
 
     # walk site k holds lattice sites 2k + upper_offset and 2k + upper_offset + 1
     eta = AmplitudeField({upper_offset: 0.6, upper_offset + 1: 0.8j, 6 + upper_offset: 0.1})
@@ -228,6 +227,21 @@ def test_two_step_factors_reject_blocks_that_are_not_2x2():
     q1 = [[0, 0], [0, 1], [0, 0]]
     with pytest.raises(ValueError, match="2x2"):
         TwoStepFactors(p1, q1, p1, q1)
+
+
+def test_two_step_factors_check_the_coins_not_the_blocks():
+    half = np.eye(2) / 2
+    # P1 = Q1 = I/2 is no unitary step, but its coin P1 + Q1 = I is unitary
+    factors = TwoStepFactors(half, half, np.eye(2), np.zeros((2, 2)))
+    assert np.array_equal(factors.coin(1), np.eye(2))
+    with pytest.raises(ValueError, match="1 or 2"):
+        factors.coin(3)
+
+
+@pytest.mark.parametrize("verify", [verify_A_correspondence, verify_B_correspondence])
+def test_pairing_checks_reject_negative_step_counts(verify):
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify(PATEL, (1.0, 0.0), -1)
 
 
 def test_families_share_half_step_coins():

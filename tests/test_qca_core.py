@@ -9,7 +9,8 @@ import pytest
 
 from dense_reference import dense_qca_matrix, field_to_vector
 from qcawalk.amplitudes import _RUN_GAP, AmplitudeField, max_difference
-from qcawalk.coined_walks import CoinMatrix
+from qcawalk.coined_walks import CoinBlocks, CoinMatrix
+from qcawalk.correspondence import TwoStepFactors
 from qcawalk.qca_core import (
     AngleTriple,
     QcaParams,
@@ -17,6 +18,7 @@ from qcawalk.qca_core import (
     classify,
     evolve_eta,
     normalized_qubit,
+    _evolve,
     params_from_angles,
     qca_distribution,
     qca_step,
@@ -84,10 +86,30 @@ def test_params_reject_non_unitary_tuple():
         lambda: CoinMatrix(1.0, 0.0, 0.0, complex(0.0, 1e160)),
         lambda: normalized_qubit((1e155, 0.0)),
         lambda: normalized_qubit((0.0, complex(1e308, 1e308))),
+        # U^H U overflows: a NaN residual must fail the gate, not pass it
+        lambda: CoinMatrix(1e160, 1e160, 1e160, -1e160),
+        lambda: CoinBlocks([[1e200, 1e200], [0, 0]], np.zeros((2, 2)), [[0, 0], [1e200, -1e200]]),
+        lambda: TwoStepFactors([[1e160, 1e160], [0, 0]], [[0, 0], [1e160, -1e160]],
+                               np.eye(2), np.zeros((2, 2))),
     ],
 )
 def test_validators_reject_values_whose_square_overflows(build):
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QcaParams(math.nan, 0.0, 0.0, 0.0),
+        lambda: QcaParams(1.0, 0.0, 0.0, complex(0.0, math.inf)),
+        lambda: CoinMatrix(1.0, 0.0, 0.0, complex(math.nan, 0.0)),
+        lambda: normalized_qubit((math.inf, 0.0)),
+        lambda: normalized_qubit((0.6, complex(0.8, math.nan))),
+    ],
+)
+def test_validators_reject_non_finite_values(build):
+    with pytest.raises(ValueError, match="non-finite"):
         build()
 
 
@@ -381,6 +403,12 @@ def test_evolve_support_bound():
     for n in (0, 1, 3, 7, 15):
         field = evolve_eta(0, n, PATEL)
         assert all(-2 * n <= s <= 2 * n for s in field.support())
+
+
+@pytest.mark.parametrize("params", [PATEL, QcaParams(0.0, 0.6, 0.8j, 0.0)], ids=["jump", "steps"])
+def test_empty_field_evolves_to_empty(params):
+    assert qca_step(AmplitudeField(), params) == AmplitudeField()
+    assert _evolve(AmplitudeField(), 9, params) == AmplitudeField()
 
 
 def test_evolve_rejects_negative_steps():
