@@ -1,22 +1,26 @@
 """Float64 amplitude lab for 1D lattice automata and coined quantum walks.
 
 Each module's ``__all__`` is its export list; the package re-exports the
-union of the five lists.
+union of the six lists.  ``import qcawalk`` loads none of the modules (and
+so no numpy): the first lookup of a name the package does not yet hold
+imports them all and binds their exports, the modules and ``__all__``, after
+which every lookup is a plain attribute read.
 """
-
-from . import amplitudes, asymptotics, coined_walks, correspondence, qca_core
-from .amplitudes import *  # noqa: F403
-from .asymptotics import *  # noqa: F403
-from .coined_walks import *  # noqa: F403
-from .correspondence import *  # noqa: F403
-from .qca_core import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = sorted(
-    {
-        name
-        for module in (amplitudes, asymptotics, coined_walks, correspondence, qca_core)
-        for name in module.__all__
-    }
-)
+_MODULES = ("amplitudes", "asymptotics", "coined_walks", "correspondence", "params", "qca_core")
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    namespace = globals()
+    modules = [import_module(f"{__name__}.{module}") for module in _MODULES]
+    for module in modules:
+        namespace.update((export, getattr(module, export)) for export in module.__all__)
+    namespace["__all__"] = sorted({export for module in modules for export in module.__all__})
+    try:
+        return namespace[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None

@@ -34,7 +34,7 @@ __all__ = [
 
 # Entries whose modulus falls below this are treated as exact zeros; keeps
 # floating-point dust from growing supports without ever touching the
-# working tolerance ``qca_core.RESIDUAL_TOLERANCE``.
+# working tolerance ``params.RESIDUAL_TOLERANCE``.
 PRUNE_TOLERANCE = 1e-15
 
 # Nonzero sites at most this far apart share a run.
@@ -212,6 +212,9 @@ class _Runs:
                 return arr[..., site - lo]
         return np.zeros(self._lead, np.complex128)
 
+    def __contains__(self, site: int) -> bool:
+        return bool(self._at(site).any())
+
     def __len__(self) -> int:
         return sum(int(np.count_nonzero(_occupied(arr))) for _, arr in self._runs)
 
@@ -257,9 +260,6 @@ class AmplitudeField(_Runs):
 
     def __getitem__(self, site: int) -> complex:
         return complex(self._at(site))
-
-    def __contains__(self, site: int) -> bool:
-        return self[site] != 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AmplitudeField):
@@ -356,6 +356,9 @@ class Distribution:
         site = operator.index(site)
         i = np.searchsorted(self._sites, site)
         return float(self._masses[i]) if self._sites[i : i + 1].tolist() == [site] else 0.0
+
+    def __contains__(self, site: int) -> bool:
+        return self[site] > 0.0
 
     def __len__(self) -> int:
         return self._sites.size

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import Distribution
-from .qca_core import RESIDUAL_TOLERANCE, QcaParams, qca_distribution
+from .params import RESIDUAL_TOLERANCE, QcaParams
+from .qca_core import qca_distribution
 
 __all__ = [
     "SQRT_2",

@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .amplitudes import _PACK_GAP, Distribution, _Runs
-from .qca_core import RESIDUAL_TOLERANCE, QcaParams, normalized_qubit
+from .params import RESIDUAL_TOLERANCE, QcaParams, normalized_qubit
 
 __all__ = [
     "L_UPPER",

@@ -28,17 +28,16 @@ from .coined_walks import (
     generalized_blocks_from_qca,
     walk_step,
 )
-from .qca_core import (
+from .params import (
     AngleTriple,
     QcaParams,
     QcaTypeClass,
-    _evolve,
     _reduced_phase,
     classify,
     normalized_qubit,
     params_from_angles,
-    qca_step,
 )
+from .qca_core import _evolve, qca_step
 
 __all__ = [
     "TwoStepFactors",

@@ -302,9 +302,10 @@ def test_lattice_reads_take_integer_sites_only(lattice):
             lattice[key]
     assert lattice[np.int64(2)] == lattice[2] and lattice[np.int32(3)] == lattice[3]
     assert lattice[np.int64(4)] == lattice[4]
-    if isinstance(lattice, AmplitudeField):
+    for key in (2.0, 1.5, "a", None):
         with pytest.raises(TypeError):
-            2.0 in lattice
+            key in lattice
+    assert 2 in lattice and 4 not in lattice and np.int64(2) in lattice
 
 
 def test_distribution_rejects_negative_mass():

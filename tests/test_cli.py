@@ -332,12 +332,13 @@ def test_out_to_unwritable_path_exits_two(capsys, tmp_path):
     ids=["numpy", "bare"],
 )
 def test_out_of_memory_exits_two(capsys, monkeypatch, exc, line):
-    from qcawalk import cli
+    from qcawalk import asymptotics
 
     def out_of_memory(*args):
         raise exc
 
-    monkeypatch.setattr(cli, "rescaled_qca_sample", out_of_memory)
+    # the limit-compare handler resolves the sampler in its engine module at call time
+    monkeypatch.setattr(asymptotics, "rescaled_qca_sample", out_of_memory)
     code, out, err = run_inprocess(capsys, "limit-compare", "--steps", "100000000")
     assert code == 2
     assert out == ""
@@ -358,6 +359,35 @@ def test_import_and_limit_compare_load_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "scipy-modules: []"
+
+
+ENGINES = ("amplitudes", "asymptotics", "coined_walks", "correspondence", "qca_core")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["-m", "qcawalk", "classify", "--theta", "1", "--phi", "1", "--delta", "1"], 0),
+        (["-m", "qcawalk", "classify", "--theta", "1"], 2),
+        (["-c", "import qcawalk"], 0),
+    ],
+    ids=["classify", "usage-error", "import"],
+)
+def test_classify_usage_errors_and_import_load_no_numpy(argv, code):
+    # -X importtime names every module the interpreter imports, one stderr line each
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == code, result.stderr
+    loaded = {
+        line.rsplit("|", 1)[-1].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "qcawalk" in loaded
+    engines = {f"qcawalk.{name}" for name in ENGINES}
+    heavy = sorted(m for m in loaded if m.split(".")[0] == "numpy" or m in engines)
+    assert heavy == []
 
 
 def readme_commands():

@@ -1,12 +1,15 @@
 """The package exports exactly the union of its modules' export lists, and keeps no dead names."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import qcawalk
-from qcawalk import amplitudes, asymptotics, coined_walks, correspondence, qca_core
+from qcawalk import amplitudes, asymptotics, coined_walks, correspondence, params, qca_core
 
-MODULES = (amplitudes, asymptotics, coined_walks, correspondence, qca_core)
+MODULES = (amplitudes, asymptotics, coined_walks, correspondence, params, qca_core)
 
 
 def test_package_all_is_union_of_module_lists():
@@ -18,6 +21,23 @@ def test_every_export_resolves_to_its_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(qcawalk, name) is getattr(module, name), name
+
+
+def test_star_import_binds_exactly_all():
+    # a fresh interpreter, where the star import is the package's first lookup
+    probe = (
+        "import json\n"
+        "namespace = {}\n"
+        "exec('from qcawalk import *', namespace)\n"
+        "import qcawalk\n"
+        "print(json.dumps([sorted(set(namespace) - {'__builtins__'}), qcawalk.__all__]))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    bound, exported = json.loads(result.stdout)
+    assert bound == exported == qcawalk.__all__
 
 
 def test_no_name_is_listed_by_two_modules():
