@@ -10,8 +10,10 @@ run least disturbed by other load on the machine.  With ``--baseline``
 (the ``src`` directory of another checkout, for example one made with
 ``git archive REV src | tar -x -C DIR``) the rounds alternate which tree
 runs first, and each case reports both trees' medians and quartiles of
-the per-round minima, the ratio of the medians, and the rounds the tree
-under test won.  A case a tree does not have (a ``verify_*`` function its
+the per-round minima, the ratio of the medians, the quartiles over the
+rounds of each round's own ratio (parent ms / change ms, both trees timed
+in that round, so a slow spell of the machine slows both sides), and the
+rounds the tree under test won.  A case a tree does not have (a ``verify_*`` function its
 package lacks) reads null there.  ``--scale`` multiplies every step count,
 so a quick run can check that the harness still works.  The JSON report
 goes to stdout, or to ``--out``.
@@ -181,12 +183,17 @@ def _run_child(src: str, scale: float, rotation: bool) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _quartiles(xs: list) -> list:
+    """[q1, median, q3] of ``xs``; one value is all three."""
+    return statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+
+
 def _summary(runs: list) -> dict | None:
     """Medians and quartiles over the rounds of [least ms, faults per call] pairs."""
     if any(r is None for r in runs):
         return None
     samples, faults = (list(column) for column in zip(*runs))
-    q1, median, q3 = statistics.quantiles(samples, n=4) if len(samples) > 1 else samples * 3
+    q1, median, q3 = _quartiles(samples)
     return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "runs_ms": samples,
             "faults_per_call": statistics.median(faults), "faults_runs": faults}
 
@@ -233,8 +240,10 @@ def main() -> int:
         for side in trees:
             entry[side] = _summary([times[name] for times in rounds[side]])
         if entry.get("parent") and entry["change"]:
-            pairs = zip(entry["parent"]["runs_ms"], entry["change"]["runs_ms"])
+            pairs = list(zip(entry["parent"]["runs_ms"], entry["change"]["runs_ms"]))
             entry["speedup"] = entry["parent"]["median_ms"] / entry["change"]["median_ms"]
+            q1, median, q3 = _quartiles([p / c for p, c in pairs])
+            entry.update(ratio_median=median, ratio_q1=q1, ratio_q3=q3)
             entry["change_wins"] = sum(p > c for p, c in pairs)
         cases[name] = entry
     report = {"machine": _machine(), "rounds": args.rounds, "reps": REPS,

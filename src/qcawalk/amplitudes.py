@@ -7,6 +7,8 @@ memory follows the support, not the distance between its far ends.  The
 same run layout, with a leading axis for the two chirality components,
 backs ``coined_walks.WalkState``: both subclass ``_Runs``, which owns the
 layout and the one step driver, and no other module reads the runs.
+``_Sited`` writes the value protocol (``==``, ``repr``, ``in``, iteration,
+``support`` and ``items``) once for them and for ``Distribution``.
 
 One routine lines runs up: ``_packed`` lays them out on one axis, for a
 step, for construction (one run per entry) and, one row per field, for
@@ -142,7 +144,49 @@ def _sq_modulus(values: np.ndarray) -> np.ndarray:
     return values.real * values.real + values.imag * values.imag
 
 
-class _Runs:
+class _Sited:
+    """The value protocol of a finitely supported map on lattice sites.
+
+    A subclass supplies ``_flat()``, its ascending nonzero sites and their
+    entries (last axis over sites), and ``_at(site)``, the entry at one
+    site.  Two values are equal when their types, their ``_fields`` (extra
+    attributes that belong to the value) and their entries are.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        (s1, v1), (s2, v2) = self._flat(), other._flat()
+        same = all(getattr(self, name) == getattr(other, name) for name in self._fields)
+        return same and np.array_equal(s1, s2) and np.array_equal(v1, v2)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{k}: {v!r}" for k, v in self.items())
+        extra = "".join(f", {name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({{{inner}}}{extra})"
+
+    def __getitem__(self, site: int):
+        return self._at(site).item()
+
+    def __contains__(self, site: int) -> bool:
+        return bool(self._at(site).any())
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._flat()[0].tolist())
+
+    def support(self) -> set[int]:
+        return set(self._flat()[0].tolist())
+
+    def items(self) -> list:
+        """(site, entry) pairs in ascending site order."""
+        sites, values = self._flat()
+        return list(zip(sites.tolist(), values.tolist()))
+
+
+class _Runs(_Sited):
     """Immutable sorted runs of complex entries on lattice sites.
 
     ``_lead`` is the shape of the entry at one site: ``()`` for an
@@ -212,17 +256,8 @@ class _Runs:
                 return arr[..., site - lo]
         return np.zeros(self._lead, np.complex128)
 
-    def __contains__(self, site: int) -> bool:
-        return bool(self._at(site).any())
-
     def __len__(self) -> int:
         return sum(int(np.count_nonzero(_occupied(arr))) for _, arr in self._runs)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._flat()[0].tolist())
-
-    def support(self) -> set[int]:
-        return set(self._flat()[0].tolist())
 
     def norm_sq(self) -> float:
         """Sum of squared moduli over all sites, summed exactly."""
@@ -257,24 +292,6 @@ class AmplitudeField(_Runs):
     def delta(cls, site: int, amplitude: complex = 1.0) -> "AmplitudeField":
         """Field concentrated on a single site."""
         return cls({site: amplitude})
-
-    def __getitem__(self, site: int) -> complex:
-        return complex(self._at(site))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AmplitudeField):
-            return NotImplemented
-        (s1, v1), (s2, v2) = self._flat(), other._flat()
-        return np.array_equal(s1, s2) and np.array_equal(v1, v2)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v!r}" for k, v in self.items())
-        return f"AmplitudeField({{{inner}}})"
-
-    def items(self) -> list[tuple[int, complex]]:
-        """(site, amplitude) pairs in ascending site order."""
-        sites, values = self._flat()
-        return list(zip(sites.tolist(), values.tolist()))
 
     def shifted(self, offset: int) -> "AmplitudeField":
         """Same amplitudes translated by ``offset`` sites."""
@@ -321,7 +338,7 @@ def _paired_field(pairs: _Runs, upper_offset: int) -> AmplitudeField:
     return AmplitudeField._from_runs(runs)
 
 
-class Distribution:
+class Distribution(_Sited):
     """Finitely supported positive masses on the integer lattice, iterated in site order.
 
     Stored as read-only arrays: ascending int64 sites and their float64 masses.
@@ -348,39 +365,18 @@ class Distribution:
         self._sites, self._masses = sites[keep], masses[keep]
         self._sites.flags.writeable = self._masses.flags.writeable = False
 
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
         """The read-only ascending sites and their masses."""
         return self._sites, self._masses
 
-    def __getitem__(self, site: int) -> float:
+    def _at(self, site: int) -> np.float64:
+        """The mass at ``site``, zero off the support; a non-integer site raises TypeError."""
         site = operator.index(site)
         i = np.searchsorted(self._sites, site)
-        return float(self._masses[i]) if self._sites[i : i + 1].tolist() == [site] else 0.0
-
-    def __contains__(self, site: int) -> bool:
-        return self[site] > 0.0
+        return self._masses[i] if self._sites[i : i + 1].tolist() == [site] else np.float64(0)
 
     def __len__(self) -> int:
         return self._sites.size
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._sites.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Distribution):
-            return NotImplemented
-        return self.items() == other.items()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v!r}" for k, v in self.items())
-        return f"Distribution({{{inner}}})"
-
-    def items(self) -> list[tuple[int, float]]:
-        """(site, mass) pairs in ascending site order."""
-        return list(zip(self._sites.tolist(), self._masses.tolist()))
-
-    def support(self) -> set[int]:
-        return set(self._sites.tolist())
 
     def total(self) -> float:
         """Total mass, summed exactly."""

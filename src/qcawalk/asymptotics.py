@@ -112,7 +112,7 @@ def rescaled_qca_sample(params: QcaParams, qubit, n: int) -> RescaledSample:
     """Rescale the paired-branch distribution after ``n`` steps by ``n``."""
     if n < 1:
         raise ValueError(f"step count must be at least 1, got {n}")
-    sites, masses = qca_distribution(0, "+", qubit, n, params)._arrays()
+    sites, masses = qca_distribution(0, "+", qubit, n, params)._flat()
     return RescaledSample(np.column_stack((sites / n, masses)), n)
 
 
@@ -134,7 +134,7 @@ def symmetry_defect(dist: Distribution, center: float) -> float:
     two_c = 2.0 * float(center)
     if not math.isfinite(two_c):
         raise ValueError(f"center {center!r} is not finite, or twice it overflows")
-    sites, masses = dist._arrays()
+    sites, masses = dist._flat()
     mirror = two_c - sites
     nearest = np.rint(mirror)
     # a site's partner is the site within 1e-9 of its mirror image, if any (all are int64)

@@ -68,12 +68,14 @@ class CoinMatrix:
 class WalkState(_Runs):
     """Finitely supported chirality 2-vectors on walk sites.
 
-    ``order`` records which chirality sits in the upper component.  The
+    ``order`` records which chirality sits in the upper component, and is
+    part of the value: it takes part in ``==`` and ``repr``.  The
     (upper, lower) pairs share the run layout of ``AmplitudeField``.
     """
 
     __slots__ = ("order",)
     _lead = (2,)
+    _fields = ("order",)
 
     def __init__(self, sites: Mapping[int, tuple[complex, complex]], order: str):
         if order not in _ORDERS:
@@ -97,10 +99,6 @@ class WalkState(_Runs):
         sites, (upper, lower) = self._flat()
         return list(zip(sites.tolist(), zip(upper.tolist(), lower.tolist())))
 
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}: {v!r}" for k, v in self.items())
-        return f"WalkState({{{inner}}}, order={self.order!r})"
-
 
 def _as_block(m) -> np.ndarray:
     arr = np.asarray(m, dtype=np.complex128)
@@ -111,14 +109,15 @@ def _as_block(m) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoinBlocks:
     """One walk step split into move blocks P, Q and stay block T.
 
     ``p_side`` fixes the recurrence orientation: the new vector at site k
     collects ``P @ old[k + p_side]`` (and ``Q`` from the opposite
     neighbour).  ``order`` is the chirality ordering the block entries are
-    written in.  The assembled step operator must be unitary.
+    written in.  The assembled step operator must be unitary.  Blocks
+    compare by identity, as an array has no single truth value.
     """
 
     P: np.ndarray
@@ -127,7 +126,7 @@ class CoinBlocks:
     p_side: int = 1
     order: str = L_UPPER
     # (2, 6): columns 2m, 2m + 1 hold the block that moves an entry by m - 1 sites
-    _stencil: np.ndarray = field(init=False, repr=False, compare=False)
+    _stencil: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.p_side not in (1, -1):

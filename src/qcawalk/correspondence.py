@@ -157,12 +157,13 @@ def verify_spectral(params: QcaParams, qubit, n: int) -> CorrespondenceReport:
     return CorrespondenceReport(amp_err, prob_err, n, "spectral")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoStepFactors:
     """Half-step move blocks whose two-step composition is one lattice step.
 
     ``coin(n) = P(n) + Q(n)`` is unitary for n = 1, 2, and the same two
     coins underlie both families (A splits them by rows, B by columns).
+    Factors compare by identity, as an array has no single truth value.
     """
 
     P1: np.ndarray

@@ -18,16 +18,7 @@ import threading
 import numpy as np
 
 from .amplitudes import AmplitudeField, Distribution, to_distribution
-from .params import (  # noqa: F401  (the tuple layer stays importable from here)
-    RESIDUAL_TOLERANCE,
-    AngleTriple,
-    QcaParams,
-    QcaTypeClass,
-    classify,
-    normalized_qubit,
-    params_from_angles,
-    unitarity_residuals,
-)
+from .params import QcaParams, QcaTypeClass, classify, normalized_qubit
 
 __all__ = [
     "qca_step",

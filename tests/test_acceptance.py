@@ -38,13 +38,8 @@ from qcawalk.correspondence import (
     verify_B_correspondence,
     verify_two_step,
 )
-from qcawalk.qca_core import (
-    AngleTriple,
-    QcaParams,
-    params_from_angles,
-    qca_step,
-    unitarity_residuals,
-)
+from qcawalk.params import AngleTriple, QcaParams, params_from_angles, unitarity_residuals
+from qcawalk.qca_core import qca_step
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PATEL_ANGLES = AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2)

@@ -24,7 +24,8 @@ from qcawalk.amplitudes import (
     to_distribution,
 )
 from qcawalk.coined_walks import L_UPPER, WalkState, generalized_blocks_from_qca, walk_step
-from qcawalk.qca_core import AngleTriple, evolve_eta, params_from_angles, qca_step
+from qcawalk.params import AngleTriple, params_from_angles
+from qcawalk.qca_core import evolve_eta, qca_step
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -370,10 +371,17 @@ def test_distribution_round_trips_through_its_items():
         assert list(dist) == sorted(dist.support())
 
 
+def test_value_protocol_is_written_once():
+    # a walk state's entries are pairs, so it reads its own items
+    for name in ("__eq__", "__repr__", "__contains__", "__iter__", "support", "items"):
+        classes = [AmplitudeField, Distribution] + ([WalkState] if name != "items" else [])
+        assert len({getattr(cls, name) for cls in classes}) == 1, name
+
+
 def test_distribution_arrays_are_read_only():
     field = AmplitudeField({0: 0.6, 5: 0.8j})
     for dist in (Distribution({1: 0.5, 0: 0.5}), to_distribution(field)):
-        sites, masses = dist._arrays()
+        sites, masses = dist._flat()
         assert sites.dtype == np.int64 and masses.dtype == np.float64
         for arr in (sites, masses):
             with pytest.raises(ValueError, match="read-only"):

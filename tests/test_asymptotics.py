@@ -18,7 +18,8 @@ from qcawalk.asymptotics import (
     rescaled_qca_sample,
     symmetry_defect,
 )
-from qcawalk.qca_core import RESIDUAL_TOLERANCE, AngleTriple, params_from_angles, qca_distribution
+from qcawalk.params import RESIDUAL_TOLERANCE, AngleTriple, params_from_angles
+from qcawalk.qca_core import qca_distribution
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PATEL = params_from_angles(AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2))

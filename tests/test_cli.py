@@ -413,6 +413,20 @@ def test_readme_examples_exit_zero(capsys, argv):
     assert out
 
 
+def test_readme_library_example_runs():
+    """The README's python block, run as written in a fresh interpreter."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    result = subprocess.run(
+        [sys.executable, "-c", block], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    kind, error, ks = result.stdout.splitlines()
+    assert kind == "TypeV"
+    assert float(error) < 1e-12
+    assert float(ks) < 0.08
+
+
 def dotted_rows(value, prefix=""):
     """The ``key,value`` rows of a JSON report: dotted keys, floats by repr."""
     if isinstance(value, dict):

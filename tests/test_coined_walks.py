@@ -17,7 +17,7 @@ from qcawalk.coined_walks import (
     walk_distribution,
     walk_step,
 )
-from qcawalk.qca_core import AngleTriple, QcaParams, normalized_qubit, params_from_angles
+from qcawalk.params import AngleTriple, QcaParams, normalized_qubit, params_from_angles
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PATEL = QcaParams(0.5j, 0.5, 0.5j, -0.5)
@@ -310,6 +310,17 @@ def test_walk_state_iterates_in_ascending_order():
     assert list(state) == [-3, 7]
     assert state.items() == [(-3, (0j, 0.8 + 0j)), (7, (0.6 + 0j, 0j))]
     assert repr(state) == "WalkState({-3: (0j, (0.8+0j)), 7: ((0.6+0j), 0j)}, order='R-upper')"
+
+
+def test_walk_states_compare_by_entries_and_order():
+    state = WalkState({0: (1, 0), 3: (0.6, 0.8j)}, L_UPPER)
+    assert state == WalkState({3: (0.6, 0.8j), 0: (1, 0)}, L_UPPER)
+    assert state != WalkState({0: (1, 0), 3: (0.6, 0.8)}, L_UPPER)
+    assert state != WalkState({0: (1, 0), 3: (0.6, 0.8j)}, R_UPPER)
+    blocks = generalized_blocks_from_qca(PATEL, "B")
+    assert walk_step(state, blocks) == walk_step(state, blocks)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(state)
 
 
 def test_walk_step_prunes_dust_it_produces():

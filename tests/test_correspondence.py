@@ -30,13 +30,8 @@ from qcawalk.correspondence import (
     verify_B_correspondence,
     verify_two_step,
 )
-from qcawalk.qca_core import (
-    AngleTriple,
-    QcaParams,
-    params_from_angles,
-    qca_step,
-    unitarity_residuals,
-)
+from qcawalk.params import AngleTriple, QcaParams, params_from_angles, unitarity_residuals
+from qcawalk.qca_core import qca_step
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PATEL_ANGLES = AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2)
@@ -391,3 +386,13 @@ def test_meyer_angles_always_yield_unitary_tuples():
         rho, theta = rng.uniform(0.0, 2.0 * math.pi, 2)
         params = params_from_angles(meyer_angles(rho, theta))
         assert max(unitarity_residuals(*params.astuple())) <= 1e-12
+
+
+def test_array_holding_parameter_objects_compare_by_identity():
+    for make in (
+        lambda: generalized_blocks_from_qca(PATEL, "B"),
+        lambda: two_step_factorize(PATEL_ANGLES, 0.3, 0.7, "A"),
+    ):
+        one, other = make(), make()
+        assert one == one and one != other
+        assert len({one, other}) == 2

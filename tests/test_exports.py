@@ -83,3 +83,27 @@ def test_every_private_module_name_is_used_in_the_package():
         if name.startswith("_") and not name.startswith("__") and name not in used
     ]
     assert unused == []
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    """Names bound by the module's import statements, at any depth; ``__future__`` excluded."""
+    return [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+
+
+def test_every_imported_name_is_used_in_its_module():
+    unused = []
+    for path in sorted(Path(qcawalk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [f"{path.name}: {name}" for name in _imported(tree) if name not in loaded]
+    assert unused == []

@@ -42,15 +42,8 @@ from qcawalk.amplitudes import (
 )
 from qcawalk.asymptotics import rescaled_qca_sample
 from qcawalk.coined_walks import L_UPPER, WalkState, generalized_blocks_from_qca, walk_step
-from qcawalk.qca_core import (
-    RESIDUAL_TOLERANCE,
-    AngleTriple,
-    QcaParams,
-    evolve_eta,
-    params_from_angles,
-    qca_distribution,
-    qca_step,
-)
+from qcawalk.params import RESIDUAL_TOLERANCE, AngleTriple, QcaParams, params_from_angles
+from qcawalk.qca_core import evolve_eta, qca_distribution, qca_step
 
 EPS = float(np.finfo(np.float64).eps)
 PATEL = QcaParams(0.5j, 0.5, 0.5j, -0.5)

@@ -21,16 +21,14 @@ from qcawalk.correspondence import (
     verify_A_correspondence,
     verify_B_correspondence,
 )
-from qcawalk.qca_core import (
+from qcawalk.params import (
     RESIDUAL_TOLERANCE,
     AngleTriple,
     QcaTypeClass,
     classify,
-    evolve_eta,
     params_from_angles,
-    qca_distribution,
-    qca_step,
 )
+from qcawalk.qca_core import evolve_eta, qca_distribution, qca_step
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 

@@ -11,19 +11,16 @@ from dense_reference import dense_qca_matrix, field_to_vector
 from qcawalk.amplitudes import _RUN_GAP, AmplitudeField, max_difference
 from qcawalk.coined_walks import CoinBlocks, CoinMatrix
 from qcawalk.correspondence import TwoStepFactors
-from qcawalk.qca_core import (
+from qcawalk.params import (
     AngleTriple,
     QcaParams,
     QcaTypeClass,
     classify,
-    evolve_eta,
     normalized_qubit,
-    _evolve,
     params_from_angles,
-    qca_distribution,
-    qca_step,
     unitarity_residuals,
 )
+from qcawalk.qca_core import evolve_eta, _evolve, qca_distribution, qca_step
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PATEL = QcaParams(0.5j, 0.5, 0.5j, -0.5)
