@@ -415,8 +415,7 @@ def to_distribution(field: AmplitudeField) -> Distribution:
 
 def max_difference(f: AmplitudeField, g: AmplitudeField) -> float:
     """Largest pointwise amplitude difference between two fields."""
-    _, (on_f, on_g), _ = _aligned(f, g)
-    return float(np.abs(on_f - on_g).max(initial=0.0))
+    return _mismatch(f, g)[0]
 
 
 def _mismatch(got: AmplitudeField, want: AmplitudeField) -> tuple[float, float]:

@@ -1,15 +1,9 @@
 """Machine checks of every lattice/walk equivalence the package claims.
 
-Site pairing conventions, pinned once:
-
-  * A-family: walk site k holds lattice sites (2k-1, 2k); 2k-1 is the
-    right chirality, 2k the left.  The matching branch combination starts
-    the second basis field one site to the LEFT of the first.
-  * B-family: walk site k holds lattice sites (2k, 2k+1); 2k is the left
-    chirality, 2k+1 the right.  The second basis field starts one site to
-    the RIGHT.
-  * Even half-step: 2x2 blocks on pairs (2k, 2k+1).  Odd half-step:
-    blocks on pairs (2k-1, 2k).  The full step is even-after-odd.
+Each walk family sits on the lattice through one offset, ``_UPPER_OFFSETS``;
+its blocks' ``order`` says which chirality is the upper component.  Even
+half-step: 2x2 blocks on pairs (2k, 2k+1).  Odd half-step: blocks on pairs
+(2k-1, 2k).  The full step is even-after-odd.
 """
 
 from __future__ import annotations
@@ -73,53 +67,35 @@ class CorrespondenceReport:
         return max(self.max_amplitude_error, self.max_probability_error)
 
 
-@dataclass(frozen=True)
-class _Pairing:
-    """How one walk family sits on the lattice.
-
-    Walk site k holds lattice sites 2k + ``upper_offset`` (upper component)
-    and the site after it (lower component).  The paired branch combination
-    starts at sites 0 and ``second_start``.
-    """
-
-    name: str
-    upper_offset: int
-    second_start: int
-
-
-_PAIRINGS = {
-    "A": _Pairing("A-type", upper_offset=-1, second_start=-1),
-    "B": _Pairing("B-type", upper_offset=0, second_start=1),
-}
+# walk site k holds lattice sites 2k + offset (upper component) and 2k + offset + 1
+_UPPER_OFFSETS = {"A": -1, "B": 0}
 
 
 def _verify_pairing(
     family: str, params: QcaParams, qubit, n_max: int
 ) -> CorrespondenceReport:
-    """Advance the walk and the paired lattice field in lockstep and compare.
+    """Advance the walk and the lattice field it occupies in lockstep and compare.
 
-    The walk starts from the state the pairing identities dictate at step
-    zero, and the lattice side from the qubit-weighted combination of the
-    two basis fields, which by linearity evolves as their combination.
+    Both start from the walker at the origin, the lattice side placed by
+    the same map that every later step is compared through.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    spec = _PAIRINGS[family]
-    alpha, beta = normalized_qubit(qubit)
+    offset = _UPPER_OFFSETS[family]
     blocks = generalized_blocks_from_qca(params, family)
-    eta = AmplitudeField({0: alpha, spec.second_start: beta})
-    walk = WalkState.origin((alpha, beta), blocks.order)
+    walk = WalkState.origin(qubit, blocks.order)
+    eta = _paired_field(walk, offset)
 
     amp_err = 0.0
     prob_err = 0.0
     for n in range(n_max + 1):
-        step_amp, step_prob = _mismatch(_paired_field(walk, spec.upper_offset), eta)
+        step_amp, step_prob = _mismatch(_paired_field(walk, offset), eta)
         amp_err = max(amp_err, step_amp)
         prob_err = max(prob_err, step_prob)
         if n < n_max:
             eta = qca_step(eta, params)
             walk = walk_step(walk, blocks)
-    return CorrespondenceReport(amp_err, prob_err, n_max, spec.name)
+    return CorrespondenceReport(amp_err, prob_err, n_max, f"{family}-type")
 
 
 def verify_A_correspondence(

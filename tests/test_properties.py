@@ -15,6 +15,14 @@ from qcawalk.amplitudes import (
     superpose,
     to_distribution,
 )
+from qcawalk.coined_walks import (
+    CoinMatrix,
+    WalkState,
+    generalized_blocks_from_qca,
+    plain_blocks,
+    walk_distribution,
+    walk_step,
+)
 from qcawalk.correspondence import (
     PatelParams,
     patel_factorize,
@@ -43,9 +51,10 @@ qubits = st.builds(
 steps = st.integers(0, 64)
 sites = st.integers(-40, 40)
 signs = st.sampled_from(["+", "-"])
+amplitudes = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 fields = st.dictionaries(
     st.integers(-30, 30),
-    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    amplitudes,
     min_size=1,
     max_size=12,
 ).map(AmplitudeField).filter(lambda f: f.norm_sq() > 1e-6)
@@ -91,6 +100,74 @@ def test_step_conserves_norm(p, field, n):
 def test_walk_pairings_hold(p, qubit, n):
     assert verify_A_correspondence(p, qubit, n).max_error() <= 1e-12
     assert verify_B_correspondence(p, qubit, n).max_error() <= 1e-12
+
+
+# The second branch sits where each family puts the lower component of site 0:
+# A's walk site k holds lattice sites (2k - 1, 2k), B's (2k, 2k + 1).
+PLACEMENTS = {"A": ("-", -1), "B": ("+", 0)}
+families = st.sampled_from(sorted(PLACEMENTS))
+
+
+@PROPERTY_SETTINGS
+@given(params, st.one_of(st.sampled_from([(1, 0), (0, 1)]), qubits), st.integers(0, 24), families)
+def test_walk_starts_where_its_lattice_branch_combination_starts(p, qubit, n, family):
+    sign, offset = PLACEMENTS[family]
+    blocks = generalized_blocks_from_qca(p, family)
+    walk = WalkState.origin(qubit, blocks.order)
+    for _ in range(n):
+        walk = walk_step(walk, blocks)
+    lattice = qca_distribution(0, sign, qubit, n, p)
+    masses = walk_distribution(walk)
+    for k in masses.support() | {(j - offset) // 2 for j in lattice.support()}:
+        paired = lattice[2 * k + offset] + lattice[2 * k + offset + 1]
+        assert abs(masses[k] - paired) <= 1e-12
+
+
+def unitary_coin(t, a, b, g):
+    """The coin e^{ig} [[e^{ia} cos t, e^{ib} sin t], [-e^{-ib} sin t, e^{-ia} cos t]]."""
+    c, s = math.cos(t), math.sin(t)
+    rows = (cmath.exp(1j * a) * c, cmath.exp(1j * b) * s, -cmath.exp(-1j * b) * s, cmath.exp(-1j * a) * c)
+    return CoinMatrix(*(cmath.exp(1j * g) * z for z in rows))
+
+
+walk_blocks = st.one_of(
+    st.builds(generalized_blocks_from_qca, params, families),
+    st.builds(plain_blocks, st.builds(unitary_coin, angle, angle, angle, angle), families),
+)
+walk_sites = st.dictionaries(
+    st.integers(-30, 30), st.tuples(amplitudes, amplitudes), min_size=1, max_size=12
+)
+
+
+def walk_gap(u, v):
+    """Largest entry of ``u - v`` over both walk states' sites."""
+    sites = u.support() | v.support()
+    return max((abs(x - y) for k in sites for x, y in zip(u[k], v[k])), default=0.0)
+
+
+def combined(z, s, t):
+    """The walk state ``z*s + t``."""
+    sites = s.support() | t.support()
+    return WalkState({k: tuple(z * x + y for x, y in zip(s[k], t[k])) for k in sites}, s.order)
+
+
+def shifted(s):
+    return WalkState({k + 1: pair for k, pair in s.items()}, s.order)
+
+
+@PROPERTY_SETTINGS
+@given(walk_blocks, walk_sites, walk_sites, st.complex_numbers(max_magnitude=1.0))
+def test_walk_step_is_linear(blocks, s, t, z):
+    s, t = WalkState(s, blocks.order), WalkState(t, blocks.order)
+    want = combined(z, walk_step(s, blocks), walk_step(t, blocks))
+    assert walk_gap(walk_step(combined(z, s, t), blocks), want) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(walk_blocks, walk_sites)
+def test_walk_step_commutes_with_a_one_site_shift(blocks, s):
+    s = WalkState(s, blocks.order)
+    assert walk_gap(walk_step(shifted(s), blocks), shifted(walk_step(s, blocks))) <= 1e-12
 
 
 # Angles within 10^-k of a multiple of pi/2, where coefficients fall under the

@@ -299,28 +299,34 @@ def test_translating_sites_split_into_runs_and_keep_the_step_cost_flat(monkeypat
 
         return stepped(field, kernel_call, **attrs)
 
-    def run(params):
-        field = AmplitudeField({0: 0.6, 1: 0.8j})
-        start = time.perf_counter()
-        for _ in range(3000):
+    def evolve(field, params, n):
+        for _ in range(n):
             field = qca_step(field, params)
-        return time.perf_counter() - start, field
+        return field
 
+    start = AmplitudeField({0: 0.6, 1: 0.8j})
     # the cost is flat because each step is one kernel call on a narrow array
     with monkeypatch.context() as patched:
         patched.setattr(AmplitudeField, "_stepped", counted)
-        _, field = run(trivial_d)
+        field = evolve(start, trivial_d, 3000)
     assert field.items() == [(-6000, 0.6 + 0j), (6001, 0.8j)]
     assert sum(arr.size for _, arr in field._runs) <= 2 * (_RUN_GAP + 1)
     assert len(widths) == 3000
     assert max(widths) <= 2 * (_RUN_GAP + 1)
-    # and so it times within 1.5x of Trivial-A: best of 5, interleaved
+    # and so it times within 1.5x of Trivial-A: in each of 5 rounds both run
+    # 3000 steps in alternating 300-step chunks, and each chunk keeps its best
+    # round, so a slow spell of the machine costs one chunk one round
     best = {}
     for _ in range(5):
-        for params in (trivial_a, trivial_d):
-            elapsed, _ = run(params)
-            best[params] = min(best.get(params, elapsed), elapsed)
-    assert best[trivial_d] <= 1.5 * best[trivial_a]
+        fields = dict.fromkeys((trivial_a, trivial_d), start)
+        for chunk in range(10):
+            for params in fields:
+                began = time.perf_counter()
+                fields[params] = evolve(fields[params], params, 300)
+                elapsed = time.perf_counter() - began
+                best[params, chunk] = min(best.get((params, chunk), elapsed), elapsed)
+    total = {params: sum(best[params, chunk] for chunk in range(10)) for params in fields}
+    assert total[trivial_d] <= 1.5 * total[trivial_a]
 
 
 def test_wide_support_step_allocates_nothing_across_the_gap():
