@@ -3,7 +3,8 @@
 All numbers are printed in shortest round-trip form, output is byte-stable
 for a fixed invocation, and the wall-clock diagnostic goes to stderr so
 stdout stays deterministic.  Only the coefficient layer is imported here;
-each command imports the engine it runs, so ``classify`` loads no numpy.
+the parser names each command's engine once, and ``main`` loads it before
+the clock and hands it to the command, so ``classify`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from .params import (
     _reduced_phase,
     classify,
     params_from_angles,
-    unitarity_residuals,
 )
 
 if TYPE_CHECKING:
+    from types import ModuleType
+
     from .amplitudes import Distribution
     from .correspondence import CorrespondenceReport
 
@@ -205,23 +207,19 @@ def _resolve_run(
     return params, qubit, payload
 
 
-def _run_evolution(args) -> _Run:
+def _run_evolution(args, engine: ModuleType) -> _Run:
     """A --kind that evolves one start state two ways and compares the results."""
-    from .correspondence import verify_A_correspondence, verify_B_correspondence, verify_spectral
-
     checks = {
-        "A": verify_A_correspondence,
-        "B": verify_B_correspondence,
-        "spectral": verify_spectral,
+        "A": engine.verify_A_correspondence,
+        "B": engine.verify_B_correspondence,
+        "spectral": engine.verify_spectral,
     }
     params, qubit, payload = _resolve_run(args)
     report = checks[args.kind](params, qubit, args.steps)
     return report, {**payload, "steps": args.steps}, None, None
 
 
-def _run_two_step(args) -> _Run:
-    from .correspondence import two_step_factorize, verify_two_step
-
+def _run_two_step(args, engine: ModuleType) -> _Run:
     _, angles = _resolve_params(args)
     if angles is None:
         raise UsageError("two-step factorization needs --theta/--phi/--delta, not --params")
@@ -231,8 +229,8 @@ def _run_two_step(args) -> _Run:
         "theta2": _reduced_phase("theta2", args.theta2),
         "family": args.family,
     }
-    factors = two_step_factorize(angles, args.theta1, args.theta2, args.family)
-    report = verify_two_step(angles, args.theta1, args.theta2, args.family)
+    factors = engine.two_step_factorize(angles, args.theta1, args.theta2, args.family)
+    report = engine.verify_two_step(angles, args.theta1, args.theta2, args.family)
     result = {
         "P1": _cmatrix(factors.P1),
         "Q1": _cmatrix(factors.Q1),
@@ -244,14 +242,12 @@ def _run_two_step(args) -> _Run:
     return report, payload, result, {"max_product_error": report.max_amplitude_error}
 
 
-def _run_patel(args) -> _Run:
-    from .correspondence import PatelParams, patel_coin, patel_factorize
-
-    pp = PatelParams(args.phi1, args.phi2)
-    extracted, report = patel_factorize(pp)
+def _run_patel(args, engine: ModuleType) -> _Run:
+    pp = engine.PatelParams(args.phi1, args.phi2)
+    extracted, report = engine.patel_factorize(pp)
     result = {
-        "U_even": _cmatrix(patel_coin(pp.phi1)),
-        "U_odd": _cmatrix(patel_coin(pp.phi2)),
+        "U_even": _cmatrix(engine.patel_coin(pp.phi1)),
+        "U_odd": _cmatrix(engine.patel_coin(pp.phi2)),
         "extracted": _params_payload(extracted, None),
         "type": classify(extracted).value,
     }
@@ -281,11 +277,11 @@ def _kind_flags(args) -> None:
             raise UsageError(f"--{dest} is not read by --kind {args.kind}")
 
 
-def _cmd_classify(args) -> tuple[int, dict, dict, dict]:
+def _cmd_classify(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
     params, angles = _resolve_params(args)
     names = ("norm", "cross", "shift2", "pair_ab", "pair_cd")
-    residuals = dict(zip(names, unitarity_residuals(*params.astuple())))
-    return 0, _params_payload(params, angles), {"type": classify(params).value}, residuals
+    residuals = dict(zip(names, engine.unitarity_residuals(*params.astuple())))
+    return 0, _params_payload(params, angles), {"type": engine.classify(params).value}, residuals
 
 
 def _distribution_report(payload: dict, dist: Distribution) -> tuple[int, dict, dict, dict]:
@@ -297,31 +293,27 @@ def _distribution_report(payload: dict, dist: Distribution) -> tuple[int, dict, 
     )
 
 
-def _cmd_simulate_qca(args) -> tuple[int, dict, dict, dict]:
-    from .qca_core import qca_distribution
-
+def _cmd_simulate_qca(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
     params, qubit, payload = _resolve_run(args)
-    dist = qca_distribution(0, args.sign, qubit, args.steps, params)
+    dist = engine.qca_distribution(0, args.sign, qubit, args.steps, params)
     return _distribution_report({**payload, "sign": args.sign, "steps": args.steps}, dist)
 
 
-def _cmd_simulate_qw(args) -> tuple[int, dict, dict, dict]:
-    from .coined_walks import WalkState, generalized_blocks_from_qca, walk_distribution, walk_step
-
+def _cmd_simulate_qw(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
     params, qubit, payload = _resolve_run(args)
     if args.steps < 0:
         raise UsageError(f"--steps must be nonnegative, got {args.steps}")
-    blocks = generalized_blocks_from_qca(params, args.family)
-    state = WalkState.origin(qubit, blocks.order)
+    blocks = engine.generalized_blocks_from_qca(params, args.family)
+    state = engine.WalkState.origin(qubit, blocks.order)
     for _ in range(args.steps):
-        state = walk_step(state, blocks)
-    dist = walk_distribution(state)
+        state = engine.walk_step(state, blocks)
+    dist = engine.walk_distribution(state)
     return _distribution_report({**payload, "family": args.family, "steps": args.steps}, dist)
 
 
-def _cmd_verify(args) -> tuple[int, dict, dict, dict]:
+def _cmd_verify(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
     _kind_flags(args)
-    report, payload, factors, _ = _KINDS[args.kind][0](args)
+    report, payload, factors, _ = _KINDS[args.kind][0](args, engine)
     if args.kind == "patel":
         payload["extracted"] = factors["extracted"]
     passed = report.max_error() <= RESIDUAL_TOLERANCE
@@ -336,19 +328,17 @@ def _cmd_verify(args) -> tuple[int, dict, dict, dict]:
     return (0 if passed else 1), {"kind": args.kind, **payload}, result, residuals
 
 
-def _cmd_factorize(args) -> tuple[int, dict, dict, dict]:
+def _cmd_factorize(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
     _kind_flags(args)
-    _, payload, result, residuals = _KINDS[args.kind][0](args)
+    _, payload, result, residuals = _KINDS[args.kind][0](args, engine)
     return 0, {"kind": args.kind, **payload}, result, residuals
 
 
-def _cmd_limit_compare(args) -> tuple[int, dict, dict, dict]:
-    from .asymptotics import kolmogorov_distance, rescaled_qca_sample
-
+def _cmd_limit_compare(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise UsageError(f"--tolerance must be finite and nonnegative, got {args.tolerance!r}")
     params, qubit, payload = _resolve_run(args, default=_REFERENCE_ANGLES)
-    distance = kolmogorov_distance(rescaled_qca_sample(params, qubit, args.steps))
+    distance = engine.kolmogorov_distance(engine.rescaled_qca_sample(params, qubit, args.steps))
     passed = distance <= args.tolerance
     result = {
         "steps": args.steps,
@@ -453,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an equivalence check; nonzero exit on failure")
     p.add_argument(
-        "--kind", choices=("A", "B", "spectral", "two-step", "patel"), default="A",
+        "--kind", choices=tuple(_KINDS), default="A",
         help="which identity to verify (default: A)",
     )
     _add_param_flags(p)
@@ -497,11 +487,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    # the engine module loads before the clock starts: duration_ms times the command only
-    import_module(f"{__package__}.{args.engine}")
+    # the parser's engine= is the only name of a command's engine: it loads here,
+    # before the clock starts, so duration_ms times the command only
+    engine = import_module(f"{__package__}.{args.engine}")
     started = time.perf_counter()
     try:
-        code, params, result, residuals = args.handler(args)
+        code, params, result, residuals = args.handler(args, engine)
     except (UsageError, ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -77,7 +77,8 @@ def _verify_pairing(
     """Advance the walk and the lattice field it occupies in lockstep and compare.
 
     Both start from the walker at the origin, the lattice side placed by
-    the same map that every later step is compared through.
+    the same map that each step's results are compared through, so the
+    comparison runs after every step (the start agrees by construction).
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
@@ -88,13 +89,12 @@ def _verify_pairing(
 
     amp_err = 0.0
     prob_err = 0.0
-    for n in range(n_max + 1):
+    for _ in range(n_max):
+        eta = qca_step(eta, params)
+        walk = walk_step(walk, blocks)
         step_amp, step_prob = _mismatch(_paired_field(walk, offset), eta)
         amp_err = max(amp_err, step_amp)
         prob_err = max(prob_err, step_prob)
-        if n < n_max:
-            eta = qca_step(eta, params)
-            walk = walk_step(walk, blocks)
     return CorrespondenceReport(amp_err, prob_err, n_max, f"{family}-type")
 
 

@@ -390,6 +390,38 @@ def test_classify_usage_errors_and_import_load_no_numpy(argv, code):
     assert heavy == []
 
 
+@pytest.mark.parametrize(
+    "argv,code,modules",
+    [
+        (["classify", *REFERENCE], 0, set()),
+        (["classify", "--theta", "1"], 2, set()),
+        (["simulate-qca", *REFERENCE, "--steps", "2"], 0, {"amplitudes", "qca_core"}),
+        (["simulate-qw", *REFERENCE, "--steps", "2"], 0, {"amplitudes", "coined_walks"}),
+        (["verify", *REFERENCE, "--steps", "2"], 0, set(ENGINES) - {"asymptotics"}),
+        (["factorize", "--kind", "patel"], 0, set(ENGINES) - {"asymptotics"}),
+        (["limit-compare", "--steps", "20", "--tolerance", "1"], 0,
+         {"amplitudes", "asymptotics", "qca_core"}),
+    ],
+    ids=["classify", "usage-error", "simulate-qca", "simulate-qw", "verify", "factorize",
+         "limit-compare"],
+)
+def test_each_command_loads_only_its_engine(argv, code, modules):
+    # sys.modules, not -X importtime: importtime prints no line for a module
+    # that importlib.import_module loads
+    probe = (
+        "import sys, qcawalk.cli\n"
+        "code = qcawalk.cli.main(sys.argv[1:])\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qcawalk.'))))\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == code, result.stderr
+    loaded = set(result.stdout.splitlines()[-1].split())
+    assert loaded == {f"qcawalk.{name}" for name in {"cli", "params", *modules}}
+
+
 def readme_commands():
     """Every ``qcawalk ...`` line of README's sh blocks, continuations joined."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
