@@ -130,16 +130,22 @@ def kolmogorov_distance(sample: RescaledSample) -> float:
 
 
 def symmetry_defect(dist: Distribution, center: float) -> float:
-    """Largest mass mismatch between sites mirrored through ``center``."""
+    """Largest mass mismatch between sites mirrored through ``center``.
+
+    When twice ``center`` lies within 1e-9 of an integer k, site s pairs with
+    the site k - s, taken exactly; a partner outside int64 is no partner.
+    """
     two_c = 2.0 * float(center)
     if not math.isfinite(two_c):
         raise ValueError(f"center {center!r} is not finite, or twice it overflows")
     sites, masses = dist._flat()
-    mirror = two_c - sites
-    nearest = np.rint(mirror)
-    # a site's partner is the site within 1e-9 of its mirror image, if any (all are int64)
-    near = (np.abs(mirror - nearest) < 1e-9) & (np.abs(nearest) < 2.0**63)
-    target = np.where(near, nearest, 0.0).astype(np.int64)
+    k = round(two_c)
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    if abs(two_c - k) >= 1e-9 or not 2 * low <= k <= 2 * high:
+        return float(masses.max(initial=0.0))  # no site has a partner
+    # the sites whose partner k - s is an int64, and k - s modulo 2**64 (exact on them)
+    paired = (sites >= max(k - high, low)) & (sites <= min(k - low, high))
+    target = (np.uint64(k % 2**64) - sites.view(np.uint64)).view(np.int64)
     at = np.minimum(np.searchsorted(sites, target), sites.size - 1)
-    partner = np.where(near & (sites[at] == target), masses[at], 0.0)
+    partner = np.where(paired & (sites[at] == target), masses[at], 0.0)
     return float(np.abs(masses - partner).max(initial=0.0))

@@ -33,27 +33,13 @@ if TYPE_CHECKING:
     from .amplitudes import Distribution
     from .correspondence import CorrespondenceReport
 
-    # A --kind runner computes its identity once: the report verify reads, the params
-    # payload, and the factors and residuals factorize prints (None for A and B).
-    _Run = tuple[CorrespondenceReport, dict, dict | None, dict | None]
+    # A --kind runner computes its identity once: the report, the params payload,
+    # and the factors factorize prints (None for the kinds that evolve a state).
+    _Run = tuple[CorrespondenceReport, dict, dict | None]
 
 # limit-compare's default: the point where the closed-form limit law holds
 _REFERENCE_ANGLES = AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2)
 _SYMMETRIC_QUBIT = (0.7071067811865476, 0.7071067811865476)
-
-# verify and factorize flags that only some --kind values read.  The parser
-# leaves them None, so a flag given to a kind that ignores it is told apart
-# from an unset one; the kinds that read them fall back to these values.
-_PARAM_FLAGS = ("theta", "phi", "delta", "params")
-_KIND_DEFAULTS = {
-    "qubit": _SYMMETRIC_QUBIT,
-    "steps": 50,
-    "family": "A",
-    "theta1": 0.0,
-    "theta2": 0.0,
-    "phi1": math.pi / 4,
-    "phi2": math.pi / 4,
-}
 
 _DECIMAL = r"(?:\d+(?:\.\d*)?|\.\d+)"
 _PI_BODY = rf"(?P<coef>{_DECIMAL})?\s*\*?\s*pi(?:\s*/\s*(?P<den>{_DECIMAL}))?"
@@ -76,10 +62,6 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
-
-
-class UsageError(Exception):
-    """Invalid configuration; maps to exit status 2."""
 
 
 def parse_angle(text: str) -> float:
@@ -154,7 +136,7 @@ def _resolve_params(
     has_angles = any(v is not None for v in angle_flags)
     has_raw = args.params is not None
     if has_angles and has_raw:
-        raise UsageError("give either --theta/--phi/--delta or --params, not both")
+        raise ValueError("give either --theta/--phi/--delta or --params, not both")
     if has_raw:
         v = args.params
         params = QcaParams(
@@ -164,12 +146,12 @@ def _resolve_params(
         return params, None
     if has_angles:
         if not all(v is not None for v in angle_flags):
-            raise UsageError("--theta, --phi and --delta must be given together")
+            raise ValueError("--theta, --phi and --delta must be given together")
         angles = AngleTriple(args.theta, args.phi, args.delta)
         return params_from_angles(angles), angles
     if default is not None:
         return params_from_angles(default), default
-    raise UsageError("parameters required: --theta/--phi/--delta or --params")
+    raise ValueError("parameters required: --theta/--phi/--delta or --params")
 
 
 def _angles_payload(angles: AngleTriple) -> dict:
@@ -199,7 +181,7 @@ def _resolve_run(
     elif len(values) == 4:
         qubit = complex(values[0], values[1]), complex(values[2], values[3])
     else:
-        raise UsageError("--qubit takes 2 real values or 4 re/im values")
+        raise ValueError("--qubit takes 2 real values or 4 re/im values")
     payload = {
         **_params_payload(params, angles),
         "qubit": {"alpha": _cnum(qubit[0]), "beta": _cnum(qubit[1])},
@@ -216,13 +198,13 @@ def _run_evolution(args, engine: ModuleType) -> _Run:
     }
     params, qubit, payload = _resolve_run(args)
     report = checks[args.kind](params, qubit, args.steps)
-    return report, {**payload, "steps": args.steps}, None, None
+    return report, {**payload, "steps": args.steps}, None
 
 
 def _run_two_step(args, engine: ModuleType) -> _Run:
     _, angles = _resolve_params(args)
     if angles is None:
-        raise UsageError("two-step factorization needs --theta/--phi/--delta, not --params")
+        raise ValueError("two-step factorization needs --theta/--phi/--delta, not --params")
     payload = {
         "angles": _angles_payload(angles),
         "theta1": _reduced_phase("theta1", args.theta1),
@@ -239,7 +221,7 @@ def _run_two_step(args, engine: ModuleType) -> _Run:
         "U1": _cmatrix(factors.coin(1)),
         "U2": _cmatrix(factors.coin(2)),
     }
-    return report, payload, result, {"max_product_error": report.max_amplitude_error}
+    return report, payload, result
 
 
 def _run_patel(args, engine: ModuleType) -> _Run:
@@ -252,29 +234,34 @@ def _run_patel(args, engine: ModuleType) -> _Run:
         "type": classify(extracted).value,
     }
     payload = {"phi1": pp.phi1, "phi2": pp.phi2}
-    return report, payload, result, {"max_error": report.max_amplitude_error}
+    return report, payload, result
 
 
-# Each --kind of verify and factorize: its runner and the flags it reads.
+# Each --kind of verify and factorize: its runner and the flags it reads, each with
+# its value when unset.  The parser leaves these flags None, so a flag given to a
+# kind that ignores it is told apart from an unset one.
+_ANGLES_OR_TUPLE = dict.fromkeys(("theta", "phi", "delta", "params"))
+_EVOLUTION = (_run_evolution, {**_ANGLES_OR_TUPLE, "qubit": _SYMMETRIC_QUBIT, "steps": 50})
 _KINDS = {
-    "A": (_run_evolution, (*_PARAM_FLAGS, "qubit", "steps")),
-    "B": (_run_evolution, (*_PARAM_FLAGS, "qubit", "steps")),
-    "spectral": (_run_evolution, (*_PARAM_FLAGS, "qubit", "steps")),
-    "two-step": (_run_two_step, (*_PARAM_FLAGS, "family", "theta1", "theta2")),
-    "patel": (_run_patel, ("phi1", "phi2")),
+    "A": _EVOLUTION,
+    "B": _EVOLUTION,
+    "spectral": _EVOLUTION,
+    "two-step": (_run_two_step, {**_ANGLES_OR_TUPLE, "family": "A", "theta1": 0.0,
+                                 "theta2": 0.0}),
+    "patel": (_run_patel, {"phi1": math.pi / 4, "phi2": math.pi / 4}),
 }
 
 
-def _kind_flags(args) -> None:
-    """Reject a flag that ``--kind`` does not read; default the unset ones."""
-    reads = _KINDS[args.kind][1]
-    for dest in (*_PARAM_FLAGS, *_KIND_DEFAULTS):
-        if not hasattr(args, dest):
-            continue
-        if getattr(args, dest) is None:
-            setattr(args, dest, _KIND_DEFAULTS.get(dest))
-        elif dest not in reads:
-            raise UsageError(f"--{dest} is not read by --kind {args.kind}")
+def _run_kind(args, engine: ModuleType) -> _Run:
+    """Reject the first flag, in parser order, that ``--kind`` does not read; run it."""
+    run, reads = _KINDS[args.kind]
+    kind_flags = {dest for _, row in _KINDS.values() for dest in row}
+    for dest, value in list(vars(args).items()):
+        if value is None and dest in reads:
+            setattr(args, dest, reads[dest])
+        elif value is not None and dest not in reads and dest in kind_flags:
+            raise ValueError(f"--{dest} is not read by --kind {args.kind}")
+    return run(args, engine)
 
 
 def _cmd_classify(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
@@ -302,7 +289,7 @@ def _cmd_simulate_qca(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
 def _cmd_simulate_qw(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
     params, qubit, payload = _resolve_run(args)
     if args.steps < 0:
-        raise UsageError(f"--steps must be nonnegative, got {args.steps}")
+        raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     blocks = engine.generalized_blocks_from_qca(params, args.family)
     state = engine.WalkState.origin(qubit, blocks.order)
     for _ in range(args.steps):
@@ -312,8 +299,7 @@ def _cmd_simulate_qw(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_verify(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
-    _kind_flags(args)
-    report, payload, factors, _ = _KINDS[args.kind][0](args, engine)
+    report, payload, factors = _run_kind(args, engine)
     if args.kind == "patel":
         payload["extracted"] = factors["extracted"]
     passed = report.max_error() <= RESIDUAL_TOLERANCE
@@ -329,14 +315,13 @@ def _cmd_verify(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_factorize(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
-    _kind_flags(args)
-    _, payload, result, residuals = _KINDS[args.kind][0](args, engine)
-    return 0, {"kind": args.kind, **payload}, result, residuals
+    report, payload, result = _run_kind(args, engine)
+    return 0, {"kind": args.kind, **payload}, result, {"max_error": report.max_error()}
 
 
 def _cmd_limit_compare(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
-        raise UsageError(f"--tolerance must be finite and nonnegative, got {args.tolerance!r}")
+        raise ValueError(f"--tolerance must be finite and nonnegative, got {args.tolerance!r}")
     params, qubit, payload = _resolve_run(args, default=_REFERENCE_ANGLES)
     distance = engine.kolmogorov_distance(engine.rescaled_qca_sample(params, qubit, args.steps))
     passed = distance <= args.tolerance
@@ -371,7 +356,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_factor_flags(parser: argparse.ArgumentParser) -> None:
-    # defaults are None here and filled in per kind from _KIND_DEFAULTS
+    # defaults are None here and filled in per kind from its _KINDS row
     parser.add_argument(
         "--family", choices=("A", "B"), default=None,
         help="family for two-step factors (default: A)",
@@ -493,7 +478,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         code, params, result, residuals = args.handler(args, engine)
-    except (UsageError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     report = {

@@ -411,15 +411,24 @@ def test_defect_rejects_non_finite_center(center):
         symmetry_defect(dist, center)
 
 
+def test_defect_pairs_sites_exactly_past_two_to_the_53():
+    # 0.5 - 2**53 is not a site, so neither site has a partner
+    assert symmetry_defect(Distribution({2**53: 0.5, -(2**53): 0.5}), 0.25) == 0.5
+    assert symmetry_defect(Distribution({2**60: 0.5, 1 - 2**60: 0.5}), 0.5) == 0.0
+    assert symmetry_defect(Distribution({2**62 - 1: 0.5, 2**62 + 1: 0.5}), 2.0**62) == 0.0
+
+
 def loop_defect(dist, center):
-    """The mirror mismatch by a loop over the sites: the oracle of the array form."""
+    """The mirror mismatch by a loop over the sites: the oracle of the array form.
+
+    Site s pairs with k - s in Python integers, k the integer nearest 2 * center.
+    """
     two_c = 2.0 * float(center)
+    k = round(two_c)
     masses = dict(dist.items())
     worst = 0.0
-    for k, m in masses.items():
-        mirror = two_c - k
-        nearest = round(mirror)
-        partner = masses.get(int(nearest), 0.0) if abs(mirror - nearest) < 1e-9 else 0.0
+    for s, m in masses.items():
+        partner = masses.get(k - s, 0.0) if abs(two_c - k) < 1e-9 else 0.0
         worst = max(worst, abs(m - partner))
     return worst
 
@@ -427,7 +436,7 @@ def loop_defect(dist, center):
 def random_distributions(rng, count):
     """Distributions on a few sites near ``offset``, half of them mirror-symmetric about it."""
     for i in range(count):
-        offset = int(rng.choice([0, 3, -8, 2**60]))
+        offset = int(rng.choice([0, 3, -8, 2**60, 2**62, -(2**62)]))
         mirror = 2 * offset + int(rng.integers(-3, 4))
         size = int(rng.integers(1, 10))
         sites = offset + rng.choice(np.arange(-12, 13), size=size, replace=False)

@@ -160,7 +160,7 @@ def test_factorize_two_step_reports_unitary_coins():
     payload = json.loads(result.stdout)
     u1 = payload["result"]["U1"]
     assert abs(u1["r0c0"]["im"] - 1 / math.sqrt(2)) <= 1e-12
-    assert payload["residuals"]["max_product_error"] <= 1e-12
+    assert payload["residuals"]["max_error"] <= 1e-12
 
 
 def test_help_lists_all_commands():
@@ -271,6 +271,84 @@ def test_invalid_inputs_exit_two(capsys, args):
     assert err.startswith("error:")
 
 
+# Each verify/factorize kind flag: a value to give it, and its echo in params when unset
+# (the parameter flags have none: a kind that reads them needs them given).
+KIND_FLAGS = {
+    "theta": (("1",), None),
+    "phi": (("1",), None),
+    "delta": (("1",), None),
+    "params": (RAW_IDENTITY, None),
+    "qubit": (("1", "0"), {"alpha": {"re": 0.7071067811865476, "im": 0.0},
+                           "beta": {"re": 0.7071067811865476, "im": 0.0}}),
+    "steps": (("5",), 50),
+    "family": (("B",), "A"),
+    "theta1": (("0.3",), 0.0),
+    "theta2": (("0.3",), 0.0),
+    "phi1": (("0.3",), math.pi / 4),
+    "phi2": (("0.3",), math.pi / 4),
+}
+EVOLUTION_READS = {"theta", "phi", "delta", "params", "qubit", "steps"}
+TWO_STEP_READS = {"theta", "phi", "delta", "params", "family", "theta1", "theta2"}
+KIND_READS = {
+    ("verify", "A"): EVOLUTION_READS,
+    ("verify", "B"): EVOLUTION_READS,
+    ("verify", "spectral"): EVOLUTION_READS,
+    ("verify", "two-step"): TWO_STEP_READS,
+    ("verify", "patel"): {"phi1", "phi2"},
+    ("factorize", "two-step"): TWO_STEP_READS,
+    ("factorize", "patel"): {"phi1", "phi2"},
+}
+
+
+@pytest.mark.parametrize(
+    "command,kind,flag",
+    [
+        (command, kind, flag)
+        for command, kind in KIND_READS
+        for flag in KIND_FLAGS
+        # factorize has no --qubit and no --steps
+        if command == "verify" or flag not in ("qubit", "steps")
+    ],
+)
+def test_kind_reads_its_flags_and_rejects_the_rest(capsys, command, kind, flag):
+    reads = KIND_READS[command, kind]
+    # the parameters a kind needs, given by flags it reads
+    base = (command, "--kind", kind, *(REFERENCE if "theta" in reads else ()))
+    value, unset = KIND_FLAGS[flag]
+    if flag not in reads:
+        code, out, err = run_inprocess(capsys, *base, f"--{flag}", *value)
+        assert (code, out) == (2, "")
+        assert err == f"error: --{flag} is not read by --kind {kind}\n"
+    elif unset is None:
+        code, out, err = run_inprocess(capsys, command, "--kind", kind)
+        assert (code, out) == (2, "")
+        assert err == "error: parameters required: --theta/--phi/--delta or --params\n"
+    else:
+        code, out, err = run_inprocess(capsys, *base, "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["params"][flag] == unset
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--kind", "two-step", *REFERENCE),
+        ("--kind", "two-step", "--theta", "1", "--phi", "0.4", "--delta", "2",
+         "--family", "B", "--theta1", "0.3", "--theta2", "-1.1"),
+        ("--kind", "patel"),
+        ("--kind", "patel", "--phi1", "0.3", "--phi2", "1.2"),
+    ],
+)
+def test_factorize_residual_is_the_verify_max_error(capsys, args):
+    code, out, err = run_inprocess(capsys, "factorize", *args, "--format", "json")
+    assert code == 0, err
+    factorized = json.loads(out)["residuals"]
+    code, out, err = run_inprocess(capsys, "verify", *args, "--format", "json")
+    assert code == 0, err
+    assert factorized == json.loads(out)["residuals"]
+    assert list(factorized) == ["max_error"]
+
+
 @pytest.mark.parametrize(
     "spelled,args",
     [
@@ -364,26 +442,28 @@ def test_import_and_limit_compare_load_no_scipy():
 ENGINES = ("amplitudes", "asymptotics", "coined_walks", "correspondence", "qca_core")
 
 
+RUN_MODULE = "import runpy\nrunpy.run_module('qcawalk', run_name='__main__', alter_sys=True)\n"
+
+
 @pytest.mark.parametrize(
-    "argv,code",
+    "run,argv,code",
     [
-        (["-m", "qcawalk", "classify", "--theta", "1", "--phi", "1", "--delta", "1"], 0),
-        (["-m", "qcawalk", "classify", "--theta", "1"], 2),
-        (["-c", "import qcawalk"], 0),
+        (RUN_MODULE, ["classify", "--theta", "1", "--phi", "1", "--delta", "1"], 0),
+        (RUN_MODULE, ["classify", "--theta", "1"], 2),
+        ("import qcawalk\n", [], 0),
     ],
     ids=["classify", "usage-error", "import"],
 )
-def test_classify_usage_errors_and_import_load_no_numpy(argv, code):
-    # -X importtime names every module the interpreter imports, one stderr line each
+def test_classify_usage_errors_and_import_load_no_numpy(run, argv, code):
+    # sys.modules at the exit of a fresh interpreter, after `python -m qcawalk ...` or
+    # a bare import; -X importtime prints no line for a module that
+    # importlib.import_module loads
+    probe = "import atexit, sys\natexit.register(lambda: print(*sorted(sys.modules)))\n" + run
     result = subprocess.run(
-        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=120
     )
     assert result.returncode == code, result.stderr
-    loaded = {
-        line.rsplit("|", 1)[-1].strip()
-        for line in result.stderr.splitlines()
-        if line.startswith("import time:")
-    }
+    loaded = set(result.stdout.splitlines()[-1].split())
     assert "qcawalk" in loaded
     engines = {f"qcawalk.{name}" for name in ENGINES}
     heavy = sorted(m for m in loaded if m.split(".")[0] == "numpy" or m in engines)
