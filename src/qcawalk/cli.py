@@ -203,8 +203,6 @@ def _run_evolution(args, engine: ModuleType) -> _Run:
 
 def _run_two_step(args, engine: ModuleType) -> _Run:
     _, angles = _resolve_params(args)
-    if angles is None:
-        raise ValueError("two-step factorization needs --theta/--phi/--delta, not --params")
     payload = {
         "angles": _angles_payload(angles),
         "theta1": _reduced_phase("theta1", args.theta1),
@@ -240,14 +238,13 @@ def _run_patel(args, engine: ModuleType) -> _Run:
 # Each --kind of verify and factorize: its runner and the flags it reads, each with
 # its value when unset.  The parser leaves these flags None, so a flag given to a
 # kind that ignores it is told apart from an unset one.
-_ANGLES_OR_TUPLE = dict.fromkeys(("theta", "phi", "delta", "params"))
-_EVOLUTION = (_run_evolution, {**_ANGLES_OR_TUPLE, "qubit": _SYMMETRIC_QUBIT, "steps": 50})
+_ANGLES = dict.fromkeys(("theta", "phi", "delta"))
+_EVOLUTION = (_run_evolution, {**_ANGLES, "params": None, "qubit": _SYMMETRIC_QUBIT, "steps": 50})
 _KINDS = {
     "A": _EVOLUTION,
     "B": _EVOLUTION,
     "spectral": _EVOLUTION,
-    "two-step": (_run_two_step, {**_ANGLES_OR_TUPLE, "family": "A", "theta1": 0.0,
-                                 "theta2": 0.0}),
+    "two-step": (_run_two_step, {**_ANGLES, "family": "A", "theta1": 0.0, "theta2": 0.0}),
     "patel": (_run_patel, {"phi1": math.pi / 4, "phi2": math.pi / 4}),
 }
 

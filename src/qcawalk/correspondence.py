@@ -206,16 +206,23 @@ def two_step_factorize(
     return TwoStepFactors(p1, q1, p2, q2)
 
 
+def _two_step_residual(
+    factors: TwoStepFactors, p: np.ndarray, t: np.ndarray, q: np.ndarray
+) -> float:
+    """Largest entry of P2 P1 - P, P2 Q1 + Q2 P1 - T and Q2 Q1 - Q."""
+    r_p = np.abs(factors.P2 @ factors.P1 - p).max()
+    r_t = np.abs(factors.P2 @ factors.Q1 + factors.Q2 @ factors.P1 - t).max()
+    r_q = np.abs(factors.Q2 @ factors.Q1 - q).max()
+    return float(max(r_p, r_t, r_q))
+
+
 def verify_two_step(
     angles: AngleTriple, theta1: float, theta2: float, family: str
 ) -> CorrespondenceReport:
     """Entry-wise residual of the three half-step product identities."""
     factors = two_step_factorize(angles, theta1, theta2, family)
     blocks = generalized_blocks_from_qca(params_from_angles(angles), family)
-    r_p = np.abs(factors.P2 @ factors.P1 - blocks.P).max()
-    r_q = np.abs(factors.Q2 @ factors.Q1 - blocks.Q).max()
-    r_t = np.abs(factors.P2 @ factors.Q1 + factors.Q2 @ factors.P1 - blocks.T).max()
-    err = float(max(r_p, r_q, r_t))
+    err = _two_step_residual(factors, blocks.P, blocks.T, blocks.Q)
     return CorrespondenceReport(err, 0.0, 0, f"two-step-{family}")
 
 
@@ -248,43 +255,32 @@ def patel_odd_step(field: AmplitudeField, phi2: float) -> AmplitudeField:
 
 
 def patel_factorize(p: PatelParams) -> tuple[QcaParams, CorrespondenceReport]:
-    """Compose the even and odd half steps and extract the banded tuple.
+    """Certify the even/odd walk as the two-step factorization at theta1 = theta2 = 0.
 
-    The odd-then-even composition is applied to one even and one odd site,
-    whose images (sites -2..1 and 8..11) cannot overlap; the tuple is read
-    off the image of site 0.  The report carries the worst deviation from
-    (i) the closed-form tuple in the two rotation angles, (ii) the angle
-    substitution that lands the tuple in the trigonometric parametrization,
-    and (iii) the banded step of the extracted tuple on the same probe,
-    which compares every entry of the operator.
+    At the angles ``(phi1, pi/2 - phi2, pi/2)``, three links derive it:
+    (1) the half-step coins are the odd and even pair coins with their
+    columns swapped; (2) the two-step identity composes them into one
+    generalized walk step (``verify --kind two-step``); (3) the A/B
+    correspondence makes that step the banded step of those angles
+    (``verify --kind A/B``).  The report is the worse of link 1 and a
+    lattice check of the chain: the odd-then-even composition on one even
+    and one odd site, whose images (sites -2..1 and 8..11) cannot overlap,
+    against the banded step of the angles, which compares every entry of
+    the operator.  The tuple is read off the image of site 0.
     """
+    angles = AngleTriple(p.phi1, math.pi / 2 - p.phi2, math.pi / 2)
+    u1, u2 = _half_step_coins(angles, 0.0, 0.0)
+    err_coins = max(
+        np.abs(u1 - patel_coin(p.phi2)[:, ::-1]).max(),
+        np.abs(u2 - patel_coin(p.phi1)[:, ::-1]).max(),
+    )
+
     probe = AmplitudeField({0: 1.0, 9: 1.0})
     image = patel_even_step(patel_odd_step(probe, p.phi2), p.phi1)
-    a, b, c, d = image[-1], image[0], image[1], image[-2]
-
-    c1, s1 = math.cos(p.phi1), math.sin(p.phi1)
-    c2, s2 = math.cos(p.phi2), math.sin(p.phi2)
-    closed_form = (1j * c1 * s2, c1 * c2, 1j * s1 * c2, -s1 * s2)
-    err_tuple = max(
-        abs(a - closed_form[0]),
-        abs(b - closed_form[1]),
-        abs(c - closed_form[2]),
-        abs(d - closed_form[3]),
-    )
-
-    mapped = params_from_angles(
-        AngleTriple(p.phi1, math.pi / 2 - p.phi2, math.pi / 2)
-    )
-    err_angles = max(
-        abs(a - mapped.a), abs(b - mapped.b), abs(c - mapped.c), abs(d - mapped.d)
-    )
-
-    params = QcaParams(a, b, c, d)
-    err_step = max_difference(image, qca_step(probe, params))
-    report = CorrespondenceReport(
-        max(err_tuple, err_angles, err_step), 0.0, 0, "even-odd-factorization"
-    )
-    return params, report
+    err_lattice = max_difference(image, qca_step(probe, params_from_angles(angles)))
+    params = QcaParams(image[-1], image[0], image[1], image[-2])
+    err = float(max(err_coins, err_lattice))
+    return params, CorrespondenceReport(err, 0.0, 0, "even-odd-factorization")
 
 
 def meyer_angles(rho: float, theta: float) -> AngleTriple:

@@ -217,6 +217,22 @@ def test_verify_spectral_fails_on_a_perturbed_power(capsys, monkeypatch):
     assert "result.pass,false" in out.splitlines()
 
 
+@pytest.mark.parametrize("error, code, passed", [(0.5e-12, 0, "true"), (2e-12, 1, "false")])
+def test_verify_gate_is_the_residual_tolerance(capsys, monkeypatch, error, code, passed):
+    from qcawalk import correspondence
+
+    exact = correspondence.patel_factorize
+
+    def reported(p):
+        params, report = exact(p)
+        return params, correspondence.CorrespondenceReport(error, 0.0, 0, report.identity_name)
+
+    monkeypatch.setattr(correspondence, "patel_factorize", reported)
+    got, out, err = run_inprocess(capsys, "verify", "--kind", "patel")
+    assert got == code, err
+    assert f"result.pass,{passed}" in out.splitlines()
+
+
 def test_verify_two_step_requires_angles():
     result = run_cli("verify", "--kind", "two-step")
     assert result.returncode == 2
@@ -288,7 +304,7 @@ KIND_FLAGS = {
     "phi2": (("0.3",), math.pi / 4),
 }
 EVOLUTION_READS = {"theta", "phi", "delta", "params", "qubit", "steps"}
-TWO_STEP_READS = {"theta", "phi", "delta", "params", "family", "theta1", "theta2"}
+TWO_STEP_READS = {"theta", "phi", "delta", "family", "theta1", "theta2"}
 KIND_READS = {
     ("verify", "A"): EVOLUTION_READS,
     ("verify", "B"): EVOLUTION_READS,

@@ -132,6 +132,13 @@ def test_coin_blocks_reject_non_unitary_assembly():
         CoinBlocks(bad, np.zeros((2, 2)), bad)
 
 
+def test_coin_blocks_reject_a_nonzero_cross_move_term_alone():
+    # P^H P + T^H T + Q^H Q = I and P^H T + T^H Q = 0, so only P^H Q = I/2 is off
+    half = np.eye(2) * INV_SQRT2
+    with pytest.raises(ValueError, match=r"\(residual 5\.000e-01\)"):
+        CoinBlocks(half, np.zeros((2, 2)), half)
+
+
 @pytest.mark.parametrize(
     "build, match",
     [

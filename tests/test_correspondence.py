@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qcawalk import correspondence
 from qcawalk.amplitudes import AmplitudeField, max_difference, superpose
 from qcawalk.coined_walks import (
     L_UPPER,
@@ -20,6 +21,7 @@ from qcawalk.coined_walks import (
 from qcawalk.correspondence import (
     PatelParams,
     TwoStepFactors,
+    _two_step_residual,
     meyer_angles,
     patel_coin,
     patel_even_step,
@@ -199,6 +201,19 @@ def test_two_step_products_random():
             assert verify_two_step(angles, t1, t2, family).max_error() <= 1e-12
 
 
+@pytest.mark.parametrize("family", ["A", "B"])
+@pytest.mark.parametrize("block", ["P", "T", "Q"])
+def test_two_step_check_sees_a_fault_in_each_product(block, family):
+    angles = AngleTriple(1.1, 0.4, 2.0)
+    factors = two_step_factorize(angles, 0.3, 0.7, family)
+    blocks = generalized_blocks_from_qca(params_from_angles(angles), family)
+    targets = {"P": blocks.P, "T": blocks.T, "Q": blocks.Q}
+    assert _two_step_residual(factors, *targets.values()) <= 1e-12
+    # only the product identity whose target is planted can see it
+    targets[block] = targets[block] + 1e-9
+    assert _two_step_residual(factors, *targets.values()) == pytest.approx(1e-9, rel=1e-3)
+
+
 def test_two_step_patel_point_coins():
     factors = two_step_factorize(PATEL_ANGLES, 0.0, 0.0, "A")
     want = INV_SQRT2 * np.array([[1j, 1.0], [1.0, 1j]])
@@ -310,6 +325,25 @@ def test_patel_factorize_both_zero_is_trivial_shift():
     params, report = patel_factorize(PatelParams(0.0, 0.0))
     assert report.max_amplitude_error <= 1e-12
     assert params.astuple() == (0j, (1 + 0j), 0j, 0j)
+
+
+@pytest.mark.parametrize(
+    "name, planted",
+    [
+        # link 1: the half-step coins
+        ("_half_step_coins", lambda exact: lambda angles, t1, t2: exact(angles, t1 + 1e-9, t2)),
+        # link 2: the lattice tuple at the mapped angles, and Patel's own half step
+        ("params_from_angles",
+         lambda exact: lambda a: exact(AngleTriple(a.theta + 1e-9, a.phi, a.delta))),
+        ("patel_even_step", lambda exact: lambda field, phi1: exact(field, phi1 + 1e-9)),
+    ],
+    ids=["_half_step_coins", "params_from_angles", "patel_even_step"],
+)
+def test_patel_factorize_sees_a_fault_in_each_link(monkeypatch, name, planted):
+    p = PatelParams(0.3, 1.2)
+    assert patel_factorize(p)[1].max_error() <= 1e-12
+    monkeypatch.setattr(correspondence, name, planted(getattr(correspondence, name)))
+    assert 1e-10 < patel_factorize(p)[1].max_error() < 1e-8
 
 
 def test_patel_grid_small():

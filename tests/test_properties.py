@@ -25,9 +25,12 @@ from qcawalk.coined_walks import (
 )
 from qcawalk.correspondence import (
     PatelParams,
+    _half_step_coins,
+    patel_coin,
     patel_factorize,
     verify_A_correspondence,
     verify_B_correspondence,
+    verify_two_step,
 )
 from qcawalk.params import (
     RESIDUAL_TOLERANCE,
@@ -126,7 +129,8 @@ def test_walk_starts_where_its_lattice_branch_combination_starts(p, qubit, n, fa
 def unitary_coin(t, a, b, g):
     """The coin e^{ig} [[e^{ia} cos t, e^{ib} sin t], [-e^{-ib} sin t, e^{-ia} cos t]]."""
     c, s = math.cos(t), math.sin(t)
-    rows = (cmath.exp(1j * a) * c, cmath.exp(1j * b) * s, -cmath.exp(-1j * b) * s, cmath.exp(-1j * a) * c)
+    rows = (cmath.exp(1j * a) * c, cmath.exp(1j * b) * s,
+            -cmath.exp(-1j * b) * s, cmath.exp(-1j * a) * c)
     return CoinMatrix(*(cmath.exp(1j * g) * z for z in rows))
 
 
@@ -168,6 +172,19 @@ def test_walk_step_is_linear(blocks, s, t, z):
 def test_walk_step_commutes_with_a_one_site_shift(blocks, s):
     s = WalkState(s, blocks.order)
     assert walk_gap(walk_step(shifted(s), blocks), shifted(walk_step(s, blocks))) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(angle, angle)
+def test_patel_coins_are_the_two_step_coins_at_zero_phases(phi1, phi2):
+    # the two-step coins with swapped columns, U1 X and U2 X, are the odd and even pair coins
+    angles = AngleTriple(phi1, math.pi / 2 - phi2, math.pi / 2)
+    u1, u2 = _half_step_coins(angles, 0.0, 0.0)
+    assert np.abs(u1[:, ::-1] - patel_coin(phi2)).max() <= 1e-12
+    assert np.abs(u2[:, ::-1] - patel_coin(phi1)).max() <= 1e-12
+    for family in ("A", "B"):
+        assert verify_two_step(angles, 0.0, 0.0, family).max_error() <= 1e-12
+    assert patel_factorize(PatelParams(phi1, phi2))[1].max_error() <= 1e-12
 
 
 # Angles within 10^-k of a multiple of pi/2, where coefficients fall under the
