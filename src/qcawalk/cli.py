@@ -2,9 +2,14 @@
 
 All numbers are printed in shortest round-trip form, output is byte-stable
 for a fixed invocation, and the wall-clock diagnostic goes to stderr so
-stdout stays deterministic.  Only the coefficient layer is imported here;
-the parser names each command's engine once, and ``main`` loads it before
-the clock and hands it to the command, so ``classify`` loads no numpy.
+stdout stays deterministic.
+
+Each command is one ``_COMMANDS`` row and each ``--kind`` one ``_KINDS`` row;
+a row names the flags it reads and their unset values, and ``_FLAGS`` gives
+each flag's argparse keywords and help.  The parser, its help defaults and
+the fill step in ``main`` all read these tables.  Only the coefficient layer
+is imported here; ``main`` loads the row's engine before the clock and hands
+it to the handler, so ``classify`` loads no numpy.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 import re
 import sys
 import time
+from dataclasses import asdict
 from importlib import import_module
 from typing import TYPE_CHECKING
 
@@ -132,18 +138,14 @@ def _emit(text: str, out_path: str | None) -> None:
 def _resolve_params(
     args, default: AngleTriple | None = None
 ) -> tuple[QcaParams, AngleTriple | None]:
+    """The tuple and its angles; ``args`` holds ``params`` only where it is read."""
     angle_flags = [args.theta, args.phi, args.delta]
     has_angles = any(v is not None for v in angle_flags)
-    has_raw = args.params is not None
-    if has_angles and has_raw:
+    v = getattr(args, "params", None)
+    if has_angles and v is not None:
         raise ValueError("give either --theta/--phi/--delta or --params, not both")
-    if has_raw:
-        v = args.params
-        params = QcaParams(
-            complex(v[0], v[1]), complex(v[2], v[3]),
-            complex(v[4], v[5]), complex(v[6], v[7]),
-        )
-        return params, None
+    if v is not None:
+        return QcaParams(*(complex(re, im) for re, im in zip(v[::2], v[1::2]))), None
     if has_angles:
         if not all(v is not None for v in angle_flags):
             raise ValueError("--theta, --phi and --delta must be given together")
@@ -151,22 +153,14 @@ def _resolve_params(
         return params_from_angles(angles), angles
     if default is not None:
         return params_from_angles(default), default
-    raise ValueError("parameters required: --theta/--phi/--delta or --params")
-
-
-def _angles_payload(angles: AngleTriple) -> dict:
-    return {"theta": angles.theta, "phi": angles.phi, "delta": angles.delta}
+    raw = " or --params" if hasattr(args, "params") else ""
+    raise ValueError(f"parameters required: --theta/--phi/--delta{raw}")
 
 
 def _params_payload(params: QcaParams, angles: AngleTriple | None) -> dict:
-    payload = {
-        "a": _cnum(params.a),
-        "b": _cnum(params.b),
-        "c": _cnum(params.c),
-        "d": _cnum(params.d),
-    }
+    payload = {name: _cnum(z) for name, z in zip("abcd", params.astuple())}
     if angles is not None:
-        payload["angles"] = _angles_payload(angles)
+        payload["angles"] = asdict(angles)
     return payload
 
 
@@ -204,7 +198,7 @@ def _run_evolution(args, engine: ModuleType) -> _Run:
 def _run_two_step(args, engine: ModuleType) -> _Run:
     _, angles = _resolve_params(args)
     payload = {
-        "angles": _angles_payload(angles),
+        "angles": asdict(angles),
         "theta1": _reduced_phase("theta1", args.theta1),
         "theta2": _reduced_phase("theta2", args.theta2),
         "family": args.family,
@@ -233,32 +227,6 @@ def _run_patel(args, engine: ModuleType) -> _Run:
     }
     payload = {"phi1": pp.phi1, "phi2": pp.phi2}
     return report, payload, result
-
-
-# Each --kind of verify and factorize: its runner and the flags it reads, each with
-# its value when unset.  The parser leaves these flags None, so a flag given to a
-# kind that ignores it is told apart from an unset one.
-_ANGLES = dict.fromkeys(("theta", "phi", "delta"))
-_EVOLUTION = (_run_evolution, {**_ANGLES, "params": None, "qubit": _SYMMETRIC_QUBIT, "steps": 50})
-_KINDS = {
-    "A": _EVOLUTION,
-    "B": _EVOLUTION,
-    "spectral": _EVOLUTION,
-    "two-step": (_run_two_step, {**_ANGLES, "family": "A", "theta1": 0.0, "theta2": 0.0}),
-    "patel": (_run_patel, {"phi1": math.pi / 4, "phi2": math.pi / 4}),
-}
-
-
-def _run_kind(args, engine: ModuleType) -> _Run:
-    """Reject the first flag, in parser order, that ``--kind`` does not read; run it."""
-    run, reads = _KINDS[args.kind]
-    kind_flags = {dest for _, row in _KINDS.values() for dest in row}
-    for dest, value in list(vars(args).items()):
-        if value is None and dest in reads:
-            setattr(args, dest, reads[dest])
-        elif value is not None and dest not in reads and dest in kind_flags:
-            raise ValueError(f"--{dest} is not read by --kind {args.kind}")
-    return run(args, engine)
 
 
 def _cmd_classify(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
@@ -296,7 +264,7 @@ def _cmd_simulate_qw(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_verify(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
-    report, payload, factors = _run_kind(args, engine)
+    report, payload, factors = _KINDS[args.kind][0](args, engine)
     if args.kind == "patel":
         payload["extracted"] = factors["extracted"]
     passed = report.max_error() <= RESIDUAL_TOLERANCE
@@ -312,7 +280,7 @@ def _cmd_verify(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
 
 
 def _cmd_factorize(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
-    report, payload, result = _run_kind(args, engine)
+    report, payload, result = _KINDS[args.kind][0](args, engine)
     return 0, {"kind": args.kind, **payload}, result, {"max_error": report.max_error()}
 
 
@@ -332,60 +300,78 @@ def _cmd_limit_compare(args, engine: ModuleType) -> tuple[int, dict, dict, dict]
     return (0 if passed else 1), payload, result, {"kolmogorov_distance": distance}
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--theta", type=parse_angle, default=None,
-        help="first angle; accepts pi literals like pi/4 (default: none)",
-    )
-    parser.add_argument(
-        "--phi", type=parse_angle, default=None,
-        help="second angle; accepts pi literals (default: none)",
-    )
-    parser.add_argument(
-        "--delta", type=parse_angle, default=None,
-        help="global phase angle; accepts pi literals (default: none)",
-    )
-    parser.add_argument(
-        "--params", type=float, nargs=8, default=None,
-        metavar=("A_RE", "A_IM", "B_RE", "B_IM", "C_RE", "C_IM", "D_RE", "D_IM"),
-        help="raw coefficient tuple as re/im pairs; validated for unitarity",
-    )
+# Every flag a command or a --kind can read, in parser order: its argparse keywords
+# and help.  Each parses to None; main fills an unset one from the row that reads it,
+# so a given flag is told apart from an unset one.
+_FLAGS = {
+    "theta": {"type": parse_angle, "help": "first angle; accepts pi literals like pi/4"},
+    "phi": {"type": parse_angle, "help": "second angle; accepts pi literals"},
+    "delta": {"type": parse_angle, "help": "global phase angle; accepts pi literals"},
+    "params": {
+        "type": float, "nargs": 8,
+        "metavar": ("A_RE", "A_IM", "B_RE", "B_IM", "C_RE", "C_IM", "D_RE", "D_IM"),
+        "help": "raw coefficient tuple as re/im pairs; validated for unitarity",
+    },
+    "qubit": {"type": float, "nargs": "+", "metavar": "V",
+              "help": "internal state: 2 real or 4 re/im values"},
+    "steps": {"type": int, "help": "step count"},
+    "sign": {"choices": ("+", "-"), "help": "branch pairing direction"},
+    "family": {"choices": ("A", "B"), "help": "block family"},
+    "theta1": {"type": parse_angle, "help": "first free phase for two-step"},
+    "theta2": {"type": parse_angle, "help": "second free phase for two-step"},
+    "phi1": {"type": parse_angle, "help": "even half-step angle for patel"},
+    "phi2": {"type": parse_angle, "help": "odd half-step angle for patel"},
+    "tolerance": {"type": float, "help": "maximum accepted sup-distance"},
+    "format": {"choices": ("csv", "json"), "help": "output format"},
+    "out": {"metavar": "PATH", "help": "write the report to PATH instead of stdout"},
+}
+
+# The rows: each flag a command or a --kind reads, with its value when unset.  A text
+# value is parsed by the flag's type, as argparse parses a text default.
+_OUTPUT = {"format": "csv", "out": None}
+_ANGLES = dict.fromkeys(("theta", "phi", "delta"))
+_PARAMS = {**_ANGLES, "params": None}
+_SIMULATE = {**_PARAMS, "qubit": (1.0, 0.0), "steps": 1}
+_EVOLUTION = (_run_evolution, {**_PARAMS, "qubit": _SYMMETRIC_QUBIT, "steps": 50})
+_KINDS = {
+    "A": _EVOLUTION,
+    "B": _EVOLUTION,
+    "spectral": _EVOLUTION,
+    "two-step": (_run_two_step, {**_ANGLES, "family": "A", "theta1": "0", "theta2": "0"}),
+    "patel": (_run_patel, {"phi1": "pi/4", "phi2": "pi/4"}),
+}
+
+# Each command: its help, its engine module (loaded by main before the clock), its
+# handler, and its row, or its --kind choices (the first is the default).
+_COMMANDS = {
+    "classify": ("validate a coefficient tuple and name its class", "params", _cmd_classify,
+                 _PARAMS),
+    "simulate-qca": ("evolve the paired-branch distribution", "qca_core", _cmd_simulate_qca,
+                     {**_SIMULATE, "sign": "-"}),
+    "simulate-qw": ("evolve a generalized coined walk", "coined_walks", _cmd_simulate_qw,
+                    {**_SIMULATE, "family": "A"}),
+    "verify": ("run an equivalence check; nonzero exit on failure", "correspondence",
+               _cmd_verify, tuple(_KINDS)),
+    "factorize": ("print factor matrices", "correspondence", _cmd_factorize,
+                  ("two-step", "patel")),
+    "limit-compare": ("compare a rescaled run against the closed-form limit law",
+                      "asymptotics", _cmd_limit_compare,
+                      {**_PARAMS, "qubit": _SYMMETRIC_QUBIT, "steps": 500, "tolerance": 0.08}),
+}
 
 
-def _add_factor_flags(parser: argparse.ArgumentParser) -> None:
-    # defaults are None here and filled in per kind from its _KINDS row
-    parser.add_argument(
-        "--family", choices=("A", "B"), default=None,
-        help="family for two-step factors (default: A)",
-    )
-    parser.add_argument("--theta1", type=parse_angle, default=None,
-                        help="first free phase for two-step (default: 0)")
-    parser.add_argument("--theta2", type=parse_angle, default=None,
-                        help="second free phase for two-step (default: 0)")
-    parser.add_argument("--phi1", type=parse_angle, default=None,
-                        help="even half-step angle for patel (default: pi/4)")
-    parser.add_argument("--phi2", type=parse_angle, default=None,
-                        help="odd half-step angle for patel (default: pi/4)")
+def _help(dest: str, rows: dict) -> str:
+    """``dest``'s help with its unset value; ``rows`` maps each --kind (None: any) to its row.
 
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default="csv",
-        help="output format (default: csv)",
-    )
-    parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the report to PATH instead of stdout (default: stdout)",
-    )
-
-
-def _add_qubit_flag(parser: argparse.ArgumentParser, default=(1.0, 0.0)) -> None:
-    parser.add_argument(
-        "--qubit", type=float, nargs="+", default=list(default),
-        metavar="V",
-        help="internal state: 2 real or 4 re/im values "
-        f"(default: {' '.join(repr(v) for v in default)})",
-    )
+    A command's flag that none of its kinds reads is parsed, to be rejected, but not listed.
+    """
+    kinds = [kind for kind, row in rows.items() if dest in row]
+    if not kinds:
+        return argparse.SUPPRESS
+    value = rows[kinds[0]][dest]
+    shown = " ".join(map(str, value)) if isinstance(value, tuple) else value
+    read_by = "" if kinds == [None] else f"; read by --kind {'/'.join(kinds)}"
+    return f"{_FLAGS[dest]['help']} (default: {'none' if value is None else shown}{read_by})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,72 +381,42 @@ def build_parser() -> argparse.ArgumentParser:
         "with machine-checked equivalences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="validate a coefficient tuple and name its class")
-    _add_param_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_classify, engine="params")
-
-    p = sub.add_parser("simulate-qca", help="evolve the paired-branch distribution")
-    _add_param_flags(p)
-    _add_qubit_flag(p)
-    p.add_argument("--steps", type=int, default=1, help="step count (default: 1)")
-    p.add_argument(
-        "--sign", choices=("+", "-"), default="-",
-        help="branch pairing direction (default: -)",
-    )
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_simulate_qca, engine="qca_core")
-
-    p = sub.add_parser("simulate-qw", help="evolve a generalized coined walk")
-    _add_param_flags(p)
-    _add_qubit_flag(p)
-    p.add_argument("--steps", type=int, default=1, help="step count (default: 1)")
-    p.add_argument(
-        "--family", choices=("A", "B"), default="A",
-        help="block family (default: A)",
-    )
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_simulate_qw, engine="coined_walks")
-
-    p = sub.add_parser("verify", help="run an equivalence check; nonzero exit on failure")
-    p.add_argument(
-        "--kind", choices=tuple(_KINDS), default="A",
-        help="which identity to verify (default: A)",
-    )
-    _add_param_flags(p)
-    _add_qubit_flag(p, default=_SYMMETRIC_QUBIT)
-    p.add_argument("--steps", type=int, default=None, help="steps to check (default: 50)")
-    _add_factor_flags(p)
-    _add_output_flags(p)
-    # --qubit's help names the kind default; the parser itself leaves it None
-    p.set_defaults(handler=_cmd_verify, engine="correspondence", qubit=None)
-
-    p = sub.add_parser("factorize", help="print factor matrices")
-    p.add_argument(
-        "--kind", choices=("two-step", "patel"), default="two-step",
-        help="which factorization (default: two-step)",
-    )
-    _add_param_flags(p)
-    _add_factor_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_factorize, engine="correspondence")
-
-    p = sub.add_parser(
-        "limit-compare",
-        help="compare a rescaled run against the closed-form limit law",
-    )
-    _add_param_flags(p)
-    _add_qubit_flag(p, default=_SYMMETRIC_QUBIT)
-    p.add_argument("--steps", type=int, default=500, help="step count (default: 500)")
-    p.add_argument(
-        "--tolerance", type=float, default=0.08,
-        help="maximum accepted sup-distance (default: 0.08)",
-    )
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_limit_compare, engine="asymptotics")
-
+    kind_flags = {*_OUTPUT, *(dest for _, row in _KINDS.values() for dest in row)}
+    for name, (text, _, _, reads) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if isinstance(reads, dict):
+            rows = {None: {**_OUTPUT, **reads}}
+            parsed = rows[None]
+        else:
+            p.add_argument(
+                "--kind", choices=reads, default=reads[0],
+                help=f"which identity to compute (default: {reads[0]})",
+            )
+            rows = {None: _OUTPUT, **{kind: _KINDS[kind][1] for kind in reads}}
+            parsed = kind_flags
+        for dest, flag in _FLAGS.items():
+            if dest in parsed:
+                p.add_argument(f"--{dest}", **{**flag, "help": _help(dest, rows)})
     return parser
+
+
+def _fill(args, reads: dict) -> None:
+    """Set each unset flag that ``reads`` names to its value there; drop the others.
+
+    A given flag that ``reads`` does not name is an error, reported for the first in
+    parser order.
+    """
+    for dest, flag in _FLAGS.items():
+        value = getattr(args, dest, None)
+        if dest not in reads:
+            if value is not None:
+                raise ValueError(f"--{dest} is not read by --kind {args.kind}")
+            vars(args).pop(dest, None)
+        elif value is None:
+            value = reads[dest]
+            if isinstance(value, str) and "type" in flag:
+                value = flag["type"](value)
+            setattr(args, dest, value)
 
 
 def main(argv=None) -> int:
@@ -469,12 +425,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    # the parser's engine= is the only name of a command's engine: it loads here,
-    # before the clock starts, so duration_ms times the command only
-    engine = import_module(f"{__package__}.{args.engine}")
+    _, module, handler, reads = _COMMANDS[args.command]
+    # the command's row is the only name of its engine: it loads here, before the
+    # clock starts, so duration_ms times the command only
+    engine = import_module(f"{__package__}.{module}")
     started = time.perf_counter()
     try:
-        code, params, result, residuals = args.handler(args, engine)
+        _fill(args, {**_OUTPUT, **(_KINDS[args.kind][1] if "kind" in args else reads)})
+        code, params, result, residuals = handler(args, engine)
     except (ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

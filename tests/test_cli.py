@@ -1,5 +1,6 @@
 """Command-line behaviour: golden runs, formats, exit codes, determinism."""
 
+import cmath
 import json
 import math
 import re
@@ -217,6 +218,61 @@ def test_verify_spectral_fails_on_a_perturbed_power(capsys, monkeypatch):
     assert "result.pass,false" in out.splitlines()
 
 
+def test_verify_spectral_fails_on_a_phase_of_the_power(capsys, monkeypatch):
+    from qcawalk import qca_core
+
+    exact = qca_core._fourier_power
+
+    def turned(n, params):
+        kernel = exact(n, params)
+        return lambda *args: kernel(*args) * cmath.exp(1e-9j)
+
+    # masses do not change, so only the amplitude error can see the fault
+    monkeypatch.setattr(qca_core, "_fourier_power", turned)
+    code, out, err = run_inprocess(
+        capsys, "verify", "--kind", "spectral", *REFERENCE, "--format", "json"
+    )
+    assert code == 1, err
+    result = json.loads(out)["result"]
+    assert result["max_amplitude_error"] > 1e-12
+    assert result["max_probability_error"] <= 1e-12
+
+
+def verify_with_scaled_walk_step(capsys, monkeypatch, kind, factor):
+    """``verify --kind kind``'s JSON result with every walk step's output times ``factor``."""
+    from qcawalk import correspondence
+    from qcawalk.coined_walks import WalkState
+
+    exact = correspondence.walk_step
+
+    def scaled(state, blocks):
+        stepped = exact(state, blocks)
+        pairs = {site: (u * factor, v * factor) for site, (u, v) in stepped.items()}
+        return WalkState(pairs, stepped.order)
+
+    # the lockstep resolves walk_step in its own module at call time
+    monkeypatch.setattr(correspondence, "walk_step", scaled)
+    code, out, err = run_inprocess(
+        capsys, "verify", "--kind", kind, *REFERENCE, "--format", "json"
+    )
+    assert code == 1, err
+    return json.loads(out)["result"]
+
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_verify_fails_on_a_global_phase_of_the_walk_step(capsys, monkeypatch, kind):
+    # masses do not change, so only the amplitude error can see the fault
+    result = verify_with_scaled_walk_step(capsys, monkeypatch, kind, cmath.exp(1e-9j))
+    assert result["max_amplitude_error"] > 1e-12
+    assert result["max_probability_error"] <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_verify_reports_the_mass_error_of_a_scaled_walk_step(capsys, monkeypatch, kind):
+    result = verify_with_scaled_walk_step(capsys, monkeypatch, kind, 1 + 1e-9)
+    assert result["max_probability_error"] > 1e-12
+
+
 @pytest.mark.parametrize("error, code, passed", [(0.5e-12, 0, "true"), (2e-12, 1, "false")])
 def test_verify_gate_is_the_residual_tolerance(capsys, monkeypatch, error, code, passed):
     from qcawalk import correspondence
@@ -322,8 +378,6 @@ KIND_READS = {
         (command, kind, flag)
         for command, kind in KIND_READS
         for flag in KIND_FLAGS
-        # factorize has no --qubit and no --steps
-        if command == "verify" or flag not in ("qubit", "steps")
     ],
 )
 def test_kind_reads_its_flags_and_rejects_the_rest(capsys, command, kind, flag):
@@ -338,11 +392,54 @@ def test_kind_reads_its_flags_and_rejects_the_rest(capsys, command, kind, flag):
     elif unset is None:
         code, out, err = run_inprocess(capsys, command, "--kind", kind)
         assert (code, out) == (2, "")
-        assert err == "error: parameters required: --theta/--phi/--delta or --params\n"
+        # the hint names only the flags the kind reads
+        raw = " or --params" if "params" in reads else ""
+        assert err == f"error: parameters required: --theta/--phi/--delta{raw}\n"
     else:
         code, out, err = run_inprocess(capsys, *base, "--format", "json")
         assert code == 0, err
         assert json.loads(out)["params"][flag] == unset
+
+
+# Each flag's unset value as --help prints it: the command's own, or, for verify and
+# factorize, the one of every kind that reads the flag.
+SYMMETRIC = "0.7071067811865476 0.7071067811865476"
+PARAMETER_HELP = dict.fromkeys(("theta", "phi", "delta", "params"), "none")
+COMMAND_HELP = {
+    "classify": PARAMETER_HELP,
+    "simulate-qca": {**PARAMETER_HELP, "qubit": "1.0 0.0", "steps": "1", "sign": "-"},
+    "simulate-qw": {**PARAMETER_HELP, "qubit": "1.0 0.0", "steps": "1", "family": "A"},
+    "limit-compare": {**PARAMETER_HELP, "qubit": SYMMETRIC, "steps": "500", "tolerance": "0.08"},
+}
+KIND_HELP = {**PARAMETER_HELP, "qubit": SYMMETRIC, "steps": "50", "family": "A",
+             "theta1": "0", "theta2": "0", "phi1": "pi/4", "phi2": "pi/4"}
+
+
+def option_help(text):
+    """Each option of a --help text, keyed by its flag, with its help words joined."""
+    options = re.split(r"\n  (?=-)", text.split("\noptions:\n", 1)[1])
+    return {flag.rstrip(","): " ".join(rest) for flag, *rest in map(str.split, options)}
+
+
+@pytest.mark.parametrize("command", [*COMMAND_HELP, "verify", "factorize"])
+def test_help_shows_each_flag_with_its_unset_value(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per option: no hyphen is a break
+    code, out, err = run_inprocess(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    if command in COMMAND_HELP:
+        want = {flag: f"(default: {value})" for flag, value in COMMAND_HELP[command].items()}
+    else:
+        kinds = {kind: reads for (cmd, kind), reads in KIND_READS.items() if cmd == command}
+        want = {"kind": f"(default: {next(iter(kinds))})"}
+        for flag, value in KIND_HELP.items():
+            readers = "/".join(kind for kind, reads in kinds.items() if flag in reads)
+            if readers:
+                want[flag] = f"(default: {value}; read by --kind {readers})"
+    want.update(format="(default: csv)", out="(default: none)")
+    shown = option_help(out)
+    assert set(shown) == {"-h", *(f"--{flag}" for flag in want)}
+    for flag, line in want.items():
+        assert shown[f"--{flag}"].endswith(line), flag
 
 
 @pytest.mark.parametrize(
