@@ -43,8 +43,6 @@ if TYPE_CHECKING:
     # and the factors factorize prints (None for the kinds that evolve a state).
     _Run = tuple[CorrespondenceReport, dict, dict | None]
 
-# limit-compare's default: the point where the closed-form limit law holds
-_REFERENCE_ANGLES = AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2)
 _SYMMETRIC_QUBIT = (0.7071067811865476, 0.7071067811865476)
 
 _DECIMAL = r"(?:\d+(?:\.\d*)?|\.\d+)"
@@ -203,16 +201,12 @@ def _run_two_step(args, engine: ModuleType) -> _Run:
         "theta2": _reduced_phase("theta2", args.theta2),
         "family": args.family,
     }
-    factors = engine.two_step_factorize(angles, args.theta1, args.theta2, args.family)
+    first, second = engine.two_step_factorize(angles, args.theta1, args.theta2, args.family)
     report = engine.verify_two_step(angles, args.theta1, args.theta2, args.family)
-    result = {
-        "P1": _cmatrix(factors.P1),
-        "Q1": _cmatrix(factors.Q1),
-        "P2": _cmatrix(factors.P2),
-        "Q2": _cmatrix(factors.Q2),
-        "U1": _cmatrix(factors.coin(1)),
-        "U2": _cmatrix(factors.coin(2)),
-    }
+    # each half step's move blocks, P1 Q1 P2 Q2, then its coin P + Q, U1 U2
+    halves = (("1", first), ("2", second))
+    result = {f"{m}{n}": _cmatrix(getattr(half, m)) for n, half in halves for m in ("P", "Q")}
+    result.update((f"U{n}", _cmatrix(half.coin)) for n, half in halves)
     return report, payload, result
 
 
@@ -287,7 +281,8 @@ def _cmd_factorize(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
 def _cmd_limit_compare(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
         raise ValueError(f"--tolerance must be finite and nonnegative, got {args.tolerance!r}")
-    params, qubit, payload = _resolve_run(args, default=_REFERENCE_ANGLES)
+    reference = AngleTriple(*map(parse_angle, _REFERENCE.values()))
+    params, qubit, payload = _resolve_run(args, default=reference)
     distance = engine.kolmogorov_distance(engine.rescaled_qca_sample(params, qubit, args.steps))
     passed = distance <= args.tolerance
     result = {
@@ -326,12 +321,19 @@ _FLAGS = {
     "out": {"metavar": "PATH", "help": "write the report to PATH instead of stdout"},
 }
 
+
+class _HelpOnly(str):
+    """A row's unset value that --help shows but ``_fill`` leaves unset: the handler fills it."""
+
+
 # The rows: each flag a command or a --kind reads, with its value when unset.  A text
 # value is parsed by the flag's type, as argparse parses a text default.
 _OUTPUT = {"format": "csv", "out": None}
 _ANGLES = dict.fromkeys(("theta", "phi", "delta"))
 _PARAMS = {**_ANGLES, "params": None}
 _SIMULATE = {**_PARAMS, "qubit": (1.0, 0.0), "steps": 1}
+# limit-compare's unset tuple: the point where the closed-form limit law holds
+_REFERENCE = {"theta": _HelpOnly("pi/4"), "phi": _HelpOnly("pi/4"), "delta": _HelpOnly("pi/2")}
 _EVOLUTION = (_run_evolution, {**_PARAMS, "qubit": _SYMMETRIC_QUBIT, "steps": 50})
 _KINDS = {
     "A": _EVOLUTION,
@@ -356,7 +358,8 @@ _COMMANDS = {
                   ("two-step", "patel")),
     "limit-compare": ("compare a rescaled run against the closed-form limit law",
                       "asymptotics", _cmd_limit_compare,
-                      {**_PARAMS, "qubit": _SYMMETRIC_QUBIT, "steps": 500, "tolerance": 0.08}),
+                      {**_PARAMS, **_REFERENCE, "qubit": _SYMMETRIC_QUBIT, "steps": 500,
+                       "tolerance": 0.08}),
 }
 
 
@@ -412,7 +415,7 @@ def _fill(args, reads: dict) -> None:
             if value is not None:
                 raise ValueError(f"--{dest} is not read by --kind {args.kind}")
             vars(args).pop(dest, None)
-        elif value is None:
+        elif value is None and not isinstance(reads[dest], _HelpOnly):
             value = reads[dest]
             if isinstance(value, str) and "type" in flag:
                 value = flag["type"](value)

@@ -8,6 +8,12 @@ recurrences likewise differ per family:
     A generalized:  new[k] = Q*old[k+1] + T*old[k] + P*old[k-1]
     B generalized:  new[k] = P*old[k+1] + T*old[k] + Q*old[k-1]
     plain (A or B): new[k] = P*old[k+1] + Q*old[k-1]
+    A half step:    new[k] = Q*old[k+1] + P*old[k-1]
+    B half step:    new[k] = P*old[k+1] + Q*old[k-1]
+
+Two half steps, (P1, Q1) then (P2, Q2), are one generalized step on the
+sites 2k: P = P2 P1, T = P2 Q1 + Q2 P1 and Q = Q2 Q1.  Each family's frame
+is its ``_FAMILIES`` row.
 
 ``walk_step`` refuses to mix states and blocks written in different
 orderings instead of silently reordering.
@@ -16,6 +22,7 @@ orderings instead of silently reordering.
 from __future__ import annotations
 
 import cmath
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -163,20 +170,32 @@ class CoinBlocks:
         return self.P + self.Q
 
 
-def _split_coin(u: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
-    """Move blocks P, Q with P + Q = u: family A keeps rows, family B columns.
+# One row per walk family: whether its coin splits into P, Q by columns (else by
+# rows), the p_side and order of its generalized step and half steps, and its lattice
+# offset: walk site k holds lattice sites 2k + offset (upper component) and 2k + offset + 1.
+_Family = namedtuple("_Family", "by_columns p_side order offset")
+_FAMILIES = {"A": _Family(False, -1, R_UPPER, -1), "B": _Family(True, 1, L_UPPER, 0)}
+
+
+def _family(name: str) -> _Family:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"family must be 'A' or 'B', got {name!r}") from None
+
+
+def _split_coin(u: np.ndarray, row: _Family) -> tuple[np.ndarray, np.ndarray]:
+    """Move blocks P, Q with P + Q = u: P keeps the first row (or column), Q the second.
 
     The blocks are filled by slicing into zeros: a product with a 0/1 mask
     could turn a zero entry into -0.0, which the JSON output would show.
     """
     p = np.zeros((2, 2), dtype=np.complex128)
     q = np.zeros((2, 2), dtype=np.complex128)
-    if family == "A":
-        p[0], q[1] = u[0], u[1]
-    elif family == "B":
+    if row.by_columns:
         p[:, 0], q[:, 1] = u[:, 0], u[:, 1]
     else:
-        raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+        p[0], q[1] = u[0], u[1]
     return p, q
 
 
@@ -186,29 +205,23 @@ def plain_blocks(coin: CoinMatrix, family: str) -> CoinBlocks:
     Family A keeps rows of the coin; family B keeps columns.  Either way
     P + Q reassembles the coin exactly.
     """
-    p, q = _split_coin(coin.matrix, family)
+    p, q = _split_coin(coin.matrix, _family(family))
     return CoinBlocks(p, np.zeros((2, 2), dtype=np.complex128), q, p_side=1, order=L_UPPER)
 
 
 def generalized_blocks_from_qca(params: QcaParams, family: str) -> CoinBlocks:
     """Move/stay blocks whose walk reproduces the banded lattice step.
 
-    Family A pairs sites (2k-1, 2k) with the right-moving component on
-    top and P feeding from the left neighbour; family B pairs (2k, 2k+1)
-    with the left-moving component on top and the plain orientation.
+    The move blocks split the coin ``[[d, m], [m, d]]`` and the stay block
+    is ``[[b, s], [s, b]]``: family A moves with m = c and stays with s = a,
+    family B the other way round.  The family's row frames the step.
     """
+    row = _family(family)
     a, b, c, d = params.astuple()
-    if family == "A":
-        p = np.array([[d, c], [0, 0]], dtype=np.complex128)
-        t = np.array([[b, a], [a, b]], dtype=np.complex128)
-        q = np.array([[0, 0], [c, d]], dtype=np.complex128)
-        return CoinBlocks(p, t, q, p_side=-1, order=R_UPPER)
-    if family == "B":
-        p = np.array([[d, 0], [a, 0]], dtype=np.complex128)
-        t = np.array([[b, c], [c, b]], dtype=np.complex128)
-        q = np.array([[0, a], [0, d]], dtype=np.complex128)
-        return CoinBlocks(p, t, q, p_side=1, order=L_UPPER)
-    raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    move, stay = (c, a) if family == "A" else (a, c)
+    p, q = _split_coin(np.array([[d, move], [move, d]], dtype=np.complex128), row)
+    t = np.array([[b, stay], [stay, b]], dtype=np.complex128)
+    return CoinBlocks(p, t, q, row.p_side, row.order)
 
 
 def walk_step(state: WalkState, blocks: CoinBlocks) -> WalkState:

@@ -1,9 +1,9 @@
 """Machine checks of every lattice/walk equivalence the package claims.
 
-Each walk family sits on the lattice through one offset, ``_UPPER_OFFSETS``;
-its blocks' ``order`` says which chirality is the upper component.  Even
-half-step: 2x2 blocks on pairs (2k, 2k+1).  Odd half-step: blocks on pairs
-(2k-1, 2k).  The full step is even-after-odd.
+Each walk family sits on the lattice through the offset of its row in
+``coined_walks._FAMILIES``; its blocks' ``order`` says which chirality is
+the upper component.  Even half-step: 2x2 blocks on pairs (2k, 2k+1).  Odd
+half-step: blocks on pairs (2k-1, 2k).  The full step is even-after-odd.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import numpy as np
 
 from .amplitudes import AmplitudeField, _mismatch, _paired_field, max_difference
 from .coined_walks import (
-    CoinMatrix,
+    CoinBlocks,
     WalkState,
-    _as_block,
+    _family,
     _split_coin,
     generalized_blocks_from_qca,
     walk_step,
@@ -25,16 +25,13 @@ from .coined_walks import (
 from .params import (
     AngleTriple,
     QcaParams,
-    QcaTypeClass,
     _reduced_phase,
-    classify,
     normalized_qubit,
     params_from_angles,
 )
-from .qca_core import _evolve, qca_step
+from .qca_core import _evolve, _jump_refusal, qca_step
 
 __all__ = [
-    "TwoStepFactors",
     "PatelParams",
     "CorrespondenceReport",
     "verify_A_correspondence",
@@ -67,10 +64,6 @@ class CorrespondenceReport:
         return max(self.max_amplitude_error, self.max_probability_error)
 
 
-# walk site k holds lattice sites 2k + offset (upper component) and 2k + offset + 1
-_UPPER_OFFSETS = {"A": -1, "B": 0}
-
-
 def _verify_pairing(
     family: str, params: QcaParams, qubit, n_max: int
 ) -> CorrespondenceReport:
@@ -82,7 +75,7 @@ def _verify_pairing(
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    offset = _UPPER_OFFSETS[family]
+    offset = _family(family).offset
     blocks = generalized_blocks_from_qca(params, family)
     walk = WalkState.origin(qubit, blocks.order)
     eta = _paired_field(walk, offset)
@@ -121,9 +114,9 @@ def verify_spectral(params: QcaParams, qubit, n: int) -> CorrespondenceReport:
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    kind = classify(params)
-    if kind is not QcaTypeClass.TYPE_V:
-        raise ValueError(f"only Type V tuples jump; this tuple is {kind.value}")
+    refusal = _jump_refusal(params)
+    if refusal:
+        raise ValueError(refusal)
     alpha, beta = normalized_qubit(qubit)
     start = AmplitudeField({0: alpha, 1: beta})
     stepped = start
@@ -131,35 +124,6 @@ def verify_spectral(params: QcaParams, qubit, n: int) -> CorrespondenceReport:
         stepped = qca_step(stepped, params)
     amp_err, prob_err = _mismatch(_evolve(start, n, params), stepped)
     return CorrespondenceReport(amp_err, prob_err, n, "spectral")
-
-
-@dataclass(frozen=True, eq=False)
-class TwoStepFactors:
-    """Half-step move blocks whose two-step composition is one lattice step.
-
-    ``coin(n) = P(n) + Q(n)`` is unitary for n = 1, 2, and the same two
-    coins underlie both families (A splits them by rows, B by columns).
-    Factors compare by identity, as an array has no single truth value.
-    """
-
-    P1: np.ndarray
-    Q1: np.ndarray
-    P2: np.ndarray
-    Q2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("P1", "Q1", "P2", "Q2"):
-            object.__setattr__(self, name, _as_block(getattr(self, name)))
-        with np.errstate(over="ignore"):  # an overflowing sum is a non-finite coin entry
-            for n in (1, 2):
-                CoinMatrix(*self.coin(n).ravel())
-
-    def coin(self, n: int) -> np.ndarray:
-        if n == 1:
-            return self.P1 + self.Q1
-        if n == 2:
-            return self.P2 + self.Q2
-        raise ValueError(f"half-step index must be 1 or 2, got {n}")
 
 
 def _half_step_coins(
@@ -190,29 +154,35 @@ def _half_step_coins(
 
 def two_step_factorize(
     angles: AngleTriple, theta1: float, theta2: float, family: str
-) -> TwoStepFactors:
-    """Factor the generalized move/stay blocks into two plain half-steps.
+) -> tuple[CoinBlocks, CoinBlocks]:
+    """Factor the generalized move/stay blocks into two half steps, ``(first, second)``.
 
-    The returned factors satisfy P = P2 @ P1, Q = Q2 @ Q1 and
-    T = P2 @ Q1 + Q2 @ P1 against ``generalized_blocks_from_qca`` of the
-    tuple generated by ``angles``, for every choice of the two free phase
+    Each half step splits one coin the family's way, with no stay block, in
+    the frame of ``generalized_blocks_from_qca`` of the tuple that ``angles``
+    generate.  So ``walk_step`` with ``first`` and then ``second`` is one
+    generalized step, with walk site k read at site 2k: P = P2 P1,
+    T = P2 Q1 + Q2 P1 and Q = Q2 Q1, for every choice of the two free phase
     angles.
     """
     theta1 = _reduced_phase("theta1", theta1)
     theta2 = _reduced_phase("theta2", theta2)
+    row = _family(family)
+
+    def half_step(u: np.ndarray) -> CoinBlocks:
+        p, q = _split_coin(u, row)
+        return CoinBlocks(p, np.zeros((2, 2)), q, row.p_side, row.order)
+
     u1, u2 = _half_step_coins(angles, theta1, theta2)
-    p1, q1 = _split_coin(u1, family)
-    p2, q2 = _split_coin(u2, family)
-    return TwoStepFactors(p1, q1, p2, q2)
+    return half_step(u1), half_step(u2)
 
 
 def _two_step_residual(
-    factors: TwoStepFactors, p: np.ndarray, t: np.ndarray, q: np.ndarray
+    first: CoinBlocks, second: CoinBlocks, p: np.ndarray, t: np.ndarray, q: np.ndarray
 ) -> float:
     """Largest entry of P2 P1 - P, P2 Q1 + Q2 P1 - T and Q2 Q1 - Q."""
-    r_p = np.abs(factors.P2 @ factors.P1 - p).max()
-    r_t = np.abs(factors.P2 @ factors.Q1 + factors.Q2 @ factors.P1 - t).max()
-    r_q = np.abs(factors.Q2 @ factors.Q1 - q).max()
+    r_p = np.abs(second.P @ first.P - p).max()
+    r_t = np.abs(second.P @ first.Q + second.Q @ first.P - t).max()
+    r_q = np.abs(second.Q @ first.Q - q).max()
     return float(max(r_p, r_t, r_q))
 
 
@@ -220,9 +190,9 @@ def verify_two_step(
     angles: AngleTriple, theta1: float, theta2: float, family: str
 ) -> CorrespondenceReport:
     """Entry-wise residual of the three half-step product identities."""
-    factors = two_step_factorize(angles, theta1, theta2, family)
+    first, second = two_step_factorize(angles, theta1, theta2, family)
     blocks = generalized_blocks_from_qca(params_from_angles(angles), family)
-    err = _two_step_residual(factors, blocks.P, blocks.T, blocks.Q)
+    err = _two_step_residual(first, second, blocks.P, blocks.T, blocks.Q)
     return CorrespondenceReport(err, 0.0, 0, f"two-step-{family}")
 
 

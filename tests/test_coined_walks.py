@@ -132,6 +132,14 @@ def test_coin_blocks_reject_non_unitary_assembly():
         CoinBlocks(bad, np.zeros((2, 2)), bad)
 
 
+def test_coin_blocks_reject_blocks_that_are_not_2x2():
+    # P + Q is a 3x2 isometry with T = 0, so every unitarity defect is zero
+    p = [[1, 0], [0, 0], [0, 0]]
+    q = [[0, 0], [0, 1], [0, 0]]
+    with pytest.raises(ValueError, match="2x2"):
+        CoinBlocks(p, np.zeros((3, 2)), q)
+
+
 def test_coin_blocks_reject_a_nonzero_cross_move_term_alone():
     # P^H P + T^H T + Q^H Q = I and P^H T + T^H Q = 0, so only P^H Q = I/2 is off
     half = np.eye(2) * INV_SQRT2

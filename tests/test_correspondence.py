@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcawalk import correspondence
 from qcawalk.amplitudes import AmplitudeField, max_difference, superpose
 from qcawalk.coined_walks import (
     L_UPPER,
     R_UPPER,
-    CoinBlocks,
     CoinMatrix,
     WalkState,
     generalized_blocks_from_qca,
@@ -20,7 +21,6 @@ from qcawalk.coined_walks import (
 )
 from qcawalk.correspondence import (
     PatelParams,
-    TwoStepFactors,
     _two_step_residual,
     meyer_angles,
     patel_coin,
@@ -34,6 +34,7 @@ from qcawalk.correspondence import (
 )
 from qcawalk.params import AngleTriple, QcaParams, params_from_angles, unitarity_residuals
 from qcawalk.qca_core import qca_step
+from test_properties import PROPERTY_SETTINGS, angle, qubits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PATEL_ANGLES = AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2)
@@ -205,20 +206,20 @@ def test_two_step_products_random():
 @pytest.mark.parametrize("block", ["P", "T", "Q"])
 def test_two_step_check_sees_a_fault_in_each_product(block, family):
     angles = AngleTriple(1.1, 0.4, 2.0)
-    factors = two_step_factorize(angles, 0.3, 0.7, family)
+    first, second = two_step_factorize(angles, 0.3, 0.7, family)
     blocks = generalized_blocks_from_qca(params_from_angles(angles), family)
     targets = {"P": blocks.P, "T": blocks.T, "Q": blocks.Q}
-    assert _two_step_residual(factors, *targets.values()) <= 1e-12
+    assert _two_step_residual(first, second, *targets.values()) <= 1e-12
     # only the product identity whose target is planted can see it
     targets[block] = targets[block] + 1e-9
-    assert _two_step_residual(factors, *targets.values()) == pytest.approx(1e-9, rel=1e-3)
+    residual = _two_step_residual(first, second, *targets.values())
+    assert residual == pytest.approx(1e-9, rel=1e-3)
 
 
 def test_two_step_patel_point_coins():
-    factors = two_step_factorize(PATEL_ANGLES, 0.0, 0.0, "A")
     want = INV_SQRT2 * np.array([[1j, 1.0], [1.0, 1j]])
-    assert np.abs(factors.coin(1) - want).max() <= 1e-15
-    assert np.abs(factors.coin(2) - want).max() <= 1e-15
+    for half_step in two_step_factorize(PATEL_ANGLES, 0.0, 0.0, "A"):
+        assert np.abs(half_step.coin - want).max() <= 1e-15
 
 
 def test_two_step_equal_coins_on_special_line():
@@ -227,25 +228,8 @@ def test_two_step_equal_coins_on_special_line():
         theta = rng.uniform(0.05, math.pi / 2 - 0.05)
         t1 = rng.uniform(0.0, 2.0 * math.pi)
         angles = AngleTriple(theta, math.pi / 2 - theta, 2 * t1 + math.pi / 2)
-        factors = two_step_factorize(angles, t1, t1, "A")
-        assert np.abs(factors.coin(1) - factors.coin(2)).max() <= 1e-12
-
-
-def test_two_step_factors_reject_blocks_that_are_not_2x2():
-    # P1 + Q1 is a 3x2 isometry, so the unitarity defect U^H U - I is zero
-    p1 = [[1, 0], [0, 0], [0, 0]]
-    q1 = [[0, 0], [0, 1], [0, 0]]
-    with pytest.raises(ValueError, match="2x2"):
-        TwoStepFactors(p1, q1, p1, q1)
-
-
-def test_two_step_factors_check_the_coins_not_the_blocks():
-    half = np.eye(2) / 2
-    # P1 = Q1 = I/2 is no unitary step, but its coin P1 + Q1 = I is unitary
-    factors = TwoStepFactors(half, half, np.eye(2), np.zeros((2, 2)))
-    assert np.array_equal(factors.coin(1), np.eye(2))
-    with pytest.raises(ValueError, match="1 or 2"):
-        factors.coin(3)
+        first, second = two_step_factorize(angles, t1, t1, "A")
+        assert np.abs(first.coin - second.coin).max() <= 1e-12
 
 
 @pytest.mark.parametrize("verify", [verify_A_correspondence, verify_B_correspondence])
@@ -259,42 +243,29 @@ def test_families_share_half_step_coins():
     for _ in range(20):
         angles = AngleTriple(*rng.uniform(0.0, 2.0 * math.pi, 3))
         t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
-        fa = two_step_factorize(angles, t1, t2, "A")
-        fb = two_step_factorize(angles, t1, t2, "B")
-        for n in (1, 2):
-            assert np.abs(fa.coin(n) - fb.coin(n)).max() <= 1e-15
+        halves_a = two_step_factorize(angles, t1, t2, "A")
+        halves_b = two_step_factorize(angles, t1, t2, "B")
+        for a, b in zip(halves_a, halves_b):
+            assert np.abs(a.coin - b.coin).max() <= 1e-15
 
 
-def two_half_steps(state, factors):
-    """Plain walk steps with blocks (P1, Q1), then (P2, Q2), in the state's ordering."""
-    zero = np.zeros((2, 2))
-    for p, q in ((factors.P1, factors.Q1), (factors.P2, factors.Q2)):
-        state = walk_step(state, CoinBlocks(p, zero, q, p_side=1, order=state.order))
-    return state
-
-
-def test_one_generalized_step_equals_two_half_steps():
-    # family A embeds the walk on even sites with reflection, family B without
-    rng = np.random.default_rng(73)
-    for _ in range(10):
-        angles = AngleTriple(*rng.uniform(0.0, 2.0 * math.pi, 3))
-        t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
-        params = params_from_angles(angles)
-        qubit = random_qubit(rng)
-        for family, embed in (("A", lambda k: -2 * k), ("B", lambda k: 2 * k)):
-            factors = two_step_factorize(angles, t1, t2, family)
-            blocks = generalized_blocks_from_qca(params, family)
-            gen = WalkState.origin(qubit, blocks.order)
-            fine = WalkState.origin(qubit, blocks.order)
-            for _ in range(6):
-                gen = walk_step(gen, blocks)
-                fine = two_half_steps(fine, factors)
-            for k in gen.support():
-                u, l = gen[k]
-                fu, fl = fine[embed(k)]
-                assert abs(u - fu) <= 1e-12
-                assert abs(l - fl) <= 1e-12
-            assert abs(fine.norm_sq() - 1.0) <= 1e-12
+@PROPERTY_SETTINGS
+@given(st.tuples(angle, angle, angle), angle, angle, qubits, st.integers(0, 8),
+       st.sampled_from(["A", "B"]))
+def test_one_generalized_step_equals_two_half_steps(triple, t1, t2, qubit, n, family):
+    # the half steps are walk steps in the family's frame: walk site k lands on 2k
+    angles = AngleTriple(*triple)
+    blocks = generalized_blocks_from_qca(params_from_angles(angles), family)
+    first, second = two_step_factorize(angles, t1, t2, family)
+    assert (first.p_side, first.order) == (second.p_side, second.order)
+    assert (first.p_side, first.order) == (blocks.p_side, blocks.order)
+    gen = fine = WalkState.origin(qubit, blocks.order)
+    for _ in range(n):
+        gen = walk_step(gen, blocks)
+        fine = walk_step(walk_step(fine, first), second)
+    assert all(k % 2 == 0 for k in fine.support())
+    for k in gen.support() | {k // 2 for k in fine.support()}:
+        assert max(abs(g - f) for g, f in zip(gen[k], fine[2 * k])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +394,6 @@ def test_meyer_angles_always_yield_unitary_tuples():
 
 
 def test_array_holding_parameter_objects_compare_by_identity():
-    for make in (
-        lambda: generalized_blocks_from_qca(PATEL, "B"),
-        lambda: two_step_factorize(PATEL_ANGLES, 0.3, 0.7, "A"),
-    ):
-        one, other = make(), make()
-        assert one == one and one != other
-        assert len({one, other}) == 2
+    one, other = (generalized_blocks_from_qca(PATEL, "B") for _ in range(2))
+    assert one == one and one != other
+    assert len({one, other}) == 2

@@ -10,7 +10,6 @@ import pytest
 from dense_reference import dense_qca_matrix, field_to_vector
 from qcawalk.amplitudes import _RUN_GAP, AmplitudeField, max_difference
 from qcawalk.coined_walks import CoinBlocks, CoinMatrix
-from qcawalk.correspondence import TwoStepFactors
 from qcawalk.params import (
     AngleTriple,
     QcaParams,
@@ -86,8 +85,6 @@ def test_params_reject_non_unitary_tuple():
         # U^H U overflows: a NaN residual must fail the gate, not pass it
         lambda: CoinMatrix(1e160, 1e160, 1e160, -1e160),
         lambda: CoinBlocks([[1e200, 1e200], [0, 0]], np.zeros((2, 2)), [[0, 0], [1e200, -1e200]]),
-        lambda: TwoStepFactors([[1e160, 1e160], [0, 0]], [[0, 0], [1e160, -1e160]],
-                               np.eye(2), np.zeros((2, 2))),
     ],
 )
 def test_validators_reject_values_whose_square_overflows(build):
