@@ -1,15 +1,15 @@
 """Seeded faults that the tests must catch: each mutant is one text edit of ``src/qcawalk``.
 
-    python bench/mutants.py [NAME ...]
+    python bench/mutants.py
 
 Run from the repository root.  The script copies ``src/``, ``tests/``,
 ``pyproject.toml`` and ``README.md`` (which the CLI tests read) into a
-temporary directory.  For each mutant, or each one named, it writes the
-edited module there and runs pytest on only the tests its entry names; the
-mutant is killed when they fail.  Before that, all the named tests run once
-on the unedited copy and must pass, so a test that fails anyway kills
-nothing.  An entry whose old text does not occur exactly once in its module
-fails the run, so the list cannot go stale unseen.  An equivalent mutant
+temporary directory.  For each mutant it writes the edited module there
+and runs pytest on only the tests its entry names; the mutant is killed
+when they fail.  Before that, all the named tests run once on the
+unedited copy and must pass, so a test that fails anyway kills nothing.
+An entry whose old text does not occur exactly once in its module fails
+the run, so the list cannot go stale unseen.  An equivalent mutant
 carries the reason no test can kill it, and the script only checks that
 its edit still applies.  Exit status 0 means every other mutant was killed.
 """
@@ -150,12 +150,7 @@ def _pytest(tree: Path, tests) -> int:
     return subprocess.run(command, cwd=tree, env=env, capture_output=True).returncode
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
-        return 2
+def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory(prefix="qcawalk-mutants-") as tmp:
         tree = Path(tmp)
@@ -165,11 +160,11 @@ def main(names: list[str]) -> int:
                         ignore=shutil.ignore_patterns("__pycache__"))
         for name in ("pyproject.toml", "README.md"):
             shutil.copy(ROOT / name, tree)
-        named = sorted({test for m in chosen for test in m.tests})
+        named = sorted({test for m in MUTANTS for test in m.tests})
         if named and _pytest(tree, named) != 0:
             print("the named tests fail on the unedited tree", file=sys.stderr)
             return 1
-        for m in chosen:
+        for m in MUTANTS:
             path = tree / "src" / "qcawalk" / m.module
             source = path.read_text()
             if source.count(m.old) != 1:
@@ -190,4 +185,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
