@@ -135,6 +135,15 @@ MUTANTS = [
            "return 4.0 / (math.pi", "return (1 + 1e-9) * 4.0 / (math.pi",
            tests=("test_asymptotics.py::test_density_at_zero",
                   "test_acceptance.py::test_criterion_11_density_self_consistency")),
+    # the cut of every step
+    Mutant("the cut skips its finite check", "amplitudes.py",
+           "if mag.size and not math.isfinite(np.maximum.reduce(mag, None)):", "if False:",
+           tests=("test_amplitudes.py::test_a_step_whose_output_overflows_raises",
+                  "test_amplitudes.py::test_non_finite_amplitude_rejected")),
+    Mutant("the pair site mask reads one component", "amplitudes.py",
+           "else dust[0] & dust[1]", "else dust[0]",
+           tests=("test_coined_walks.py::test_walk_state_prunes_each_component",
+                  "test_coined_walks.py::test_walk_step_matches_dense_oracle")),
     # equivalent
     Mutant("B offset moved by two sites", "coined_walks.py",
            "_Family(True, 1, L_UPPER, 0)", "_Family(True, 1, L_UPPER, 2)",

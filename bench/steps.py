@@ -2,21 +2,23 @@
 
     python bench/steps.py [--baseline SRC] [--rounds R] [--scale F] [--out PATH]
 
-Run from the repository root.  Each round starts one child process per
-source tree, and each child imports ``qcawalk`` from that tree, runs every
-case once to warm up, and then times it at least ``REPS`` times and for at
-least ``MIN_SECONDS``; the round's sample is the minimum of those, the
-run least disturbed by other load on the machine.  With ``--baseline``
-(the ``src`` directory of another checkout, for example one made with
-``git archive REV src | tar -x -C DIR``) the rounds alternate which tree
-runs first, and each case reports both trees' medians and quartiles of
-the per-round minima, the ratio of the medians, the quartiles over the
-rounds of each round's own ratio (parent ms / change ms, both trees timed
-in that round, so a slow spell of the machine slows both sides), and the
-rounds the tree under test won.  A case a tree does not have (a ``verify_*`` function its
-package lacks) reads null there.  ``--scale`` multiplies every step count,
-so a quick run can check that the harness still works.  The JSON report
-goes to stdout, or to ``--out``.
+Run from the repository root.  Each round starts one child process, which
+imports the package of this tree (``src``) as ``qcawalk_change`` and, with
+``--baseline`` (the ``src`` directory of another checkout, for example one
+made with ``git archive REV src | tar -x -C DIR``), that tree's package as
+``qcawalk_parent``.  For each case the child calls every tree's version
+once to warm up, and then calls them in turn, each timed between the
+others, at least ``REPS`` times and for at least ``MIN_SECONDS``; a tree's
+sample is the minimum of its calls, the call least disturbed by other load
+on the machine.  The rounds alternate which tree goes first in a pass.
+Both trees run in one process, so a slow spell of the machine slows both
+sides of a round alike: each case reports both trees' medians and
+quartiles of the per-round minima, the ratio of the medians, the quartiles
+over the rounds of each round's own ratio (parent ms / change ms) and the
+rounds the tree under test won.  A case a tree does not have (a
+``verify_*`` function its package lacks) reads null there.  ``--scale``
+multiplies every step count, so a quick run can check that the harness
+still works.  The JSON report goes to stdout, or to ``--out``.
 
 The stepping path's cases are 1000 steps of a B- and an
 A-family walk (the long-run benchmark's walk task steps the B walk), 1000
@@ -35,17 +37,23 @@ field ``evolve_eta(0, 1000)``, evolved once before the timing.
 
 Every case also reports the minor page faults per timed call
 (``ru_minflt``), which count the fresh pages a call's allocations touch.
+With two trees, their calls share one heap, and glibc hands back and
+faults in again more pages than one tree alone would: the 1000-step B
+walk took 228 faults per call alone and about 2460 beside another tree,
+for either tree.  Compare fault counts within one report only.
 The ``rotation.*`` cases repeat the long-run benchmark's task rotation:
-``sample.ks``, ``jump.qdist.1000`` and ``walk_step.B`` in turn, each
-timed between the other two, in a child of their own.  In the child
-that runs the other cases, the n = 5000 warm-ups raise glibc's mmap and
-trim thresholds, and the faults that the rotation takes do not show.
+``sample.ks``, ``jump.qdist.1000`` and ``walk_step.B`` in turn, one tree's
+rotation after the other's, so each task is timed between the other two.
+The child runs them first: the n = 5000 warm-ups of the other cases raise
+glibc's mmap and trim thresholds, after which the faults that the
+rotation takes do not show.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import math
 import os
@@ -84,7 +92,7 @@ VERIFY = {"A": "verify_A_correspondence", "B": "verify_B_correspondence",
           "spectral": "verify_spectral"}
 # the pass line of ``qcawalk verify``
 TOLERANCE = 1e-12
-# The long-run benchmark's rotation, run in a child of its own.
+# The long-run benchmark's rotation, which each child times before the other cases.
 ROTATION = ("sample.ks", "jump.qdist.1000", "walk_step.B")
 
 
@@ -132,54 +140,73 @@ def _minflt() -> int:
 
 
 def _measure(group: list) -> dict:
-    """[least ms, mean minor faults] per call of every (name, run) in ``group``.
+    """[least ms, mean minor faults] per call of every (key, run) in ``group``.
 
     Each pass calls the runs in turn, so each is timed between the others.
     """
     for _, run in group:
         run()
-    samples = {name: [] for name, _ in group}
+    samples = {key: [] for key, _ in group}
     faults = dict.fromkeys(samples, 0)
     until = time.perf_counter() + MIN_SECONDS
     while len(samples[group[0][0]]) < REPS or time.perf_counter() < until:
-        for name, run in group:
+        for key, run in group:
             before = _minflt()
             start = time.perf_counter()
             run()
-            samples[name].append((time.perf_counter() - start) * 1e3)
-            faults[name] += _minflt() - before
-    return {name: [min(ms), faults[name] / len(ms)] for name, ms in samples.items()}
+            samples[key].append((time.perf_counter() - start) * 1e3)
+            faults[key] += _minflt() - before
+    return {key: [min(ms), faults[key] / len(ms)] for key, ms in samples.items()}
 
 
-def child(src: str, scale: float, rotation: bool) -> dict:
-    """[least ms, faults per call] of every case, or of the rotation's, in this process.
+def _load(side: str, src: str):
+    """The ``qcawalk`` package of ``src``, imported under the name ``qcawalk_<side>``.
 
-    The process imports qcawalk from ``src``.
+    Its own name keeps it apart from every other tree's package in the
+    process, also from a second copy of the same tree.
     """
-    sys.path.insert(0, os.path.abspath(src))
-    import qcawalk as q
-
-    if not q.__file__.startswith(os.path.abspath(src)):
-        raise SystemExit(f"imported qcawalk from {q.__file__}, not from {src}")
-    if rotation:
-        group = [(f"rotation.{name}", _case(q, name, max(1, round(CASES[name] * scale))))
-                 for name in ROTATION]
-        return _measure(group)
-    times = {}
-    for name, base in CASES.items():
-        run = _case(q, name, max(1, round(base * scale)))
-        times.update(_measure([(name, run)]) if run else {name: None})
-    return times
+    name = f"qcawalk_{side}"
+    root = os.path.join(os.path.abspath(src), "qcawalk")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(root, "__init__.py"), submodule_search_locations=[root])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
 
 
-def _run_child(src: str, scale: float, rotation: bool) -> dict:
+def child(trees: list, scale: float) -> dict:
+    """{side: {case: [least ms, faults per call]}} of every case, in this process.
+
+    ``trees`` lists [side, src] in the order each pass calls them.  The
+    rotation runs first, before the other cases' warm-ups.
+    """
+    packages = [(side, _load(side, src)) for side, src in trees]
+
+    def steps(name: str) -> int:
+        return max(1, round(CASES[name] * scale))
+
+    times = _measure([((side, f"rotation.{name}"), _case(q, name, steps(name)))
+                      for side, q in packages for name in ROTATION])
+    for name in CASES:
+        group = [((side, name), _case(q, name, steps(name))) for side, q in packages]
+        times.update({key: None for key, run in group if run is None})
+        present = [(key, run) for key, run in group if run is not None]
+        if present:
+            times.update(_measure(present))
+    out = {side: {} for side, _ in trees}
+    for (side, name), value in times.items():
+        out[side][name] = value
+    return out
+
+
+def _run_child(trees: list, scale: float) -> dict:
     done = subprocess.run(
-        [sys.executable, __file__, "--child", src, "--scale", repr(scale),
-         *(["--rotation"] if rotation else [])],
-        capture_output=True, text=True, timeout=600,
+        [sys.executable, __file__, "--child", json.dumps(trees), "--scale", repr(scale)],
+        capture_output=True, text=True, timeout=1200,
     )
     if done.returncode != 0:
-        raise SystemExit(f"child for {src} failed:\n{done.stderr}")
+        raise SystemExit(f"child for {trees} failed:\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -216,10 +243,9 @@ def main() -> int:
     parser.add_argument("--scale", type=float, default=1.0, help="step-count factor")
     parser.add_argument("--out", default=None, help="write the JSON report here")
     parser.add_argument("--child", default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--rotation", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child is not None:
-        print(json.dumps(child(args.child, args.scale, args.rotation)))
+        print(json.dumps(child(json.loads(args.child), args.scale)))
         return 0
     if args.rounds < 1 or args.scale <= 0:
         parser.error("--rounds must be at least 1 and --scale positive")
@@ -229,9 +255,10 @@ def main() -> int:
         trees["parent"] = args.baseline
     rounds = {side: [] for side in trees}
     for r in range(args.rounds):
-        for side in (list(trees) if r % 2 else list(trees)[::-1]):
-            rounds[side].append({**_run_child(trees[side], args.scale, False),
-                                 **_run_child(trees[side], args.scale, True)})
+        order = list(trees.items())
+        times = _run_child(order if r % 2 else order[::-1], args.scale)
+        for side in trees:
+            rounds[side].append(times[side])
 
     steps = {**CASES, **{f"rotation.{name}": CASES[name] for name in ROTATION}}
     cases = {}

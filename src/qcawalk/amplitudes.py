@@ -14,6 +14,9 @@ One routine lines runs up: ``_packed`` lays them out on one axis, for a
 step, for construction (one run per entry) and, one row per field, for
 superposition and comparison (``_aligned``).  One routine cuts them back,
 ``_unpacked``, and its ``_zero_dust`` alone drops mass: dust, and a jump's noise.
+A step is one pass through the three: ``_Runs._stepped`` packs, calls the
+kernel once and cuts.  Most steps see a single run, and there the pack is
+one copy into zeros and the cut one trim, with no loop over runs.
 """
 
 from __future__ import annotations
@@ -59,13 +62,17 @@ def _occupied(values: np.ndarray) -> np.ndarray:
 
 
 def _zero_dust(values: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Zero entries below ``PRUNE_TOLERANCE`` or at most ``floor``; mask of sites left nonzero."""
+    """Zero entries below ``PRUNE_TOLERANCE`` or at most ``floor``; mask of sites left zero."""
     mag = np.abs(values)
-    if mag.size and not math.isfinite(mag.max()):
+    # the ufunc's reduce is ``mag.max()`` without the method's Python wrapper
+    if mag.size and not math.isfinite(np.maximum.reduce(mag, None)):
         raise ValueError("non-finite amplitude")
-    dust = mag < max(PRUNE_TOLERANCE, math.nextafter(floor, math.inf))
+    # only a jump passes a floor
+    below = max(PRUNE_TOLERANCE, math.nextafter(floor, math.inf)) if floor else PRUNE_TOLERANCE
+    dust = mag < below
     np.putmask(values, dust, 0)
-    return ~dust if dust.ndim == 1 else ~dust.all(axis=0)
+    # a pair site is zero when both of its components are
+    return dust if dust.ndim == 1 else dust[0] & dust[1]
 
 
 def _run_bounds(apart: np.ndarray) -> list[tuple[int, int]]:
@@ -85,6 +92,12 @@ def _packed(runs: Sequence[_Run]) -> tuple[int, np.ndarray, list[tuple[int, int]
     shortened gaps; ``_PACK_GAP // 2`` zero sites pad both ends.
     """
     lo, pad = runs[0][0], _PACK_GAP // 2
+    # one run, as at most steps: nothing to place, add or shorten
+    if len(runs) == 1:
+        arr = runs[0][1]
+        values = np.zeros(arr.shape[:-1] + (arr.shape[-1] + 2 * pad,), np.complex128)
+        values[..., pad:-pad] = arr
+        return lo - pad, values, [(lo, 0)]
     last = lo - 1
     stretches, placed = [(lo, 0)], []
     for run_lo, arr in runs:
@@ -112,28 +125,34 @@ def _unpacked(
     shortened gap is cut in its middle, out of reach of a step from either
     side, and each stretch is shifted back and trimmed by ``_trimmed``.
     """
-    keep = _zero_dust(values, floor)
-    cuts = [0, *(first - _PACK_GAP // 2 - lo for first, _ in stretches[1:]), keep.size]
+    zero = _zero_dust(values, floor)
+    # one stretch (the first, unshifted): no gap to cut
+    if len(stretches) == 1:
+        return _trimmed(lo, values, zero)
+    cuts = [0, *(first - _PACK_GAP // 2 - lo for first, _ in stretches[1:]), zero.size]
     runs = []
     for start, stop, (_, shift) in zip(cuts, cuts[1:], stretches):
-        runs += _trimmed(lo + shift + start, values[..., start:stop], keep[start:stop])
+        runs += _trimmed(lo + shift + start, values[..., start:stop], zero[start:stop])
     return runs
 
 
-def _trimmed(lo: int, values: np.ndarray, keep: np.ndarray) -> list[_Run]:
-    """Runs of ``values`` (first site ``lo``, ``keep`` its nonzero sites).
+def _trimmed(lo: int, values: np.ndarray, zero: np.ndarray) -> list[_Run]:
+    """Runs of ``values`` (first site ``lo``, ``zero`` its zero sites).
 
     Zero ends are trimmed, and a run is cut wherever two neighbouring
     nonzero sites lie more than ``_RUN_GAP`` apart, as at construction.
     """
-    first = int(keep.argmax())
-    if not keep[first]:
+    # the mask's bytes are 0 (nonzero site) and 1 (zero site), which bytes
+    # methods scan at a fraction of the cost of a numpy call
+    flags = zero.tobytes()
+    first = flags.find(0)
+    if first < 0:
         return []
-    stop = keep.size - int(keep[::-1].argmax())
+    stop = flags.rfind(0) + 1
     # fewer zeros inside than _RUN_GAP: no gap can be wider, so one run
-    if stop - first - int(np.count_nonzero(keep)) < _RUN_GAP:
+    if flags.count(1, first, stop) < _RUN_GAP:
         return [(lo + first, values[..., first:stop])]
-    at = np.flatnonzero(keep)
+    at = np.flatnonzero(~zero)
     return [
         (lo + int(at[i]), values[..., at[i] : at[j - 1] + 1])
         for i, j in _run_bounds(np.diff(at) > _RUN_GAP)
@@ -216,26 +235,29 @@ class _Runs(_Sited):
         self._runs = tuple(_unpacked(*_packed(runs))) if runs else ()
 
     @classmethod
-    def _from_runs(cls, runs: Iterable[_Run], **attrs):
+    def _from_runs(cls, runs: Iterable[_Run]):
         """Internal fast path: wrap pruned, sorted runs; a site past int64 raises OverflowError."""
         new = cls.__new__(cls)
         runs = new._runs = tuple(runs)
         if runs and not -(2**63) <= runs[0][0] <= runs[-1][0] + runs[-1][1].shape[-1] - 1 < 2**63:
             raise OverflowError("lattice site out of int64 range")
-        for name, value in attrs.items():
-            setattr(new, name, value)
         return new
 
-    def _stepped(self, kernel, **attrs):
+    def _stepped(self, kernel):
         """Apply ``kernel(lo, values) -> (out_lo, out_values)`` to all runs in one call.
 
         The kernel sees the runs zero-padded in one pack (``_packed``), and its
-        output is cut back into runs (``_unpacked``) and wrapped with ``attrs``.
+        output is cut back into runs (``_unpacked``); the result keeps this
+        value's ``_fields``.
         """
-        if not self._runs:
-            return self._from_runs((), **attrs)
-        lo, values, stretches = _packed(self._runs)
-        return self._from_runs(_unpacked(*kernel(lo, values), stretches), **attrs)
+        runs = self._runs
+        if runs:
+            lo, values, stretches = _packed(runs)
+            runs = _unpacked(*kernel(lo, values), stretches)
+        new = self._from_runs(runs)
+        for name in self._fields:
+            setattr(new, name, getattr(self, name))
+        return new
 
     def _flat(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending nonzero sites and their entries (last axis over sites)."""

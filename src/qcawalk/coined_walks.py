@@ -235,16 +235,16 @@ def walk_step(state: WalkState, blocks: CoinBlocks) -> WalkState:
     # ``pad`` zero sites at each end, no more, as the product's last bits depend
     # on its width.  Row m holds the input shifted m sites right, which the
     # stencil's columns 2m, 2m + 1 meet with the block moving an entry m - 1 sites.
+    # The stack is a strided view of the pack (a step of -1 site from row m to
+    # m + 1), and the reshape copies it once into the (6, width) operand.
     stencil, pad = blocks._stencil, _PACK_GAP // 2
 
     def kernel(lo: int, x: np.ndarray) -> tuple[int, np.ndarray]:
-        width = x.shape[1] - 2 * pad + 2
-        stack = np.empty((3, 2, width), dtype=np.complex128)
-        for m in range(3):
-            stack[m] = x[:, pad - m : pad - m + width]
+        width, site = x.shape[1] - 2 * pad + 2, x.itemsize
+        stack = np.ndarray((3, 2, width), x.dtype, x, pad * site, (-site, x.strides[0], site))
         return lo + pad - 1, stencil @ stack.reshape(6, width)
 
-    return state._stepped(kernel, order=state.order)
+    return state._stepped(kernel)
 
 
 def walk_distribution(state: WalkState) -> Distribution:

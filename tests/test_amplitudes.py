@@ -129,6 +129,41 @@ def test_non_finite_amplitude_rejected():
         AmplitudeField({0: complex("nan")})
 
 
+REFERENCE = params_from_angles(AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2))
+
+
+def phase_aligned(coefficients, size=1e308):
+    """Entries of modulus ``size`` whose products with ``coefficients`` point along +1."""
+    return tuple(size * z.conjugate() / abs(z) if z else 0j for z in coefficients)
+
+
+def overflowing_step(kind):
+    """A step of ``kind`` whose output entry at site 0 sums to 2e308.
+
+    At the reference point |a| = |b| = |c| = |d| = 1/2, so the terms of one
+    output entry, each 1e308 times its coefficient and all in phase, add up
+    past the largest float64.
+    """
+    if kind == "qca_step":
+        # out[0] = a*in[-1] + b*in[0] + c*in[1] + d*in[2]
+        field = AmplitudeField(dict(zip(range(-1, 3), phase_aligned(REFERENCE.astuple()))))
+        return lambda: qca_step(field, REFERENCE)
+    blocks = generalized_blocks_from_qca(REFERENCE, "B")
+    # B's new[0] = P old[1] + T old[0] + Q old[-1]; its upper entry reads the top rows
+    rows = {1: blocks.P[0], 0: blocks.T[0], -1: blocks.Q[0]}
+    state = WalkState({site: phase_aligned(row) for site, row in rows.items()}, blocks.order)
+    return lambda: walk_step(state, blocks)
+
+
+@pytest.mark.parametrize("kind", ["qca_step", "walk_step"])
+def test_a_step_whose_output_overflows_raises(kind):
+    step = overflowing_step(kind)
+    # numpy's own overflow warning is silenced: the check under test is the step's
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^non-finite amplitude$"):
+            step()
+
+
 def test_shifted_translates_support():
     field = AmplitudeField({-1: 1j, 2: 0.5})
     moved = field.shifted(3)

@@ -289,12 +289,12 @@ def test_translating_sites_split_into_runs_and_keep_the_step_cost_flat(monkeypat
     widths = []
     stepped = AmplitudeField._stepped
 
-    def counted(field, kernel, **attrs):
+    def counted(field, kernel):
         def kernel_call(lo, values):
             widths.append(values.shape[-1])
             return kernel(lo, values)
 
-        return stepped(field, kernel_call, **attrs)
+        return stepped(field, kernel_call)
 
     def evolve(field, params, n):
         for _ in range(n):
