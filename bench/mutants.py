@@ -135,6 +135,15 @@ MUTANTS = [
            "return 4.0 / (math.pi", "return (1 + 1e-9) * 4.0 / (math.pi",
            tests=("test_asymptotics.py::test_density_at_zero",
                   "test_acceptance.py::test_criterion_11_density_self_consistency")),
+    # the n-step driver and its step rule
+    Mutant("the n-step driver runs one step short", "amplitudes.py",
+           "for _ in range(n):", "for _ in range(n - 1):",
+           tests=("test_properties.py::test_evolve_walk_is_n_walk_steps",
+                  "test_properties.py::test_stepped_evolution_is_n_lattice_steps")),
+    Mutant("the step rule lets a negative count through", "amplitudes.py",
+           "if n < least:", "if n < least - 1:",
+           tests=("test_amplitudes.py::test_every_step_count_goes_through_one_rule",
+                  "test_cli.py::test_a_negative_step_count_is_one_usage_error")),
     # the cut of every step
     Mutant("the cut skips its finite check", "amplitudes.py",
            "if mag.size and not math.isfinite(np.maximum.reduce(mag, None)):", "if False:",

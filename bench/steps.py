@@ -27,20 +27,24 @@ A-family walk (the long-run benchmark's walk task steps the B walk), 1000
 ``verify.B``, ``verify.A.50``, ``verify.B.50``: walk and lattice in
 lockstep, compared at every step) and ``verify_spectral`` at 5000
 (``verify.spectral``: the jump against 5000 ``qca_step`` calls).  A
-``verify.*`` case fails the run if its report's error is above 1e-12, the
-pass line of ``qcawalk verify``.  The jump's cases
+``verify.*`` case fails the run if its report's error is above the tree's
+``RESIDUAL_TOLERANCE``, the pass line of ``qcawalk verify``.
+``evolve.IV.1000`` is ``evolve_eta`` at 1000 steps on the Type IV tuple
+(1/sqrt2, 0, 0, i/sqrt2), which every tree evolves by stepping, not by
+a jump: it times the n-step driver.  The jump's cases
 are ``qca_distribution`` at 1000 and 5000 steps (``jump.qdist.N``) and, at
 the reference point, ``rescaled_qca_sample`` plus ``kolmogorov_distance``
 at 1000 (``sample.ks``, the long-run benchmark's sample task) and at 5000
 (``sample.ks.5000``).  ``distribution.1000`` is ``to_distribution`` of the
 field ``evolve_eta(0, 1000)``, evolved once before the timing.
 
-Every case also reports the minor page faults per timed call
+A one-tree run also reports the minor page faults per timed call
 (``ru_minflt``), which count the fresh pages a call's allocations touch.
-With two trees, their calls share one heap, and glibc hands back and
-faults in again more pages than one tree alone would: the 1000-step B
-walk took 228 faults per call alone and about 2460 beside another tree,
-for either tree.  Compare fault counts within one report only.
+A two-tree report gives null there: the trees' calls share one heap, and
+glibc hands back and faults in again more pages than one tree alone
+would (the 1000-step B walk took 228 faults per call alone and about
+2460 beside another tree, for either tree), so the count would show
+neither tree's own.
 The ``rotation.*`` cases repeat the long-run benchmark's task rotation:
 ``sample.ks``, ``jump.qdist.1000`` and ``walk_step.B`` in turn, one tree's
 rotation after the other's, so each task is timed between the other two.
@@ -81,6 +85,7 @@ CASES = {
     "verify.A.50": 50,
     "verify.B.50": 50,
     "verify.spectral": 5000,
+    "evolve.IV.1000": 1000,
     "jump.qdist.1000": 1000,
     "jump.qdist.5000": 5000,
     "sample.ks": 1000,
@@ -90,8 +95,6 @@ CASES = {
 # verify.K calls this function of the package; a tree without it lacks the case
 VERIFY = {"A": "verify_A_correspondence", "B": "verify_B_correspondence",
           "spectral": "verify_spectral"}
-# the pass line of ``qcawalk verify``
-TOLERANCE = 1e-12
 # The long-run benchmark's rotation, which each child times before the other cases.
 ROTATION = ("sample.ks", "jump.qdist.1000", "walk_step.B")
 
@@ -108,6 +111,9 @@ def _case(q, name: str, n: int):
                 state = q.walk_step(state, blocks)
             return state
         return walk
+    if name.startswith("evolve.IV."):
+        type_iv = q.QcaParams(math.sqrt(0.5), 0, 0, 1j * math.sqrt(0.5))
+        return lambda: q.evolve_eta(0, n, type_iv)
     if name.startswith("jump.qdist."):
         return lambda: q.qca_distribution(0, "+", QUBIT, n, params)
     if name.startswith("sample.ks"):
@@ -129,8 +135,10 @@ def _case(q, name: str, n: int):
 
     def check():
         report = verify(params, QUBIT, n)
-        if not report.max_error() <= TOLERANCE:
-            raise RuntimeError(f"{name}: error {report.max_error()!r} above {TOLERANCE}")
+        # the tree's own pass line of ``qcawalk verify``
+        if not report.max_error() <= q.RESIDUAL_TOLERANCE:
+            raise RuntimeError(f"{name}: error {report.max_error()!r} above "
+                               f"{q.RESIDUAL_TOLERANCE}")
         return report
     return check
 
@@ -139,8 +147,8 @@ def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _measure(group: list) -> dict:
-    """[least ms, mean minor faults] per call of every (key, run) in ``group``.
+def _measure(group: list, count_faults: bool) -> dict:
+    """[least ms, mean minor faults or None] per call of every (key, run) in ``group``.
 
     Each pass calls the runs in turn, so each is timed between the others.
     """
@@ -156,7 +164,8 @@ def _measure(group: list) -> dict:
             run()
             samples[key].append((time.perf_counter() - start) * 1e3)
             faults[key] += _minflt() - before
-    return {key: [min(ms), faults[key] / len(ms)] for key, ms in samples.items()}
+    return {key: [min(ms), faults[key] / len(ms) if count_faults else None]
+            for key, ms in samples.items()}
 
 
 def _load(side: str, src: str):
@@ -179,21 +188,23 @@ def child(trees: list, scale: float) -> dict:
     """{side: {case: [least ms, faults per call]}} of every case, in this process.
 
     ``trees`` lists [side, src] in the order each pass calls them.  The
-    rotation runs first, before the other cases' warm-ups.
+    rotation runs first, before the other cases' warm-ups.  Faults are
+    counted with one tree only, and are None with two.
     """
     packages = [(side, _load(side, src)) for side, src in trees]
+    alone = len(packages) == 1
 
     def steps(name: str) -> int:
         return max(1, round(CASES[name] * scale))
 
     times = _measure([((side, f"rotation.{name}"), _case(q, name, steps(name)))
-                      for side, q in packages for name in ROTATION])
+                      for side, q in packages for name in ROTATION], alone)
     for name in CASES:
         group = [((side, name), _case(q, name, steps(name))) for side, q in packages]
         times.update({key: None for key, run in group if run is None})
         present = [(key, run) for key, run in group if run is not None]
         if present:
-            times.update(_measure(present))
+            times.update(_measure(present, alone))
     out = {side: {} for side, _ in trees}
     for (side, name), value in times.items():
         out[side][name] = value
@@ -221,8 +232,10 @@ def _summary(runs: list) -> dict | None:
         return None
     samples, faults = (list(column) for column in zip(*runs))
     q1, median, q3 = _quartiles(samples)
+    counted = None not in faults
     return {"median_ms": median, "q1_ms": q1, "q3_ms": q3, "runs_ms": samples,
-            "faults_per_call": statistics.median(faults), "faults_runs": faults}
+            "faults_per_call": statistics.median(faults) if counted else None,
+            "faults_runs": faults if counted else None}
 
 
 def _machine() -> dict:

@@ -15,8 +15,9 @@ step, for construction (one run per entry) and, one row per field, for
 superposition and comparison (``_aligned``).  One routine cuts them back,
 ``_unpacked``, and its ``_zero_dust`` alone drops mass: dust, and a jump's noise.
 A step is one pass through the three: ``_Runs._stepped`` packs, calls the
-kernel once and cuts.  Most steps see a single run, and there the pack is
-one copy into zeros and the cut one trim, with no loop over runs.
+kernel once and cuts.  Its loop is the only one that runs ``n`` steps, and
+it wraps the runs once at the end.  Most steps see a single run, and there
+the pack is one copy into zeros and the cut one trim, with no loop over runs.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ _PACK_GAP = 8
 _Entries = Mapping[int, complex] | Iterable[Tuple[int, complex]]
 # (first site, values); the last axis of ``values`` runs over sites.
 _Run = Tuple[int, np.ndarray]
+
+
+def _step_count(n, least: int = 0) -> int:
+    """``n`` as an int: TypeError unless it is an integer, ValueError if below ``least``."""
+    n = operator.index(n)
+    if n < least:
+        bound = f"at least {least}" if least else "nonnegative"
+        raise ValueError(f"step count must be {bound}, got {n}")
+    return n
 
 
 def _occupied(values: np.ndarray) -> np.ndarray:
@@ -243,17 +253,19 @@ class _Runs(_Sited):
             raise OverflowError("lattice site out of int64 range")
         return new
 
-    def _stepped(self, kernel):
-        """Apply ``kernel(lo, values) -> (out_lo, out_values)`` to all runs in one call.
+    def _stepped(self, kernel, n: int = 1):
+        """Apply ``kernel(lo, values) -> (out_lo, out_values)`` to all runs, ``n`` times.
 
-        The kernel sees the runs zero-padded in one pack (``_packed``), and its
-        output is cut back into runs (``_unpacked``); the result keeps this
-        value's ``_fields``.
+        Each step, the kernel sees the runs zero-padded in one pack
+        (``_packed``) in one call, and its output is cut back into runs
+        (``_unpacked``).  The last step's runs are wrapped once, and the
+        result keeps this value's ``_fields``.
         """
         runs = self._runs
-        if runs:
-            lo, values, stretches = _packed(runs)
-            runs = _unpacked(*kernel(lo, values), stretches)
+        for _ in range(n):
+            if runs:
+                lo, values, stretches = _packed(runs)
+                runs = _unpacked(*kernel(lo, values), stretches)
         new = self._from_runs(runs)
         for name in self._fields:
             setattr(new, name, getattr(self, name))

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import Distribution
+from .amplitudes import Distribution, _step_count
 from .params import RESIDUAL_TOLERANCE, QcaParams
 from .qca_core import qca_distribution
 
@@ -93,9 +92,7 @@ class RescaledSample:
             total = math.fsum(pts[:, 1].tolist())
             if abs(total - 1.0) > RESIDUAL_TOLERANCE:
                 raise ValueError(f"sample masses must total 1, got {total!r}")
-        n = operator.index(self.n)
-        if n < 1:
-            raise ValueError(f"step count must be at least 1, got {n}")
+        n = _step_count(self.n, 1)
         x, m = pts.T
         step = np.diff(x)
         if not ((step > 0.0) | ((step == 0.0) & (np.diff(m) >= 0.0))).all():
@@ -110,8 +107,7 @@ class RescaledSample:
 
 def rescaled_qca_sample(params: QcaParams, qubit, n: int) -> RescaledSample:
     """Rescale the paired-branch distribution after ``n`` steps by ``n``."""
-    if n < 1:
-        raise ValueError(f"step count must be at least 1, got {n}")
+    n = _step_count(n, 1)
     sites, masses = qca_distribution(0, "+", qubit, n, params)._flat()
     return RescaledSample(np.column_stack((sites / n, masses)), n)
 

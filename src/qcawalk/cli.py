@@ -247,12 +247,8 @@ def _cmd_simulate_qca(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
 
 def _cmd_simulate_qw(args, engine: ModuleType) -> tuple[int, dict, dict, dict]:
     params, qubit, payload = _resolve_run(args)
-    if args.steps < 0:
-        raise ValueError(f"--steps must be nonnegative, got {args.steps}")
     blocks = engine.generalized_blocks_from_qca(params, args.family)
-    state = engine.WalkState.origin(qubit, blocks.order)
-    for _ in range(args.steps):
-        state = engine.walk_step(state, blocks)
+    state = engine.evolve_walk(engine.WalkState.origin(qubit, blocks.order), blocks, args.steps)
     dist = engine.walk_distribution(state)
     return _distribution_report({**payload, "family": args.family, "steps": args.steps}, dist)
 

@@ -15,8 +15,8 @@ Two half steps, (P1, Q1) then (P2, Q2), are one generalized step on the
 sites 2k: P = P2 P1, T = P2 Q1 + Q2 P1 and Q = Q2 Q1.  Each family's frame
 is its ``_FAMILIES`` row.
 
-``walk_step`` refuses to mix states and blocks written in different
-orderings instead of silently reordering.
+``walk_step`` and ``evolve_walk`` refuse to mix states and blocks written
+in different orderings instead of silently reordering.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .amplitudes import _PACK_GAP, Distribution, _Runs
+from .amplitudes import _PACK_GAP, Distribution, _Runs, _step_count
 from .params import RESIDUAL_TOLERANCE, QcaParams, normalized_qubit
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "plain_blocks",
     "generalized_blocks_from_qca",
     "walk_step",
+    "evolve_walk",
     "walk_distribution",
 ]
 
@@ -226,6 +227,16 @@ def generalized_blocks_from_qca(params: QcaParams, family: str) -> CoinBlocks:
 
 def walk_step(state: WalkState, blocks: CoinBlocks) -> WalkState:
     """Advance the walk by one step of the block recurrence."""
+    return state._stepped(_block_kernel(state, blocks))
+
+
+def evolve_walk(state: WalkState, blocks: CoinBlocks, n: int) -> WalkState:
+    """Advance the walk by ``n`` steps of the block recurrence."""
+    return state._stepped(_block_kernel(state, blocks), _step_count(n))
+
+
+def _block_kernel(state: WalkState, blocks: CoinBlocks):
+    """Kernel ``(lo, x) -> (out_lo, out)`` of one ``blocks`` step, for a state in their order."""
     if state.order != blocks.order:
         raise ValueError(
             f"state is {state.order} but blocks are written {blocks.order}; "
@@ -244,7 +255,7 @@ def walk_step(state: WalkState, blocks: CoinBlocks) -> WalkState:
         stack = np.ndarray((3, 2, width), x.dtype, x, pad * site, (-site, x.strides[0], site))
         return lo + pad - 1, stencil @ stack.reshape(6, width)
 
-    return state._stepped(kernel)
+    return kernel
 
 
 def walk_distribution(state: WalkState) -> Distribution:

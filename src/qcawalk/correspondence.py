@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeField, _mismatch, _paired_field, max_difference
+from .amplitudes import AmplitudeField, _mismatch, _paired_field, _step_count, max_difference
 from .coined_walks import (
     CoinBlocks,
     WalkState,
@@ -73,8 +73,7 @@ def _verify_pairing(
     the same map that each step's results are compared through, so the
     comparison runs after every step (the start agrees by construction).
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    n_max = _step_count(n_max)
     offset = _family(family).offset
     blocks = generalized_blocks_from_qca(params, family)
     walk = WalkState.origin(qubit, blocks.order)
@@ -112,8 +111,7 @@ def verify_spectral(params: QcaParams, qubit, n: int) -> CorrespondenceReport:
     by ``n`` calls of ``qca_step``.  Other classes never jump, so they are
     rejected.
     """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    n = _step_count(n)
     refusal = _jump_refusal(params)
     if refusal:
         raise ValueError(refusal)

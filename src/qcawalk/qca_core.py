@@ -17,7 +17,7 @@ import threading
 
 import numpy as np
 
-from .amplitudes import AmplitudeField, Distribution, to_distribution
+from .amplitudes import AmplitudeField, Distribution, _step_count, to_distribution
 from .params import QcaParams, QcaTypeClass, classify, normalized_qubit
 
 __all__ = [
@@ -29,6 +29,11 @@ __all__ = [
 
 def qca_step(field: AmplitudeField, params: QcaParams) -> AmplitudeField:
     """One application of the banded step operator, run by run."""
+    return field._stepped(_banded_kernel(params))
+
+
+def _banded_kernel(params: QcaParams):
+    """Kernel ``(lo, x) -> (out_lo, out)`` applying one banded step to a zero-padded pack."""
     a, b, c, d = params.astuple()
     # row k of the window view is in[2k-1 .. 2k+2]; its columns give out[2k], out[2k+1]
     stencil = np.array([[a, d], [b, c], [c, b], [d, a]], dtype=np.complex128)
@@ -41,7 +46,7 @@ def qca_step(field: AmplitudeField, params: QcaParams) -> AmplitudeField:
         windows = np.ndarray((npairs, 4), np.complex128, x, at * step, (2 * step, step))
         return base, (windows @ stencil).ravel()
 
-    return field._stepped(kernel)
+    return kernel
 
 
 _I_POWERS = (1, 1j, -1, -1j)
@@ -176,13 +181,10 @@ def _evolve(field: AmplitudeField, n: int, params: QcaParams) -> AmplitudeField:
 
     One Fourier jump where ``_jump_refusal`` allows it, else ``n`` banded steps.
     """
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
+    n = _step_count(n)
     if n > 0 and not _jump_refusal(params):
         return field._jumped(2 * n, _fourier_power(n, params))
-    for _ in range(n):
-        field = qca_step(field, params)
-    return field
+    return field._stepped(_banded_kernel(params), n)
 
 
 def evolve_eta(m: int, n: int, params: QcaParams) -> AmplitudeField:

@@ -23,9 +23,17 @@ from qcawalk.amplitudes import (
     superpose,
     to_distribution,
 )
-from qcawalk.coined_walks import L_UPPER, WalkState, generalized_blocks_from_qca, walk_step
+from qcawalk.asymptotics import RescaledSample, rescaled_qca_sample
+from qcawalk.coined_walks import (
+    L_UPPER,
+    WalkState,
+    evolve_walk,
+    generalized_blocks_from_qca,
+    walk_step,
+)
+from qcawalk.correspondence import verify_A_correspondence, verify_spectral
 from qcawalk.params import AngleTriple, params_from_angles
-from qcawalk.qca_core import evolve_eta, qca_step
+from qcawalk.qca_core import _evolve, evolve_eta, qca_step
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -162,6 +170,37 @@ def test_a_step_whose_output_overflows_raises(kind):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="^non-finite amplitude$"):
             step()
+
+
+GENERIC = params_from_angles(AngleTriple(1.1, 0.4, 2.0))
+GENERIC_QUBIT = (0.6, 0.8j)
+
+
+def walked(n):
+    blocks = generalized_blocks_from_qca(GENERIC, "B")
+    return evolve_walk(WalkState.origin(GENERIC_QUBIT, blocks.order), blocks, n)
+
+
+# Every entry that takes a step count, each checking it by the one rule.
+STEP_COUNT_ENTRIES = {
+    "_evolve": lambda n: _evolve(AmplitudeField({0: 0.6, 1: 0.8j}), n, GENERIC),
+    "evolve_walk": walked,
+    "verify_A_correspondence": lambda n: verify_A_correspondence(GENERIC, GENERIC_QUBIT, n),
+    "verify_spectral": lambda n: verify_spectral(GENERIC, GENERIC_QUBIT, n),
+    "rescaled_qca_sample": lambda n: rescaled_qca_sample(GENERIC, GENERIC_QUBIT, n),
+    "RescaledSample": lambda n: RescaledSample(((0.0, 1.0),), n),
+}
+
+
+@pytest.mark.parametrize("entry", STEP_COUNT_ENTRIES)
+def test_every_step_count_goes_through_one_rule(entry):
+    run = STEP_COUNT_ENTRIES[entry]
+    with pytest.raises(ValueError, match="^step count must be"):
+        run(-1)
+    with pytest.raises(TypeError):
+        run(2.5)
+    # a numpy integer is read as the int it holds, also where the value keeps it
+    assert repr(run(np.int64(3))) == repr(run(3))
 
 
 def test_shifted_translates_support():

@@ -343,6 +343,17 @@ def test_invalid_inputs_exit_two(capsys, args):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["simulate-qca", "simulate-qw", "verify --kind A", "verify --kind B",
+     "verify --kind spectral"],
+)
+def test_a_negative_step_count_is_one_usage_error(capsys, command):
+    code, out, err = run_inprocess(capsys, *command.split(), *REFERENCE, "--steps", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: step count must be nonnegative, got -1\n"
+
+
 # Each verify/factorize kind flag: a value to give it, and its echo in params when unset
 # (the parameter flags have none: a kind that reads them needs them given).
 KIND_FLAGS = {

@@ -18,6 +18,7 @@ from qcawalk.amplitudes import (
 from qcawalk.coined_walks import (
     CoinMatrix,
     WalkState,
+    evolve_walk,
     generalized_blocks_from_qca,
     plain_blocks,
     walk_distribution,
@@ -35,11 +36,12 @@ from qcawalk.correspondence import (
 from qcawalk.params import (
     RESIDUAL_TOLERANCE,
     AngleTriple,
+    QcaParams,
     QcaTypeClass,
     classify,
     params_from_angles,
 )
-from qcawalk.qca_core import evolve_eta, qca_distribution, qca_step
+from qcawalk.qca_core import _evolve, evolve_eta, qca_distribution, qca_step
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -172,6 +174,36 @@ def test_walk_step_is_linear(blocks, s, t, z):
 def test_walk_step_commutes_with_a_one_site_shift(blocks, s):
     s = WalkState(s, blocks.order)
     assert walk_gap(walk_step(shifted(s), blocks), shifted(walk_step(s, blocks))) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(walk_blocks, walk_sites, st.integers(0, 40))
+def test_evolve_walk_is_n_walk_steps(blocks, s, n):
+    start = stepped = WalkState(s, blocks.order)
+    for _ in range(n):
+        stepped = walk_step(stepped, blocks)
+    evolved = evolve_walk(start, blocks, n)
+    assert evolved == stepped and repr(evolved) == repr(stepped)
+
+
+# The tuples that _evolve steps: one angle a multiple of pi/2 zeroes two coefficients
+# (Types I-IV), and a phase on one coefficient is a trivial class.
+stepped_params = st.one_of(
+    st.builds(lambda k, t, d: params_from_angles(AngleTriple(k * math.pi / 2, t, d)),
+              st.integers(0, 3), angle, angle),
+    st.builds(lambda k, t, d: params_from_angles(AngleTriple(t, k * math.pi / 2, d)),
+              st.integers(0, 3), angle, angle),
+    st.builds(lambda i, g: QcaParams(*(cmath.exp(1j * g) if j == i else 0 for j in range(4))),
+              st.integers(0, 3), angle),
+)
+
+
+@PROPERTY_SETTINGS
+@given(stepped_params, fields, st.integers(0, 40))
+def test_stepped_evolution_is_n_lattice_steps(p, field, n):
+    assert classify(p) is not QcaTypeClass.TYPE_V
+    evolved, stepped = _evolve(field, n, p), evolve(field, n, p)
+    assert evolved == stepped and repr(evolved) == repr(stepped)
 
 
 @PROPERTY_SETTINGS
