@@ -113,7 +113,7 @@ MUTANTS = [
            "if state.order != blocks.order:", "if False:",
            tests=("test_coined_walks.py::test_step_rejects_order_mismatch",)),
     # the engines and the limit law
-    Mutant("jump drops its global phase", "qca_core.py",
+    Mutant("jump drops its global phase", "amplitudes.py",
            "phase = _I_POWERS[n * k % 4] * cmath.exp(1j * n * half_arg)", "phase = 1.0",
            tests=("test_jump.py::test_one_jump_step_is_one_b_walk_step",
                   "test_jump.py::test_kernel_agrees_with_the_normalized_full_ring_reference")),
@@ -135,6 +135,21 @@ MUTANTS = [
            "return 4.0 / (math.pi", "return (1 + 1e-9) * 4.0 / (math.pi",
            tests=("test_asymptotics.py::test_density_at_zero",
                   "test_acceptance.py::test_criterion_11_density_self_consistency")),
+    # the jump of every step that its symbol allows
+    Mutant("the symbol drops its e^{-ip} coefficient", "amplitudes.py",
+           "if z_down:", "if False:",
+           tests=("test_properties.py::test_evolve_walk_jumps_within_the_error_budget",)),
+    Mutant("the evenness check is skipped", "amplitudes.py",
+           "if symbol != [[row[::-1] for row in block[::-1]] for block in symbol[::-1]]:",
+           "if False:",
+           tests=("test_properties.py::test_evolve_walk_is_n_walk_steps",
+                  "test_properties.py::test_a_symbol_jumps_exactly_when_it_is_generic_and_even")),
+    Mutant("a start of any width jumps", "amplitudes.py",
+           "if 0 < width <= (2 if self._lead else 4) * n and", "if 0 < width and",
+           tests=("test_jump.py::test_a_start_wider_than_2n_cells_steps",)),
+    Mutant("two nonzero coefficients are generic enough", "amplitudes.py",
+           "if generic < 3:", "if generic < 2:",
+           tests=("test_properties.py::test_a_symbol_jumps_exactly_when_it_is_generic_and_even",)),
     # the n-step driver and its step rule
     Mutant("the n-step driver runs one step short", "amplitudes.py",
            "for _ in range(n):", "for _ in range(n - 1):",

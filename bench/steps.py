@@ -31,7 +31,10 @@ lockstep, compared at every step) and ``verify_spectral`` at 5000
 ``RESIDUAL_TOLERANCE``, the pass line of ``qcawalk verify``.
 ``evolve.IV.1000`` is ``evolve_eta`` at 1000 steps on the Type IV tuple
 (1/sqrt2, 0, 0, i/sqrt2), which every tree evolves by stepping, not by
-a jump: it times the n-step driver.  The jump's cases
+a jump: it times the n-step driver.  ``evolve_walk.A.5000`` and
+``evolve_walk.B.5000`` are ``evolve_walk`` of each family's generalized
+blocks from the qubit at the origin: one jump where the tree jumps walks,
+5000 steps where it steps them.  The lattice jump's cases
 are ``qca_distribution`` at 1000 and 5000 steps (``jump.qdist.N``) and, at
 the reference point, ``rescaled_qca_sample`` plus ``kolmogorov_distance``
 at 1000 (``sample.ks``, the long-run benchmark's sample task) and at 5000
@@ -86,6 +89,8 @@ CASES = {
     "verify.B.50": 50,
     "verify.spectral": 5000,
     "evolve.IV.1000": 1000,
+    "evolve_walk.A.5000": 5000,
+    "evolve_walk.B.5000": 5000,
     "jump.qdist.1000": 1000,
     "jump.qdist.5000": 5000,
     "sample.ks": 1000,
@@ -111,6 +116,10 @@ def _case(q, name: str, n: int):
                 state = q.walk_step(state, blocks)
             return state
         return walk
+    if name.startswith("evolve_walk."):
+        blocks = q.generalized_blocks_from_qca(params, name.split(".")[1])
+        start = q.WalkState.origin(QUBIT, blocks.order)
+        return lambda: q.evolve_walk(start, blocks, n)
     if name.startswith("evolve.IV."):
         type_iv = q.QcaParams(math.sqrt(0.5), 0, 0, 1j * math.sqrt(0.5))
         return lambda: q.evolve_eta(0, n, type_iv)

@@ -6,7 +6,7 @@ entries that lie within ``_RUN_GAP`` sites of each other share a run, so
 memory follows the support, not the distance between its far ends.  The
 same run layout, with a leading axis for the two chirality components,
 backs ``coined_walks.WalkState``: both subclass ``_Runs``, which owns the
-layout and the one step driver, and no other module reads the runs.
+layout, the one step driver and the one jump; no other module reads the runs.
 ``_Sited`` writes the value protocol (``==``, ``repr``, ``in``, iteration,
 ``support`` and ``items``) once for them and for ``Distribution``.
 
@@ -22,12 +22,16 @@ the pack is one copy into zeros and the cut one trim, with no loop over runs.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
+import threading
 from bisect import bisect_right
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 import numpy as np
+
+from .params import RESIDUAL_TOLERANCE
 
 __all__ = [
     "PRUNE_TOLERANCE",
@@ -173,6 +177,141 @@ def _sq_modulus(values: np.ndarray) -> np.ndarray:
     return values.real * values.real + values.imag * values.imag
 
 
+_I_POWERS = (1, 1j, -1, -1j)
+# The jump kernel's rows, each one ring long: the twiddles, alpha, beta, mu,
+# the real terms (cos nw and sin nw / sin w, side by side) and the start's
+# two-row transform.
+_ROWS = 7
+
+
+class _Workspace(threading.local):
+    """One thread's buffers for the jump kernel, kept between jumps.
+
+    numpy ufuncs release the GIL, so each thread has its own.  The buffers
+    only grow: a ring smaller than the largest seen so far takes a
+    contiguous view of them, so alternating ring sizes allocate nothing.
+    """
+
+    index = np.arange(0)
+    rows = np.empty(0, np.complex128)
+
+    def views(self, ring: int) -> tuple[np.ndarray, np.ndarray]:
+        """The twiddle indices 0 .. ring // 2 and the (_ROWS, ring) complex rows."""
+        half, size = ring // 2 + 1, _ROWS * ring
+        if self.rows.size < size:
+            self.index, self.rows = np.arange(half), np.empty(size, np.complex128)
+        return self.index[:half], self.rows[:size].reshape(_ROWS, ring)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _fourier_power(n: int, symbol: list):
+    """Kernel applying ``n`` steps of ``symbol`` to a start on a ring of cells in Fourier space.
+
+    ``symbol[m + 1]`` is the 2x2 block, as nested lists, that moves an entry
+    by m cells, so ``n`` steps multiply the cell transform by ``S(p)**n``,
+    with ``S(p) = symbol[0] e^{ip} + symbol[1] + symbol[2] e^{-ip}``.  Where
+    ``_jump_refusal`` passes it, ``det S(p) = s**2``, its p**0 coefficient,
+    for every p, and ``S(p) / s`` is the SU(2) matrix ``M = [[alpha,
+    -conj(beta)], [beta, conj(alpha)]]``, read off the first column.  With
+    ``cos w = Re alpha``, ``M**n = cos(nw) I + sin(nw) / sin(w) (M - cos(w) I)``
+    is unitary to rounding, so mass holds at any n.  It reads (alpha, beta)
+    only through w, ``Im alpha / sin w`` and ``beta / sin w``, which no scaling
+    of (alpha, beta) changes: taking ``sin w`` from the same components
+    projects onto SU(2) without a normalization.  ``cos w`` is even in p, as
+    the symbol is, so the terms in w are taken on p in [0, pi] and mirrored.
+
+    ``kernel(start, ring)`` takes the start's (2, m) cells, the first at
+    cell 0 of a ring of any size, and returns the (2, ring) evolved ring.
+    The start's transform ``x(p) = sum_j start[:, j] e^{-ipj}`` is formed by
+    Horner's rule, so the inverse FFT is the only one.  Every ring-long
+    intermediate, and the returned ring, lives in this thread's
+    ``_Workspace``: the result is valid until the thread's next jump.
+    """
+    p, t, q = symbol
+    # det's p**0 coefficient (b*b + d*d - a*a - c*c for a lattice tuple): one arg s for
+    # every p, free of a sqrt's rounding and s**n's drift, both n-fold; s = i**k * r with
+    # |arg r| <= pi/4 keeps the rounding of n * arg r small, and i**(n * k) is exact
+    s_sq = (t[0][0] * t[1][1] + p[0][0] * q[1][1] + q[0][0] * p[1][1]
+            - p[1][0] * q[0][1] - q[1][0] * p[0][1] - t[0][1] * t[1][0])
+    k = 1 if s_sq.real < 0 else 0
+    half_arg = cmath.phase(-s_sq if k else s_sq) / 2
+    s = _I_POWERS[k] * cmath.exp(1j * half_arg)
+    phase = _I_POWERS[n * k % 4] * cmath.exp(1j * n * half_arg)
+    # (alpha, beta)'s coefficients of e^{ip}, 1 and e^{-ip}, over s
+    up, const, down = ([row[0] / s for row in block] for block in (p, t, q))
+
+    def kernel(start: np.ndarray, ring: int) -> np.ndarray:
+        from numpy import fft  # loaded on the first jump only
+
+        half = ring // 2 + 1  # p = 2 pi j / ring for j <= ring / 2
+        mirror = slice((ring - 1) // 2, 0, -1)  # entry ring - j of the ring is entry j
+        index, rows = _WORKSPACE.views(ring)
+        e, alpha, beta, mu = rows[:4]
+        cos_nw, ratio = rows[4].view(np.float64).reshape(2, ring)
+        # the half-ring terms in w sit in mu's row until mu is formed
+        sin_w, nw = mu.view(np.float64)[: 2 * half].reshape(2, half)
+        transform = rows[5:]
+        np.exp(np.multiply(2j * math.pi / ring, index, out=e[:half]), out=e[:half])
+        np.conjugate(e[mirror], out=e[half:])
+        # a zero coefficient costs no ring-long work; mu's row is free until mu is formed
+        for row, z, z_up, z_down in zip((alpha, beta), const, up, down):
+            np.add(z, np.multiply(z_up, e, out=row) if z_up else 0, out=row)
+            if z_down:
+                row += np.multiply(z_down, np.conjugate(e, out=mu), out=mu)
+        # sin w = sqrt(Im(alpha)**2 + |beta|**2), cos_nw and ratio still free;
+        # arctan2, not arccos(Re alpha), keeps w accurate where M is near +-I
+        beta_sq = np.multiply(beta.real[:half], beta.real[:half], out=cos_nw[:half])
+        beta_sq += np.multiply(beta.imag[:half], beta.imag[:half], out=ratio[:half])
+        np.add(np.square(alpha.imag[:half], out=sin_w), beta_sq, out=sin_w)
+        np.sqrt(sin_w, out=sin_w)
+        np.multiply(n, np.arctan2(sin_w, alpha.real[:half], out=nw), out=nw)
+        ratio[:half] = 0.0
+        np.divide(np.sin(nw, out=cos_nw[:half]), sin_w, out=ratio[:half], where=sin_w > 0)
+        np.cos(nw, out=cos_nw[:half])
+        cos_nw[half:], ratio[half:] = cos_nw[mirror], ratio[mirror]
+        # mu = cos_nw + 1j * ratio * Im(alpha), nu = ratio * beta
+        np.multiply(np.multiply(1j, ratio, out=mu), alpha.imag, out=mu)
+        np.add(cos_nw, mu, out=mu)
+        nu = np.multiply(ratio, beta, out=beta)
+        back = np.conjugate(e, out=e)
+        x = start[:, -1:]  # x(p) by Horner's rule in e^{-ip}
+        for column in start[:, -2::-1].T:
+            x = np.multiply(x, back, out=transform)
+            x += column[:, None]
+        # a one-cell start is its own transform: (2, 1), scaled into a new pair
+        x0, x1 = np.multiply(phase, x, out=transform if x is transform else None)
+        # the output takes alpha's row, spent, and nu's, each entry read before it
+        # is overwritten; e's row, spent too, takes the conjugate products
+        out = rows[1:3]
+        nu_x1 = np.multiply(np.conjugate(nu, out=e), x1, out=e)
+        np.subtract(np.multiply(mu, x0, out=out[0]), nu_x1, out=out[0])
+        np.multiply(nu, x0, out=out[1])
+        np.add(out[1], np.multiply(np.conjugate(mu, out=e), x1, out=e), out=out[1])
+        return fft.ifft(out, out=out)
+
+    return kernel
+
+
+def _jump_refusal(symbol: list) -> str:
+    """Why a step of ``symbol`` is stepped, not jumped; empty for a symbol that jumps.
+
+    Genericity: three first-column coefficients at least ``RESIDUAL_TOLERANCE``,
+    on a lattice tuple Type V.  Forced to jump at n = 100 to 3000, trivial A/D
+    and Type II tuples and plain walks kept spurious sites, and Type I went
+    past ``n*eps + PRUNE_TOLERANCE``.  Evenness, for the half-ring mirror:
+    ``S(-p) = J S(p) J``, J swapping the components.  Generalized blocks with
+    P and Q scaled by opposite phases are not even, and jumped 1.7e13 budgets off.
+    """
+    generic = sum(abs(z) >= RESIDUAL_TOLERANCE for block in symbol for z, _ in block)
+    if generic < 3:
+        return f"only {generic} generic coefficients in the symbol's first column"
+    if symbol != [[row[::-1] for row in block[::-1]] for block in symbol[::-1]]:
+        return "the symbol is not even"
+    return ""
+
+
 class _Sited:
     """The value protocol of a finitely supported map on lattice sites.
 
@@ -245,12 +384,17 @@ class _Runs(_Sited):
         self._runs = tuple(_unpacked(*_packed(runs))) if runs else ()
 
     @classmethod
-    def _from_runs(cls, runs: Iterable[_Run]):
-        """Internal fast path: wrap pruned, sorted runs; a site past int64 raises OverflowError."""
+    def _from_runs(cls, runs: Iterable[_Run], like: _Runs | None = None):
+        """Internal fast path: wrap pruned, sorted runs, with ``like``'s ``_fields`` if given.
+
+        A site past int64 raises OverflowError.
+        """
         new = cls.__new__(cls)
         runs = new._runs = tuple(runs)
         if runs and not -(2**63) <= runs[0][0] <= runs[-1][0] + runs[-1][1].shape[-1] - 1 < 2**63:
             raise OverflowError("lattice site out of int64 range")
+        for name in like._fields if like is not None else ():
+            setattr(new, name, getattr(like, name))
         return new
 
     def _stepped(self, kernel, n: int = 1):
@@ -266,10 +410,48 @@ class _Runs(_Sited):
             if runs:
                 lo, values, stretches = _packed(runs)
                 runs = _unpacked(*kernel(lo, values), stretches)
-        new = self._from_runs(runs)
-        for name in self._fields:
-            setattr(new, name, getattr(self, name))
-        return new
+        return self._from_runs(runs, self)
+
+    def _evolved(self, n: int, symbol: list, step):
+        """``n`` steps: one jump if ``_jump_refusal`` passes ``symbol``, else ``n`` steps."""
+        n = _step_count(n)
+        # a start over 2n cells wide steps: its ring and Horner's passes grow with it, not with n
+        runs = self._runs
+        width = runs[-1][0] + runs[-1][1].shape[-1] - runs[0][0] if runs else 0
+        if 0 < width <= (2 if self._lead else 4) * n and not _jump_refusal(symbol):
+            return self._jumped(n, _fourier_power(n, symbol))
+        return self._stepped(step, n)
+
+    def _jumped(self, n: int, kernel):
+        """This value after ``n`` steps that commute with a shift by one cell, in one call.
+
+        A walk site is a cell; a lattice field's cell k holds sites (2k, 2k+1).
+        ``kernel(start, N)`` maps the (2, m) cells of the start, the first at
+        cell 0 of a ring of N cells, to the evolved (2, N) ring.  The ring
+        holds the cone, n cells on each side, with its cells left of the start
+        wrapped to the ring's end, and a guard band at least as wide in the
+        middle, where the exact answer is zero.  The largest entry the kernel
+        leaves there is its noise floor on this run: ``_zero_dust`` zeroes
+        cone entries no larger than it, with dust.
+        """
+        sites, values = self._flat()
+        if not sites.size:
+            return self
+        cell, row = (sites, slice(None)) if self._lead else (sites >> 1, sites & 1)
+        origin = int(cell[0])
+        start = np.zeros((2, int(cell[-1]) - origin + 1), np.complex128)
+        start[row, cell - origin] = values
+        width = start.shape[1] + 2 * n
+        ring = 1 << (2 * width - 1).bit_length()
+        cells = kernel(start, ring)
+        floor = float(np.abs(cells[:, width - n : ring - n]).max())
+        # one copy off the ring; a field's column-major cone is its sites in order
+        cone = np.empty((2, width), np.complex128, "C" if self._lead else "F")
+        cone[:, :n], cone[:, n:] = cells[:, ring - n :], cells[:, : width - n]
+        lo = origin - n if self._lead else int(sites[0]) - 2 * n
+        if not self._lead:  # the sites of a field's cone
+            cone = cone.ravel("F")[lo & 1 :][: int(sites[-1]) + 2 * n - lo + 1]
+        return self._from_runs(_unpacked(lo, cone, [(lo, 0)], floor), self)
 
     def _flat(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending nonzero sites and their entries (last axis over sites)."""
@@ -331,35 +513,6 @@ class AmplitudeField(_Runs):
         """Same amplitudes translated by ``offset`` sites."""
         offset = operator.index(offset)
         return self._from_runs((lo + offset, arr) for lo, arr in self._runs)
-
-    def _jumped(self, reach: int, kernel) -> "AmplitudeField":
-        """The field after an evolution that commutes with translation by two sites.
-
-        Cell k holds sites (2k, 2k+1), and no entry moves more than
-        ``reach`` sites.  ``kernel(start, N)`` maps the (2, m) cells of the
-        start, the first at cell 0 of a ring of N cells, to the evolved
-        (2, N) ring.  The ring holds the cone [first site - reach, last
-        site + reach], whose cells left of the start wrap to the ring's
-        end, plus a guard band at least as wide in the middle, where the
-        exact answer is zero.  The largest entry the kernel leaves in that
-        band is its noise floor on this run: ``_zero_dust`` zeroes cone
-        entries no larger than it, with dust.
-        """
-        sites, values = self._flat()
-        if not sites.size:
-            return self
-        lo, hi = int(sites[0]) - reach, int(sites[-1]) + reach
-        first, origin = lo >> 1, int(sites[0]) >> 1
-        width, left = (hi >> 1) - first + 1, origin - first
-        start = np.zeros((2, (int(sites[-1]) >> 1) - origin + 1), np.complex128)
-        start[sites & 1, (sites >> 1) - origin] = values
-        ring = 1 << (2 * width - 1).bit_length()
-        cells = kernel(start, ring)
-        floor = float(np.abs(cells[:, width - left : ring - left]).max())
-        cone = np.empty((width, 2), np.complex128)
-        cone[:left], cone[left:] = cells[:, ring - left :].T, cells[:, : width - left].T
-        out = cone.ravel()[lo - 2 * first : hi - 2 * first + 1]
-        return self._from_runs(_unpacked(lo, out, [(lo, 0)], floor))
 
 
 def _paired_field(pairs: _Runs, upper_offset: int) -> AmplitudeField:

@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .amplitudes import _PACK_GAP, Distribution, _Runs, _step_count
+from .amplitudes import _PACK_GAP, Distribution, _Runs
 from .params import RESIDUAL_TOLERANCE, QcaParams, normalized_qubit
 
 __all__ = [
@@ -133,7 +133,8 @@ class CoinBlocks:
     Q: np.ndarray
     p_side: int = 1
     order: str = L_UPPER
-    # (2, 6): columns 2m, 2m + 1 hold the block that moves an entry by m - 1 sites
+    # symbol: at m + 1 the block moving an entry m sites, as nested lists; stencil: side by side
+    _symbol: list = field(init=False, repr=False)
     _stencil: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -154,6 +155,7 @@ class CoinBlocks:
             )
         # P moves an entry by -p_side sites, T by 0 and Q by +p_side
         by_move = {-self.p_side: p, 0: t, self.p_side: q}
+        object.__setattr__(self, "_symbol", [by_move[m - 1].tolist() for m in range(3)])
         object.__setattr__(self, "_stencil", np.hstack([by_move[m - 1] for m in range(3)]))
 
     def unitarity_residual(self) -> float:
@@ -231,8 +233,8 @@ def walk_step(state: WalkState, blocks: CoinBlocks) -> WalkState:
 
 
 def evolve_walk(state: WalkState, blocks: CoinBlocks, n: int) -> WalkState:
-    """Advance the walk by ``n`` steps of the block recurrence."""
-    return state._stepped(_block_kernel(state, blocks), _step_count(n))
+    """Advance the walk by ``n`` steps of the block recurrence, in one jump where it can."""
+    return state._evolved(n, blocks._symbol, _block_kernel(state, blocks))
 
 
 def _block_kernel(state: WalkState, blocks: CoinBlocks):

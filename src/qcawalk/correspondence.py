@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeField, _mismatch, _paired_field, _step_count, max_difference
+from .amplitudes import AmplitudeField, _jump_refusal, _mismatch, _paired_field, _step_count
 from .coined_walks import (
     CoinBlocks,
     WalkState,
@@ -26,10 +26,11 @@ from .params import (
     AngleTriple,
     QcaParams,
     _reduced_phase,
+    classify,
     normalized_qubit,
     params_from_angles,
 )
-from .qca_core import _evolve, _jump_refusal, qca_step
+from .qca_core import _evolve, _symbol, qca_step
 
 __all__ = [
     "PatelParams",
@@ -43,7 +44,6 @@ __all__ = [
     "patel_even_step",
     "patel_odd_step",
     "patel_factorize",
-    "meyer_angles",
 ]
 
 
@@ -112,9 +112,8 @@ def verify_spectral(params: QcaParams, qubit, n: int) -> CorrespondenceReport:
     rejected.
     """
     n = _step_count(n)
-    refusal = _jump_refusal(params)
-    if refusal:
-        raise ValueError(refusal)
+    if _jump_refusal(_symbol(params)):
+        raise ValueError(f"only Type V tuples jump; this tuple is {classify(params).value}")
     alpha, beta = normalized_qubit(qubit)
     start = AmplitudeField({0: alpha, 1: beta})
     stepped = start
@@ -245,12 +244,8 @@ def patel_factorize(p: PatelParams) -> tuple[QcaParams, CorrespondenceReport]:
 
     probe = AmplitudeField({0: 1.0, 9: 1.0})
     image = patel_even_step(patel_odd_step(probe, p.phi2), p.phi1)
-    err_lattice = max_difference(image, qca_step(probe, params_from_angles(angles)))
+    err_lattice = _mismatch(image, qca_step(probe, params_from_angles(angles)))[0]
     params = QcaParams(image[-1], image[0], image[1], image[-2])
     err = float(max(err_coins, err_lattice))
     return params, CorrespondenceReport(err, 0.0, 0, "even-odd-factorization")
 
-
-def meyer_angles(rho: float, theta: float) -> AngleTriple:
-    """Angle substitution mapping a lattice-gas coin into the parametrization."""
-    return AngleTriple(math.pi / 2 + theta, rho, 3 * math.pi / 2)

@@ -204,31 +204,31 @@ def test_verify_spectral_certifies_the_jump(capsys):
 
 
 def test_verify_spectral_fails_on_a_perturbed_power(capsys, monkeypatch):
-    from qcawalk import qca_core
+    from qcawalk import amplitudes
 
-    exact = qca_core._fourier_power
+    exact = amplitudes._fourier_power
 
-    def perturbed(n, params):
-        kernel = exact(n, params)
+    def perturbed(n, symbol):
+        kernel = exact(n, symbol)
         return lambda *args: kernel(*args) * (1 + 1e-9)
 
-    monkeypatch.setattr(qca_core, "_fourier_power", perturbed)
+    monkeypatch.setattr(amplitudes, "_fourier_power", perturbed)
     code, out, err = run_inprocess(capsys, "verify", "--kind", "spectral", *REFERENCE)
     assert code == 1, err
     assert "result.pass,false" in out.splitlines()
 
 
 def test_verify_spectral_fails_on_a_phase_of_the_power(capsys, monkeypatch):
-    from qcawalk import qca_core
+    from qcawalk import amplitudes
 
-    exact = qca_core._fourier_power
+    exact = amplitudes._fourier_power
 
-    def turned(n, params):
-        kernel = exact(n, params)
+    def turned(n, symbol):
+        kernel = exact(n, symbol)
         return lambda *args: kernel(*args) * cmath.exp(1e-9j)
 
     # masses do not change, so only the amplitude error can see the fault
-    monkeypatch.setattr(qca_core, "_fourier_power", turned)
+    monkeypatch.setattr(amplitudes, "_fourier_power", turned)
     code, out, err = run_inprocess(
         capsys, "verify", "--kind", "spectral", *REFERENCE, "--format", "json"
     )

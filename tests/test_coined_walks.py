@@ -12,6 +12,7 @@ from qcawalk.coined_walks import (
     CoinBlocks,
     CoinMatrix,
     WalkState,
+    evolve_walk,
     generalized_blocks_from_qca,
     plain_blocks,
     walk_distribution,
@@ -216,6 +217,18 @@ def test_step_rejects_order_mismatch():
     state = WalkState.origin((1.0, 0.0), L_UPPER)
     with pytest.raises(ValueError):
         walk_step(state, blocks)
+
+
+@pytest.mark.parametrize("n", [0, 1, 100])
+def test_evolve_walk_rejects_an_order_mismatch_as_walk_step_does(n):
+    # PATEL's symbol jumps, so n > 0 would take the jump if the check came after the decision
+    blocks = generalized_blocks_from_qca(PATEL, "A")
+    state = WalkState.origin((1.0, 0.0), L_UPPER)
+    with pytest.raises(ValueError) as stepped:
+        walk_step(state, blocks)
+    with pytest.raises(ValueError) as evolved:
+        evolve_walk(state, blocks, n)
+    assert str(evolved.value) == str(stepped.value)
 
 
 def _assert_step_matches_dense_oracle(blocks, rng):

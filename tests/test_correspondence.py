@@ -22,7 +22,6 @@ from qcawalk.coined_walks import (
 from qcawalk.correspondence import (
     PatelParams,
     _two_step_residual,
-    meyer_angles,
     patel_coin,
     patel_even_step,
     patel_factorize,
@@ -32,7 +31,7 @@ from qcawalk.correspondence import (
     verify_B_correspondence,
     verify_two_step,
 )
-from qcawalk.params import AngleTriple, QcaParams, params_from_angles, unitarity_residuals
+from qcawalk.params import AngleTriple, QcaParams, params_from_angles
 from qcawalk.qca_core import qca_step
 from test_properties import PROPERTY_SETTINGS, angle, qubits
 
@@ -365,32 +364,6 @@ def test_half_step_order_matters():
     wrong = patel_odd_step(patel_even_step(field, phi1), phi2)
     direct = qca_step(field, params)
     assert max_difference(wrong, direct) > 1e-3
-
-
-# ---------------------------------------------------------------------------
-# Lattice-gas angle substitution
-# ---------------------------------------------------------------------------
-
-def test_meyer_angles_at_origin():
-    t = meyer_angles(0.0, 0.0)
-    assert t.theta == pytest.approx(math.pi / 2)
-    assert t.phi == 0.0
-    assert t.delta == pytest.approx(3 * math.pi / 2)
-
-
-def test_meyer_angles_rule_application():
-    t = meyer_angles(math.pi / 4, 0.0)
-    assert t.theta == pytest.approx(math.pi / 2)
-    assert t.phi == pytest.approx(math.pi / 4)
-    assert t.delta == pytest.approx(3 * math.pi / 2)
-
-
-def test_meyer_angles_always_yield_unitary_tuples():
-    rng = np.random.default_rng(83)
-    for _ in range(50):
-        rho, theta = rng.uniform(0.0, 2.0 * math.pi, 2)
-        params = params_from_angles(meyer_angles(rho, theta))
-        assert max(unitarity_residuals(*params.astuple())) <= 1e-12
 
 
 def test_array_holding_parameter_objects_compare_by_identity():

@@ -14,7 +14,7 @@ against stepping and against the oracle alike.  That draw was a nearly
 translating tuple at n = 104, (1.554273, 5.4e-5, 2.638033) to six digits.
 Within that rounding, on 151 draws of the tuple and a random qubit,
 ``reference_fourier_power`` below (normalized, on the full ring) reached
-1.43 * n * eps against the oracle, and ``qca_core._fourier_power`` 0.67.
+1.43 * n * eps against the oracle, and ``amplitudes._fourier_power`` 0.67.
 Where ``n * eps`` is small, the per-step pruning of the stepped engine at
 ``PRUNE_TOLERANCE`` can dominate; hence the floor.
 """
@@ -36,12 +36,19 @@ from qcawalk import qca_core
 from qcawalk.amplitudes import (
     PRUNE_TOLERANCE,
     AmplitudeField,
+    _fourier_power,
     _sq_modulus,
     max_difference,
     to_distribution,
 )
 from qcawalk.asymptotics import rescaled_qca_sample
-from qcawalk.coined_walks import L_UPPER, WalkState, generalized_blocks_from_qca, walk_step
+from qcawalk.coined_walks import (
+    L_UPPER,
+    WalkState,
+    evolve_walk,
+    generalized_blocks_from_qca,
+    walk_step,
+)
 from qcawalk.params import RESIDUAL_TOLERANCE, AngleTriple, QcaParams, params_from_angles
 from qcawalk.qca_core import evolve_eta, qca_distribution, qca_step
 
@@ -100,8 +107,13 @@ def test_jump_agrees_with_stepping_within_the_budget(params, start, n):
     assert max_difference(jumped, stepped(start, n, params)) <= budget(n)
 
 
+def lattice_power(n, params):
+    """The jump kernel of ``n`` lattice steps: the Fourier power of the tuple's symbol."""
+    return _fourier_power(n, qca_core._symbol(params))
+
+
 def reference_fourier_power(n, params):
-    """The full-ring form of ``qca_core._fourier_power``, kept as its reference.
+    """The full-ring form of ``lattice_power``, kept as its reference.
 
     It normalizes (alpha, beta) onto SU(2) explicitly and evaluates every
     term on every point of the ring.
@@ -152,25 +164,28 @@ cells = st.integers(1, 5).flatmap(
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(type_v, cells, st.integers(1, 200))
 def test_kernel_agrees_with_the_normalized_full_ring_reference(ring, params, start, n):
-    got = qca_core._fourier_power(n, params)(start, ring).copy()
+    got = lattice_power(n, params)(start, ring).copy()
     want = reference_fourier_power(n, params)(start, ring)
     assert got.shape == (2, ring)
     assert float(np.abs(got - want).max()) <= 2 * (n + 1) * EPS
 
 
 # The symbol U(p) is the B walk's step: walk site k holds cell k, left chirality on
-# top.  The walk zeroes entries below PRUNE_TOLERANCE, and each engine rounds a few
-# eps; on 3000 random draws the worst gap was 2.0 * eps.
+# top, and the lattice symbol is the B blocks' symbol entry for entry.  The walk
+# zeroes entries below PRUNE_TOLERANCE, and each engine rounds a few eps; on 3000
+# random draws the worst gap was 2.0 * eps.
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(type_v, cells.filter(lambda start: start.shape[1] <= 4), st.integers(0, 8))
 def test_one_jump_step_is_one_b_walk_step(params, start, spare):
     assume(min(map(abs, params.astuple())) >= RESIDUAL_TOLERANCE)
     assume(((start == 0) | (np.abs(start) >= PRUNE_TOLERANCE)).all())
+    blocks = generalized_blocks_from_qca(params, "B")
+    assert np.array_equal(qca_core._symbol(params), blocks._symbol)
     ring = start.shape[1] + 2 + spare  # walk sites -1 .. m, wrapped onto the ring
-    got = qca_core._fourier_power(1, params)(start, ring).copy()
+    got = lattice_power(1, params)(start, ring).copy()
     walk = WalkState({k: tuple(pair) for k, pair in enumerate(start.T)}, L_UPPER)
     want = np.zeros((2, ring), np.complex128)
-    for k, pair in walk_step(walk, generalized_blocks_from_qca(params, "B")).items():
+    for k, pair in walk_step(walk, blocks).items():
         want[:, k % ring] = pair
     assert float(np.abs(got - want).max()) <= PRUNE_TOLERANCE + 4 * EPS
 
@@ -198,14 +213,14 @@ THREE_CELLS = unit_cells([0.3, -0.2j, 0.5 + 0.1j, 0.4, 0.1j, -0.6])
     ids=["rings 4096, 9, 4096", "one cell, then three"],
 )
 def test_a_jump_does_not_depend_on_the_earlier_jumps_of_its_thread(calls):
-    kernel = qca_core._fourier_power(100, RANDOM_TYPE_V[0])
+    kernel = lattice_power(100, RANDOM_TYPE_V[0])
     firsts = [in_fresh_thread(lambda: kernel(start, ring).tobytes()) for ring, start in calls]
     in_turn = in_fresh_thread(lambda: [kernel(start, ring).tobytes() for ring, start in calls])
     assert in_turn == firsts
 
 
 def test_threads_jumping_at_once_on_different_rings_each_get_their_own_workspace():
-    kernel = qca_core._fourier_power(100, RANDOM_TYPE_V[1])
+    kernel = lattice_power(100, RANDOM_TYPE_V[1])
     rings = (4096, 512, 4096, 512)  # more threads than cores, on two ring sizes
     firsts = {
         ring: in_fresh_thread(lambda: kernel(THREE_CELLS, ring).tobytes()) for ring in set(rings)
@@ -265,7 +280,7 @@ def test_the_jump_zeroes_its_cone_at_or_below_the_noise_floor(floor, cone, kept)
         cells[1, ring // 2] = -floor  # the largest entry in the guard band
         return cells
 
-    jumped = AmplitudeField.delta(0)._jumped(2, kernel)
+    jumped = AmplitudeField.delta(0)._jumped(1, kernel)
     assert jumped.items() == [(site, complex(cone[site])) for site in kept]
 
 
@@ -353,6 +368,36 @@ def test_evolution_at_5000_steps_takes_under_0_2_s():
         elapsed.append(time.perf_counter() - start)
     assert abs(dist.total() - 1.0) <= 1e-12
     assert min(elapsed) <= 0.2
+
+
+def test_a_start_wider_than_2n_cells_steps():
+    # jumped, these starts would take a ring of 2**15 cells and a Horner pass per cell
+    params = params_from_angles(AngleTriple(1.1, 0.4, 2.0))
+    blocks = generalized_blocks_from_qca(params, "B")
+    walk = WalkState({0: (0.6, 0.8j), 10_000: (0.8j, 0.6)}, blocks.order)
+    field = AmplitudeField({0: 0.6, 20_000: 0.8j})
+    for n in (1, 3):
+        walked = walk
+        for _ in range(n):
+            walked = walk_step(walked, blocks)
+        evolved = evolve_walk(walk, blocks, n)
+        assert evolved == walked and repr(evolved) == repr(walked)
+        evolved = qca_core._evolve(field, n, params)
+        assert repr(evolved) == repr(stepped(field, n, params))
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_walk_evolution_at_5000_steps_takes_under_0_1_s(family):
+    blocks = generalized_blocks_from_qca(params_from_angles(AngleTriple(1.1, 0.4, 2.0)), family)
+    start = WalkState.origin((0.6, 0.8j), blocks.order)
+    evolve_walk(start, blocks, 10)  # loads numpy.fft
+    elapsed = []
+    for _ in range(3):
+        begin = time.perf_counter()
+        state = evolve_walk(start, blocks, 5000)
+        elapsed.append(time.perf_counter() - begin)
+    assert abs(state.norm_sq() - 1.0) <= 1e-12
+    assert min(elapsed) <= 0.1
 
 
 # 1 ulp off unitary: a power that compounds that defect drifts the mass by
