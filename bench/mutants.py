@@ -100,6 +100,14 @@ MUTANTS = [
            "return (0 if passed else 1), {", "return 0, {",
            tests=("test_cli.py::test_verify_gate_is_the_residual_tolerance",
                   "test_cli.py::test_verify_fails_on_a_global_phase_of_the_walk_step")),
+    # the command entry
+    Mutant("the command entry skips gc.freeze", "cli.py",
+           "    gc.freeze()\n", "    pass\n",
+           tests=("test_cli.py::test_the_command_freezes_the_collector_before_exit",
+                  "test_cli.py::test_main_freezes_nothing_and_run_freezes_after_it")),
+    Mutant("cli.py imports json at module level", "cli.py",
+           "import argparse\nimport gc\n", "import argparse\nimport gc\nimport json\n",
+           tests=("test_cli.py::test_only_a_json_report_loads_json",)),
     # the walk families
     Mutant("A offset moved by one site", "coined_walks.py",
            "_Family(False, -1, R_UPPER, -1)", "_Family(False, -1, R_UPPER, 0)",

@@ -48,6 +48,18 @@ glibc hands back and faults in again more pages than one tree alone
 would (the 1000-step B walk took 228 faults per call alone and about
 2460 beside another tree, for either tree), so the count would show
 neither tree's own.
+The ``cold.*`` cases time whole command-line calls, each a fresh
+``python -m qcawalk ...`` process started from this harness's own process
+with ``PYTHONPATH`` set to the tree's ``src`` and the caller's environment
+otherwise: the cli-cold benchmark's command kinds with fixed arguments
+(``classify``, the ``classify --theta 1`` usage error, ``simulate-qca`` and
+``simulate-qw --family B`` at 64 steps, ``verify --kind A`` at 50,
+``verify --kind two-step``, ``verify --kind patel``, ``factorize --kind
+patel`` and ``limit-compare`` at 100, its tolerance 1 so that a scaled-down
+run passes too).  After one warm-up call per tree, the trees take turns
+for ``COLD_CALLS`` calls each, and a round keeps each tree's least call.
+A call that exits with another code than its case's fails the run.  Their
+faults read null.
 The ``rotation.*`` cases repeat the long-run benchmark's task rotation:
 ``sample.ks``, ``jump.qdist.1000`` and ``walk_step.B`` in turn, one tree's
 rotation after the other's, so each task is timed between the other two.
@@ -97,11 +109,30 @@ CASES = {
     "sample.ks.5000": 5000,
     "distribution.1000": 1000,
 }
+# cold.NAME -> (arguments after ``python -m qcawalk``, base step count or None, exit code)
+ANGLES = ("--theta", repr(THETA), "--phi", repr(PHI), "--delta", repr(DELTA))
+COLD = {
+    "cold.classify": (["classify", *ANGLES], None, 0),
+    "cold.usage-error": (["classify", "--theta", "1"], None, 2),
+    "cold.simulate-qca": (["simulate-qca", *ANGLES], 64, 0),
+    "cold.simulate-qw.B": (["simulate-qw", "--family", "B", *ANGLES], 64, 0),
+    "cold.verify.A": (["verify", "--kind", "A", *ANGLES], 50, 0),
+    "cold.verify.two-step": (["verify", "--kind", "two-step", *ANGLES], None, 0),
+    "cold.verify.patel": (["verify", "--kind", "patel"], None, 0),
+    "cold.factorize.patel": (["factorize", "--kind", "patel"], None, 0),
+    "cold.limit-compare": (["limit-compare", "--tolerance", "1"], 100, 0),
+}
+COLD_CALLS = 3
 # verify.K calls this function of the package; a tree without it lacks the case
 VERIFY = {"A": "verify_A_correspondence", "B": "verify_B_correspondence",
           "spectral": "verify_spectral"}
 # The long-run benchmark's rotation, which each child times before the other cases.
 ROTATION = ("sample.ks", "jump.qdist.1000", "walk_step.B")
+
+
+def _scaled(base: int | None, scale: float) -> int | None:
+    """A case's step count: ``base`` times ``scale``, at least 1; None for no steps."""
+    return None if base is None else max(1, round(base * scale))
 
 
 def _case(q, name: str, n: int):
@@ -204,7 +235,7 @@ def child(trees: list, scale: float) -> dict:
     alone = len(packages) == 1
 
     def steps(name: str) -> int:
-        return max(1, round(CASES[name] * scale))
+        return _scaled(CASES[name], scale)
 
     times = _measure([((side, f"rotation.{name}"), _case(q, name, steps(name)))
                       for side, q in packages for name in ROTATION], alone)
@@ -228,6 +259,33 @@ def _run_child(trees: list, scale: float) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"child for {trees} failed:\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _cold(trees: list, scale: float) -> dict:
+    """{side: {case: [least ms, None]}} of every ``cold.*`` case, called from this process.
+
+    ``trees`` lists [side, src] in the order each pass calls them.
+    """
+    out = {side: {} for side, _ in trees}
+    for name, (argv, base, code) in COLD.items():
+        if base is not None:
+            argv = [*argv, "--steps", str(_scaled(base, scale))]
+        ms = {side: [] for side, _ in trees}
+        for call in range(COLD_CALLS + 1):
+            for side, src in trees:
+                env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+                start = time.perf_counter()
+                done = subprocess.run([sys.executable, "-m", "qcawalk", *argv], env=env,
+                                      capture_output=True, text=True, timeout=120)
+                elapsed = (time.perf_counter() - start) * 1e3
+                if done.returncode != code:
+                    raise SystemExit(f"{name} of {src} exited {done.returncode}, not {code}:\n"
+                                     f"{done.stderr}")
+                if call:
+                    ms[side].append(elapsed)
+        for side, calls in ms.items():
+            out[side][name] = [min(calls), None]
+    return out
 
 
 def _quartiles(xs: list) -> list:
@@ -278,14 +336,16 @@ def main() -> int:
     rounds = {side: [] for side in trees}
     for r in range(args.rounds):
         order = list(trees.items())
-        times = _run_child(order if r % 2 else order[::-1], args.scale)
+        order = order if r % 2 else order[::-1]
+        times, cold = _run_child(order, args.scale), _cold(order, args.scale)
         for side in trees:
-            rounds[side].append(times[side])
+            rounds[side].append({**times[side], **cold[side]})
 
-    steps = {**CASES, **{f"rotation.{name}": CASES[name] for name in ROTATION}}
+    steps = {**CASES, **{f"rotation.{name}": CASES[name] for name in ROTATION},
+             **{name: base for name, (_, base, _) in COLD.items()}}
     cases = {}
     for name, base in steps.items():
-        entry = {"steps": max(1, round(base * args.scale))}
+        entry = {"steps": _scaled(base, args.scale)}
         for side in trees:
             entry[side] = _summary([times[name] for times in rounds[side]])
         if entry.get("parent") and entry["change"]:

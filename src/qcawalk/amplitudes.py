@@ -412,15 +412,18 @@ class _Runs(_Sited):
                 runs = _unpacked(*kernel(lo, values), stretches)
         return self._from_runs(runs, self)
 
-    def _evolved(self, n: int, symbol: list, step):
-        """``n`` steps: one jump if ``_jump_refusal`` passes ``symbol``, else ``n`` steps."""
+    def _evolved(self, n: int, symbol: list, make_step):
+        """``n`` steps: one jump if ``_jump_refusal`` passes ``symbol``, else ``n`` steps.
+
+        ``make_step()`` builds the step kernel; only the stepping branch calls it.
+        """
         n = _step_count(n)
         # a start over 2n cells wide steps: its ring and Horner's passes grow with it, not with n
         runs = self._runs
         width = runs[-1][0] + runs[-1][1].shape[-1] - runs[0][0] if runs else 0
         if 0 < width <= (2 if self._lead else 4) * n and not _jump_refusal(symbol):
             return self._jumped(n, _fourier_power(n, symbol))
-        return self._stepped(step, n)
+        return self._stepped(make_step(), n)
 
     def _jumped(self, n: int, kernel):
         """This value after ``n`` steps that commute with a shift by one cell, in one call.

@@ -9,13 +9,14 @@ a row names the flags it reads and their unset values, and ``_FLAGS`` gives
 each flag's argparse keywords and help.  The parser, its help defaults and
 the fill step in ``main`` all read these tables.  Only the coefficient layer
 is imported here; ``main`` loads the row's engine before the clock and hands
-it to the handler, so ``classify`` loads no numpy.
+it to the handler, so ``classify`` loads no numpy.  ``run`` is the command's
+entry, for ``python -m qcawalk`` and the installed script alike.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import math
 import re
 import sys
@@ -113,6 +114,8 @@ def _flatten(value, prefix: str, rows: list) -> None:
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(report, indent=2) + "\n"
     if "distribution" in report["result"]:
         lines = ["site,probability"]
@@ -451,5 +454,19 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """The ``qcawalk`` command: ``main`` on ``sys.argv``, then its exit code.
+
+    At exit the interpreter collects every generation, a pass over each
+    object that numpy's import and the command made; ``gc.freeze`` moves
+    them to the permanent generation, which no collection walks.  Only the
+    process entry may freeze: ``main`` also runs inside long-lived hosts, a
+    test runner for one, whose objects would all become permanent.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -234,7 +234,9 @@ def walk_step(state: WalkState, blocks: CoinBlocks) -> WalkState:
 
 def evolve_walk(state: WalkState, blocks: CoinBlocks, n: int) -> WalkState:
     """Advance the walk by ``n`` steps of the block recurrence, in one jump where it can."""
-    return state._evolved(n, blocks._symbol, _block_kernel(state, blocks))
+    # built before the rule, as it is also the order check, which holds at any n
+    kernel = _block_kernel(state, blocks)
+    return state._evolved(n, blocks._symbol, lambda: kernel)
 
 
 def _block_kernel(state: WalkState, blocks: CoinBlocks):

@@ -53,7 +53,7 @@ def _symbol(params: QcaParams) -> list:
 
 def _evolve(field: AmplitudeField, n: int, params: QcaParams) -> AmplitudeField:
     """``n`` steps of a start field: one Fourier jump where it can, else ``n`` banded steps."""
-    return field._evolved(n, _symbol(params), _banded_kernel(params))
+    return field._evolved(n, _symbol(params), lambda: _banded_kernel(params))
 
 
 def evolve_eta(m: int, n: int, params: QcaParams) -> AmplitudeField:

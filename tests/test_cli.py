@@ -1,6 +1,7 @@
 """Command-line behaviour: golden runs, formats, exit codes, determinism."""
 
 import cmath
+import gc
 import json
 import math
 import re
@@ -626,6 +627,47 @@ def test_each_command_loads_only_its_engine(argv, code, modules):
     assert result.returncode == code, result.stderr
     loaded = set(result.stdout.splitlines()[-1].split())
     assert loaded == {f"qcawalk.{name}" for name in {"cli", "params", *modules}}
+
+
+def at_exit(expression, argv):
+    """Exit code and ``expression`` in an atexit hook of a fresh `python -m qcawalk ARGV`."""
+    probe = f"import atexit, gc, sys\natexit.register(lambda: print({expression}))\n"
+    result = subprocess.run(
+        [sys.executable, "-c", probe + RUN_MODULE, *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    return result.returncode, result.stdout.splitlines()[-1]
+
+
+COLD_COMMANDS = {
+    "classify": ["classify", *REFERENCE],
+    "simulate-qca": ["simulate-qca", *REFERENCE, "--steps", "2"],
+}
+
+
+@pytest.mark.parametrize("argv", COLD_COMMANDS.values(), ids=COLD_COMMANDS)
+def test_the_command_freezes_the_collector_before_exit(argv):
+    # the exit-time collections then skip every object numpy's import and the command made
+    assert at_exit("gc.get_freeze_count() > 0", argv) == (0, "True")
+
+
+def test_main_freezes_nothing_and_run_freezes_after_it(capsys, monkeypatch):
+    from qcawalk import cli
+
+    before = gc.get_freeze_count()
+    assert cli.main(["simulate-qca", *REFERENCE, "--steps", "2"]) == 0
+    assert gc.get_freeze_count() == before
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 2)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.run() == 2
+    assert calls == ["main", "freeze"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", COLD_COMMANDS.values(), ids=COLD_COMMANDS)
+def test_only_a_json_report_loads_json(argv, fmt):
+    assert at_exit("'json' in sys.modules", [*argv, "--format", fmt]) == (0, str(fmt == "json"))
 
 
 def readme_commands():
