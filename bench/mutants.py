@@ -59,36 +59,38 @@ MUTANTS = [
            "prob_err = 0.0",
            tests=("test_correspondence.py::test_pairing_check_measures_each_mismatch",
                   "test_cli.py::test_verify_reports_the_mass_error_of_a_scaled_walk_step")),
-    Mutant("two-step check ignores P2 P1", "correspondence.py",
+    Mutant("two-step check ignores P2 P1", "algebra.py",
            "max(r_p, r_t, r_q)", "max(r_t, r_q)",
            tests=("test_correspondence.py::test_two_step_check_sees_a_fault_in_each_product",)),
-    Mutant("two-step check ignores T", "correspondence.py",
+    Mutant("two-step check ignores T", "algebra.py",
            "max(r_p, r_t, r_q)", "max(r_p, r_q)",
            tests=("test_correspondence.py::test_two_step_check_sees_a_fault_in_each_product",)),
-    Mutant("two-step check ignores Q2 Q1", "correspondence.py",
+    Mutant("two-step check ignores Q2 Q1", "algebra.py",
            "max(r_p, r_t, r_q)", "max(r_p, r_t)",
            tests=("test_correspondence.py::test_two_step_check_sees_a_fault_in_each_product",)),
-    Mutant("two-step T drops P2 Q1", "correspondence.py",
-           "np.abs(second.P @ first.Q + second.Q @ first.P - t)",
-           "np.abs(second.Q @ first.P - t)",
+    Mutant("two-step T drops P2 Q1", "algebra.py",
+           "_add(_product(p2, q1), _product(q2, p1))", "_product(q2, p1)",
            tests=("test_correspondence.py::test_two_step_products_random",
                   "test_acceptance.py::test_criterion_07_two_step_factorization")),
-    Mutant("two-step T drops Q2 P1", "correspondence.py",
-           "np.abs(second.P @ first.Q + second.Q @ first.P - t)",
-           "np.abs(second.P @ first.Q - t)",
+    Mutant("two-step T drops Q2 P1", "algebra.py",
+           "_add(_product(p2, q1), _product(q2, p1))", "_product(p2, q1)",
            tests=("test_correspondence.py::test_two_step_products_random",
                   "test_acceptance.py::test_criterion_07_two_step_factorization")),
     Mutant("half steps leave the family's frame", "correspondence.py",
            "q, row.p_side, row.order)", "q, 1, row.order)",
            tests=("test_correspondence.py::test_one_generalized_step_equals_two_half_steps",)),
-    Mutant("patel_factorize ignores its lattice probe", "correspondence.py",
-           "err = float(max(err_coins, err_lattice))", "err = float(err_coins)",
+    Mutant("patel_factorize ignores its symbol link", "algebra.py",
+           "err = max(err_coins, err_symbol)", "err = err_coins",
            tests=("test_correspondence.py::test_patel_factorize_sees_a_fault_in_each_link",)),
-    Mutant("patel_factorize ignores its coin identity", "correspondence.py",
-           "err = float(max(err_coins, err_lattice))", "err = float(err_lattice)",
+    Mutant("patel_factorize ignores its coin identity", "algebra.py",
+           "err = max(err_coins, err_symbol)", "err = err_symbol",
            tests=("test_correspondence.py::test_patel_factorize_sees_a_fault_in_each_link",)),
-    Mutant("unitarity_residual ignores the P^H Q term", "coined_walks.py",
-           "ph @ t + th @ q, ph @ q]", "ph @ t + th @ q, np.zeros((2, 2))]",
+    Mutant("patel_factorize composes even then odd", "algebra.py",
+           "_symbol_product(_symbol(_even_tuple(p.phi1)), _symbol(_odd_tuple(p.phi2)))",
+           "_symbol_product(_symbol(_odd_tuple(p.phi2)), _symbol(_even_tuple(p.phi1)))",
+           tests=("test_correspondence.py::test_patel_grid_small",)),
+    Mutant("unitarity_residual ignores the P^H Q term", "algebra.py",
+           "_distance(_product(ph, q), _ZERO),", "0.0,",
            tests=(
                "test_coined_walks.py::test_coin_blocks_reject_a_nonzero_cross_move_term_alone",
            )),
@@ -100,7 +102,14 @@ MUTANTS = [
            "return (0 if passed else 1), {", "return 0, {",
            tests=("test_cli.py::test_verify_gate_is_the_residual_tolerance",
                   "test_cli.py::test_verify_fails_on_a_global_phase_of_the_walk_step")),
-    # the command entry
+    # the command entry and the imports it pays for
+    Mutant("the algebraic engine imports numpy", "algebra.py",
+           "import math\n", "import math\n\nimport numpy\n",
+           tests=("test_cli.py::test_each_command_loads_only_its_engine[verify-patel]",
+                  "test_cli.py::test_each_command_loads_only_its_engine[factorize-two-step-B]")),
+    Mutant("a module lookup on the package imports every module", "__init__.py",
+           'if name in _MODULES or name == "cli":', "if False:",
+           tests=("test_exports.py::test_a_module_name_lookup_imports_that_module_alone",)),
     Mutant("the command entry skips gc.freeze", "cli.py",
            "    gc.freeze()\n", "    pass\n",
            tests=("test_cli.py::test_the_command_freezes_the_collector_before_exit",
@@ -109,11 +118,11 @@ MUTANTS = [
            "import argparse\nimport gc\n", "import argparse\nimport gc\nimport json\n",
            tests=("test_cli.py::test_only_a_json_report_loads_json",)),
     # the walk families
-    Mutant("A offset moved by one site", "coined_walks.py",
+    Mutant("A offset moved by one site", "algebra.py",
            "_Family(False, -1, R_UPPER, -1)", "_Family(False, -1, R_UPPER, 0)",
            tests=("test_correspondence.py::test_pairings_hold_for_random_draws",
                   "test_properties.py::test_walk_pairings_hold")),
-    Mutant("B blocks swap a and c", "coined_walks.py",
+    Mutant("B blocks swap a and c", "algebra.py",
            'if family == "A" else (a, c)', 'if family == "A" else (c, a)',
            tests=("test_correspondence.py::test_pairings_hold_for_random_draws",
                   "test_correspondence.py::test_type_iv_reduces_to_plain_b_walk")),
@@ -177,7 +186,7 @@ MUTANTS = [
            tests=("test_coined_walks.py::test_walk_state_prunes_each_component",
                   "test_coined_walks.py::test_walk_step_matches_dense_oracle")),
     # equivalent
-    Mutant("B offset moved by two sites", "coined_walks.py",
+    Mutant("B offset moved by two sites", "algebra.py",
            "_Family(True, 1, L_UPPER, 0)", "_Family(True, 1, L_UPPER, 2)",
            equivalent="a one-cell shift of the whole B picture: the lockstep places its "
            "lattice start through the same offset and both steps commute with the shift"),

@@ -8,9 +8,11 @@ Each command is one ``_COMMANDS`` row and each ``--kind`` one ``_KINDS`` row;
 a row names the flags it reads and their unset values, and ``_FLAGS`` gives
 each flag's argparse keywords and help.  The parser, its help defaults and
 the fill step in ``main`` all read these tables.  Only the coefficient layer
-is imported here; ``main`` loads the row's engine before the clock and hands
-it to the handler, so ``classify`` loads no numpy.  ``run`` is the command's
-entry, for ``python -m qcawalk`` and the installed script alike.
+is imported here; ``main`` loads the engine that the command's row, or its
+``--kind``'s row, names before the clock and hands it to the handler, so
+``classify`` and the algebraic kinds (``two-step``, ``patel``) load no numpy.
+``run`` is the command's entry, for ``python -m qcawalk`` and the installed
+script alike.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ if TYPE_CHECKING:
     from types import ModuleType
 
     from .amplitudes import Distribution
-    from .correspondence import CorrespondenceReport
+    from .algebra import CorrespondenceReport
 
     # A --kind runner computes its identity once: the report, the params payload,
     # and the factors factorize prints (None for the kinds that evolve a state).
@@ -94,10 +96,8 @@ def _cnum(z: complex) -> dict:
 
 
 def _cmatrix(m) -> dict:
-    """The entries of a 2x2 array, keyed by row and column."""
-    return {
-        f"r{i}c{j}": _cnum(complex(m[i, j])) for i in range(2) for j in range(2)
-    }
+    """The entries of a 2x2 block, two rows of numbers, keyed by row and column."""
+    return {f"r{i}c{j}": _cnum(complex(m[i][j])) for i in range(2) for j in range(2)}
 
 
 def _flatten(value, prefix: str, rows: list) -> None:
@@ -204,12 +204,11 @@ def _run_two_step(args, engine: ModuleType) -> _Run:
         "theta2": _reduced_phase("theta2", args.theta2),
         "family": args.family,
     }
-    first, second = engine.two_step_factorize(angles, args.theta1, args.theta2, args.family)
-    report = engine.verify_two_step(angles, args.theta1, args.theta2, args.family)
+    halves, report = engine._two_step(angles, args.theta1, args.theta2, args.family)
     # each half step's move blocks, P1 Q1 P2 Q2, then its coin P + Q, U1 U2
-    halves = (("1", first), ("2", second))
-    result = {f"{m}{n}": _cmatrix(getattr(half, m)) for n, half in halves for m in ("P", "Q")}
-    result.update((f"U{n}", _cmatrix(half.coin)) for n, half in halves)
+    halves = tuple(zip("12", halves))
+    result = {f"{m}{n}": _cmatrix(block) for n, half in halves for m, block in zip("PQ", half)}
+    result.update((f"U{n}", _cmatrix(engine._add(*half))) for n, half in halves)
     return report, payload, result
 
 
@@ -333,17 +332,22 @@ _PARAMS = {**_ANGLES, "params": None}
 _SIMULATE = {**_PARAMS, "qubit": (1.0, 0.0), "steps": 1}
 # limit-compare's unset tuple: the point where the closed-form limit law holds
 _REFERENCE = {"theta": _HelpOnly("pi/4"), "phi": _HelpOnly("pi/4"), "delta": _HelpOnly("pi/2")}
-_EVOLUTION = (_run_evolution, {**_PARAMS, "qubit": _SYMMETRIC_QUBIT, "steps": 50})
+# Each --kind: its runner, its engine module (loaded by main before the clock) and its row.
+_EVOLUTION = (
+    _run_evolution, "correspondence", {**_PARAMS, "qubit": _SYMMETRIC_QUBIT, "steps": 50}
+)
 _KINDS = {
     "A": _EVOLUTION,
     "B": _EVOLUTION,
     "spectral": _EVOLUTION,
-    "two-step": (_run_two_step, {**_ANGLES, "family": "A", "theta1": "0", "theta2": "0"}),
-    "patel": (_run_patel, {"phi1": "pi/4", "phi2": "pi/4"}),
+    "two-step": (_run_two_step, "algebra",
+                 {**_ANGLES, "family": "A", "theta1": "0", "theta2": "0"}),
+    "patel": (_run_patel, "algebra", {"phi1": "pi/4", "phi2": "pi/4"}),
 }
 
-# Each command: its help, its engine module (loaded by main before the clock), its
-# handler, and its row, or its --kind choices (the first is the default).
+# Each command: its help, its engine module (loaded by main before the clock; None
+# where each --kind names its own), its handler, and its row, or its --kind choices
+# (the first is the default).
 _COMMANDS = {
     "classify": ("validate a coefficient tuple and name its class", "params", _cmd_classify,
                  _PARAMS),
@@ -351,10 +355,9 @@ _COMMANDS = {
                      {**_SIMULATE, "sign": "-"}),
     "simulate-qw": ("evolve a generalized coined walk", "coined_walks", _cmd_simulate_qw,
                     {**_SIMULATE, "family": "A"}),
-    "verify": ("run an equivalence check; nonzero exit on failure", "correspondence",
-               _cmd_verify, tuple(_KINDS)),
-    "factorize": ("print factor matrices", "correspondence", _cmd_factorize,
-                  ("two-step", "patel")),
+    "verify": ("run an equivalence check; nonzero exit on failure", None, _cmd_verify,
+               tuple(_KINDS)),
+    "factorize": ("print factor matrices", None, _cmd_factorize, ("two-step", "patel")),
     "limit-compare": ("compare a rescaled run against the closed-form limit law",
                       "asymptotics", _cmd_limit_compare,
                       {**_PARAMS, **_REFERENCE, "qubit": _SYMMETRIC_QUBIT, "steps": 500,
@@ -383,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with machine-checked equivalences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    kind_flags = {*_OUTPUT, *(dest for _, row in _KINDS.values() for dest in row)}
+    kind_flags = {*_OUTPUT, *(dest for _, _, row in _KINDS.values() for dest in row)}
     for name, (text, _, _, reads) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         if isinstance(reads, dict):
@@ -394,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--kind", choices=reads, default=reads[0],
                 help=f"which identity to compute (default: {reads[0]})",
             )
-            rows = {None: _OUTPUT, **{kind: _KINDS[kind][1] for kind in reads}}
+            rows = {None: _OUTPUT, **{kind: _KINDS[kind][2] for kind in reads}}
             parsed = kind_flags
         for dest, flag in _FLAGS.items():
             if dest in parsed:
@@ -428,12 +431,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     _, module, handler, reads = _COMMANDS[args.command]
-    # the command's row is the only name of its engine: it loads here, before the
-    # clock starts, so duration_ms times the command only
+    if "kind" in args:
+        _, module, reads = _KINDS[args.kind]
+    # the row is the only name of its engine: it loads here, before the clock
+    # starts, so duration_ms times the command only
     engine = import_module(f"{__package__}.{module}")
     started = time.perf_counter()
     try:
-        _fill(args, {**_OUTPUT, **(_KINDS[args.kind][1] if "kind" in args else reads)})
+        _fill(args, {**_OUTPUT, **reads})
         code, params, result, residuals = handler(args, engine)
     except (ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -13,7 +13,9 @@ recurrences likewise differ per family:
 
 Two half steps, (P1, Q1) then (P2, Q2), are one generalized step on the
 sites 2k: P = P2 P1, T = P2 Q1 + Q2 P1 and Q = Q2 Q1.  Each family's frame
-is its ``_FAMILIES`` row.
+is its ``algebra._FAMILIES`` row.  The blocks' entries, their unitarity
+test and the family rows are the 2x2 algebra of ``algebra``; the arrays
+here wrap its lists.
 
 ``walk_step`` and ``evolve_walk`` refuse to mix states and blocks written
 in different orderings instead of silently reordering.
@@ -22,18 +24,24 @@ in different orderings instead of silently reordering.
 from __future__ import annotations
 
 import cmath
-from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
+from .algebra import (
+    _ORDERS,
+    _ZERO,
+    L_UPPER,
+    _family,
+    _generalized_blocks,
+    _split_coin,
+    _unitarity_residual,
+)
 from .amplitudes import _PACK_GAP, Distribution, _Runs
 from .params import RESIDUAL_TOLERANCE, QcaParams, normalized_qubit
 
 __all__ = [
-    "L_UPPER",
-    "R_UPPER",
     "CoinMatrix",
     "WalkState",
     "CoinBlocks",
@@ -43,11 +51,6 @@ __all__ = [
     "evolve_walk",
     "walk_distribution",
 ]
-
-L_UPPER = "L-upper"
-R_UPPER = "R-upper"
-_ORDERS = (L_UPPER, R_UPPER)
-
 
 @dataclass(frozen=True)
 class CoinMatrix:
@@ -160,46 +163,12 @@ class CoinBlocks:
 
     def unitarity_residual(self) -> float:
         """Largest entry of the three block-orthogonality defects; inf where one overflows."""
-        p, t, q = self.P, self.T, self.Q
-        ph, th, qh = p.conj().T, t.conj().T, q.conj().T
-        with np.errstate(over="ignore", invalid="ignore"):
-            defects = np.abs([ph @ p + th @ t + qh @ q - np.eye(2), ph @ t + th @ q, ph @ q])
-        residual = float(defects.max())
-        return np.inf if np.isnan(residual) else residual
+        return _unitarity_residual(self.P.tolist(), self.T.tolist(), self.Q.tolist())
 
     @property
     def coin(self) -> np.ndarray:
         """P + Q; equals the coin matrix for plain walks."""
         return self.P + self.Q
-
-
-# One row per walk family: whether its coin splits into P, Q by columns (else by
-# rows), the p_side and order of its generalized step and half steps, and its lattice
-# offset: walk site k holds lattice sites 2k + offset (upper component) and 2k + offset + 1.
-_Family = namedtuple("_Family", "by_columns p_side order offset")
-_FAMILIES = {"A": _Family(False, -1, R_UPPER, -1), "B": _Family(True, 1, L_UPPER, 0)}
-
-
-def _family(name: str) -> _Family:
-    try:
-        return _FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"family must be 'A' or 'B', got {name!r}") from None
-
-
-def _split_coin(u: np.ndarray, row: _Family) -> tuple[np.ndarray, np.ndarray]:
-    """Move blocks P, Q with P + Q = u: P keeps the first row (or column), Q the second.
-
-    The blocks are filled by slicing into zeros: a product with a 0/1 mask
-    could turn a zero entry into -0.0, which the JSON output would show.
-    """
-    p = np.zeros((2, 2), dtype=np.complex128)
-    q = np.zeros((2, 2), dtype=np.complex128)
-    if row.by_columns:
-        p[:, 0], q[:, 1] = u[:, 0], u[:, 1]
-    else:
-        p[0], q[1] = u[0], u[1]
-    return p, q
 
 
 def plain_blocks(coin: CoinMatrix, family: str) -> CoinBlocks:
@@ -208,8 +177,8 @@ def plain_blocks(coin: CoinMatrix, family: str) -> CoinBlocks:
     Family A keeps rows of the coin; family B keeps columns.  Either way
     P + Q reassembles the coin exactly.
     """
-    p, q = _split_coin(coin.matrix, _family(family))
-    return CoinBlocks(p, np.zeros((2, 2), dtype=np.complex128), q, p_side=1, order=L_UPPER)
+    p, q = _split_coin([[coin.a, coin.b], [coin.c, coin.d]], _family(family))
+    return CoinBlocks(p, _ZERO, q, p_side=1, order=L_UPPER)
 
 
 def generalized_blocks_from_qca(params: QcaParams, family: str) -> CoinBlocks:
@@ -220,11 +189,7 @@ def generalized_blocks_from_qca(params: QcaParams, family: str) -> CoinBlocks:
     family B the other way round.  The family's row frames the step.
     """
     row = _family(family)
-    a, b, c, d = params.astuple()
-    move, stay = (c, a) if family == "A" else (a, c)
-    p, q = _split_coin(np.array([[d, move], [move, d]], dtype=np.complex128), row)
-    t = np.array([[b, stay], [stay, b]], dtype=np.complex128)
-    return CoinBlocks(p, t, q, row.p_side, row.order)
+    return CoinBlocks(*_generalized_blocks(params, family), row.p_side, row.order)
 
 
 def walk_step(state: WalkState, blocks: CoinBlocks) -> WalkState:

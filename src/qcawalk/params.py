@@ -1,4 +1,4 @@
-"""Coefficient tuples of the 1D QCA: validation, taxonomy and the angle parametrization.
+"""Coefficient tuples of the 1D QCA: validation, taxonomy, angles and the cell symbol.
 
 Pure Python over ``complex`` and ``math``: checking and naming a tuple
 loads no numpy, so ``qcawalk classify`` runs without it.
@@ -165,6 +165,16 @@ def params_from_angles(angles: AngleTriple) -> QcaParams:
         phase * (st * sp),
         1j * phase * (st * cp),
     )
+
+
+def _symbol(params: QcaParams) -> list:
+    """The blocks of e^{ip}, 1 and e^{-ip} in the tuple's cell symbol: the B walk's P, T and Q.
+
+    Each block is two rows of numbers.  The Fourier jump of ``amplitudes``
+    reads it, and ``algebra`` multiplies symbols.
+    """
+    a, b, c, d = params.astuple()
+    return [[[d, 0j], [a, 0j]], [[b, c], [c, b]], [[0j, a], [0j, d]]]
 
 
 def normalized_qubit(qubit) -> tuple[complex, complex]:

@@ -1,9 +1,9 @@
-"""One-dimensional QCA: the banded step and its symbol, which the Fourier jump reads.
+"""One-dimensional QCA: the banded step, and its evolution by steps or one Fourier jump.
 
 The coefficient tuples, their unitarity check and their taxonomy live in
-``params``.  The single step operator is a band-4 unitary acting on the
-whole integer lattice.  Its row pattern, pinned once here and used
-everywhere:
+``params``, and so does the tuple's cell symbol, which the jump reads.
+The single step operator is a band-4 unitary acting on the whole integer
+lattice.  Its row pattern, pinned once here and used everywhere:
 
     out[2k]   = a*in[2k-1] + b*in[2k] + c*in[2k+1] + d*in[2k+2]
     out[2k+1] = d*in[2k-1] + c*in[2k] + b*in[2k+1] + a*in[2k+2]
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .amplitudes import AmplitudeField, Distribution, to_distribution
-from .params import QcaParams, normalized_qubit
+from .params import QcaParams, _symbol, normalized_qubit
 
 __all__ = [
     "qca_step",
@@ -43,12 +43,6 @@ def _banded_kernel(params: QcaParams):
         return base, (windows @ stencil).ravel()
 
     return kernel
-
-
-def _symbol(params: QcaParams) -> list:
-    """The blocks of e^{ip}, 1 and e^{-ip} in the cell symbol: the B walk's P, T and Q."""
-    a, b, c, d = params.astuple()
-    return [[[d, 0j], [a, 0j]], [[b, c], [c, b]], [[0j, a], [0j, d]]]
 
 
 def _evolve(field: AmplitudeField, n: int, params: QcaParams) -> AmplitudeField:

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from dense_reference import dense_qca_matrix, field_to_vector
+from qcawalk.algebra import PatelParams, patel_factorize, verify_two_step
 from qcawalk.amplitudes import (
     AmplitudeField,
     superpose,
@@ -31,12 +32,9 @@ from qcawalk.coined_walks import (
     walk_step,
 )
 from qcawalk.correspondence import (
-    PatelParams,
-    patel_factorize,
     two_step_factorize,
     verify_A_correspondence,
     verify_B_correspondence,
-    verify_two_step,
 )
 from qcawalk.params import AngleTriple, QcaParams, params_from_angles, unitarity_residuals
 from qcawalk.qca_core import qca_step

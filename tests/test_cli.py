@@ -276,15 +276,15 @@ def test_verify_reports_the_mass_error_of_a_scaled_walk_step(capsys, monkeypatch
 
 @pytest.mark.parametrize("error, code, passed", [(0.5e-12, 0, "true"), (2e-12, 1, "false")])
 def test_verify_gate_is_the_residual_tolerance(capsys, monkeypatch, error, code, passed):
-    from qcawalk import correspondence
+    from qcawalk import algebra
 
-    exact = correspondence.patel_factorize
+    exact = algebra.patel_factorize
 
     def reported(p):
         params, report = exact(p)
-        return params, correspondence.CorrespondenceReport(error, 0.0, 0, report.identity_name)
+        return params, algebra.CorrespondenceReport(error, 0.0, 0, report.identity_name)
 
-    monkeypatch.setattr(correspondence, "patel_factorize", reported)
+    monkeypatch.setattr(algebra, "patel_factorize", reported)
     got, out, err = run_inprocess(capsys, "verify", "--kind", "patel")
     assert got == code, err
     assert f"result.pass,{passed}" in out.splitlines()
@@ -566,7 +566,8 @@ def test_import_and_limit_compare_load_no_scipy():
     assert result.stdout.splitlines()[-1] == "scipy-modules: []"
 
 
-ENGINES = ("amplitudes", "asymptotics", "coined_walks", "correspondence", "qca_core")
+ENGINES = ("algebra", "amplitudes", "asymptotics", "coined_walks", "correspondence", "qca_core")
+TWO_STEP = ["--kind", "two-step", "--theta", "1", "--phi", "1", "--delta", "1", "--family"]
 
 
 RUN_MODULE = "import runpy\nrunpy.run_module('qcawalk', run_name='__main__', alter_sys=True)\n"
@@ -597,36 +598,48 @@ def test_classify_usage_errors_and_import_load_no_numpy(run, argv, code):
     assert heavy == []
 
 
+# the lattice engine and numpy; the walks also load the 2x2 algebra, which is the
+# whole engine of the algebraic kinds
+LATTICE = {"numpy", "amplitudes", "qca_core"}
+
+
 @pytest.mark.parametrize(
     "argv,code,modules",
     [
         (["classify", *REFERENCE], 0, set()),
         (["classify", "--theta", "1"], 2, set()),
-        (["simulate-qca", *REFERENCE, "--steps", "2"], 0, {"amplitudes", "qca_core"}),
-        (["simulate-qw", *REFERENCE, "--steps", "2"], 0, {"amplitudes", "coined_walks"}),
-        (["verify", *REFERENCE, "--steps", "2"], 0, set(ENGINES) - {"asymptotics"}),
-        (["factorize", "--kind", "patel"], 0, set(ENGINES) - {"asymptotics"}),
-        (["limit-compare", "--steps", "20", "--tolerance", "1"], 0,
-         {"amplitudes", "asymptotics", "qca_core"}),
+        (["simulate-qca", *REFERENCE, "--steps", "2"], 0, LATTICE),
+        (["simulate-qw", *REFERENCE, "--steps", "2"], 0,
+         {"numpy", "algebra", "amplitudes", "coined_walks"}),
+        (["verify", *REFERENCE, "--steps", "2"], 0,
+         {"numpy", *ENGINES} - {"asymptotics"}),
+        (["factorize", "--kind", "patel"], 0, {"algebra"}),
+        (["limit-compare", "--steps", "20", "--tolerance", "1"], 0, {*LATTICE, "asymptotics"}),
+        (["verify", "--kind", "patel"], 0, {"algebra"}),
+        (["verify", *TWO_STEP, "A"], 0, {"algebra"}),
+        (["verify", *TWO_STEP, "B"], 0, {"algebra"}),
+        (["factorize", *TWO_STEP, "A"], 0, {"algebra"}),
+        (["factorize", *TWO_STEP, "B"], 0, {"algebra"}),
     ],
     ids=["classify", "usage-error", "simulate-qca", "simulate-qw", "verify", "factorize",
-         "limit-compare"],
+         "limit-compare", "verify-patel", "verify-two-step-A", "verify-two-step-B",
+         "factorize-two-step-A", "factorize-two-step-B"],
 )
 def test_each_command_loads_only_its_engine(argv, code, modules):
     # sys.modules, not -X importtime: importtime prints no line for a module
-    # that importlib.import_module loads
+    # that importlib.import_module loads; "numpy" stands for numpy itself
     probe = (
         "import sys, qcawalk.cli\n"
         "code = qcawalk.cli.main(sys.argv[1:])\n"
-        "print(' '.join(sorted(m for m in sys.modules if m.startswith('qcawalk.'))))\n"
+        "print(*sorted(m.removeprefix('qcawalk.') for m in sys.modules\n"
+        "             if m.startswith('qcawalk.') or m == 'numpy'))\n"
         "sys.exit(code)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=120
     )
     assert result.returncode == code, result.stderr
-    loaded = set(result.stdout.splitlines()[-1].split())
-    assert loaded == {f"qcawalk.{name}" for name in {"cli", "params", *modules}}
+    assert set(result.stdout.splitlines()[-1].split()) == {"cli", "params", *modules}
 
 
 def at_exit(expression, argv):

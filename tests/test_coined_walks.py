@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from dense_reference import dense_walk_matrix, walk_to_vector
+from qcawalk.algebra import L_UPPER, R_UPPER
 from qcawalk.coined_walks import (
-    L_UPPER,
-    R_UPPER,
     CoinBlocks,
     CoinMatrix,
     WalkState,

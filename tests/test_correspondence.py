@@ -7,11 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qcawalk import correspondence
-from qcawalk.amplitudes import AmplitudeField, max_difference, superpose
-from qcawalk.coined_walks import (
+from qcawalk import algebra
+from qcawalk.algebra import (
     L_UPPER,
     R_UPPER,
+    PatelParams,
+    _generalized_blocks,
+    _half_steps,
+    _two_step_residual,
+    patel_coin,
+    patel_factorize,
+    verify_two_step,
+)
+from qcawalk.amplitudes import AmplitudeField, max_difference, superpose
+from qcawalk.coined_walks import (
     CoinMatrix,
     WalkState,
     generalized_blocks_from_qca,
@@ -20,20 +29,15 @@ from qcawalk.coined_walks import (
     walk_step,
 )
 from qcawalk.correspondence import (
-    PatelParams,
-    _two_step_residual,
-    patel_coin,
     patel_even_step,
-    patel_factorize,
     patel_odd_step,
     two_step_factorize,
     verify_A_correspondence,
     verify_B_correspondence,
-    verify_two_step,
 )
 from qcawalk.params import AngleTriple, QcaParams, params_from_angles
 from qcawalk.qca_core import qca_step
-from test_properties import PROPERTY_SETTINGS, angle, qubits
+from test_properties import PROPERTY_SETTINGS, angle, fields, qubits
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PATEL_ANGLES = AngleTriple(math.pi / 4, math.pi / 4, math.pi / 2)
@@ -205,12 +209,11 @@ def test_two_step_products_random():
 @pytest.mark.parametrize("block", ["P", "T", "Q"])
 def test_two_step_check_sees_a_fault_in_each_product(block, family):
     angles = AngleTriple(1.1, 0.4, 2.0)
-    first, second = two_step_factorize(angles, 0.3, 0.7, family)
-    blocks = generalized_blocks_from_qca(params_from_angles(angles), family)
-    targets = {"P": blocks.P, "T": blocks.T, "Q": blocks.Q}
+    first, second = _half_steps(angles, 0.3, 0.7, family)
+    targets = dict(zip("PTQ", _generalized_blocks(params_from_angles(angles), family)))
     assert _two_step_residual(first, second, *targets.values()) <= 1e-12
     # only the product identity whose target is planted can see it
-    targets[block] = targets[block] + 1e-9
+    targets[block] = [[z + 1e-9 for z in row] for row in targets[block]]
     residual = _two_step_residual(first, second, *targets.values())
     assert residual == pytest.approx(1e-9, rel=1e-3)
 
@@ -302,17 +305,17 @@ def test_patel_factorize_both_zero_is_trivial_shift():
     [
         # link 1: the half-step coins
         ("_half_step_coins", lambda exact: lambda angles, t1, t2: exact(angles, t1 + 1e-9, t2)),
-        # link 2: the lattice tuple at the mapped angles, and Patel's own half step
+        # the symbol link: the lattice tuple at the mapped angles, and Patel's own half step
         ("params_from_angles",
          lambda exact: lambda a: exact(AngleTriple(a.theta + 1e-9, a.phi, a.delta))),
-        ("patel_even_step", lambda exact: lambda field, phi1: exact(field, phi1 + 1e-9)),
+        ("_even_tuple", lambda exact: lambda phi1: exact(phi1 + 1e-9)),
     ],
-    ids=["_half_step_coins", "params_from_angles", "patel_even_step"],
+    ids=["_half_step_coins", "params_from_angles", "_even_tuple"],
 )
 def test_patel_factorize_sees_a_fault_in_each_link(monkeypatch, name, planted):
     p = PatelParams(0.3, 1.2)
     assert patel_factorize(p)[1].max_error() <= 1e-12
-    monkeypatch.setattr(correspondence, name, planted(getattr(correspondence, name)))
+    monkeypatch.setattr(algebra, name, planted(getattr(algebra, name)))
     assert 1e-10 < patel_factorize(p)[1].max_error() < 1e-8
 
 
@@ -337,6 +340,16 @@ def test_half_steps_compose_to_full_step_on_fields():
         direct = qca_step(field, params)
         assert max_difference(composed, direct) <= 1e-12
         assert abs(composed.norm_sq() - 1.0) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(angle, angle, fields)
+def test_lattice_half_steps_compose_to_the_certified_step(phi1, phi2, field):
+    # the symbol certificate holds the lattice engine's half steps over the whole square
+    params, report = patel_factorize(PatelParams(phi1, phi2))
+    assert report.max_error() <= 1e-12
+    composed = patel_even_step(patel_odd_step(field, phi2), phi1)
+    assert max_difference(composed, qca_step(field, params)) <= 1e-12
 
 
 @pytest.mark.parametrize("half_step, first_top", [(patel_even_step, 0), (patel_odd_step, -1)])

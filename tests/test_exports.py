@@ -6,10 +6,20 @@ import subprocess
 import sys
 from pathlib import Path
 
-import qcawalk
-from qcawalk import amplitudes, asymptotics, coined_walks, correspondence, params, qca_core
+import pytest
 
-MODULES = (amplitudes, asymptotics, coined_walks, correspondence, params, qca_core)
+import qcawalk
+from qcawalk import (
+    algebra,
+    amplitudes,
+    asymptotics,
+    coined_walks,
+    correspondence,
+    params,
+    qca_core,
+)
+
+MODULES = (algebra, amplitudes, asymptotics, coined_walks, correspondence, params, qca_core)
 
 
 def test_package_all_is_union_of_module_lists():
@@ -38,6 +48,24 @@ def test_star_import_binds_exactly_all():
     assert result.returncode == 0, result.stderr
     bound, exported = json.loads(result.stdout)
     assert bound == exported == qcawalk.__all__
+
+
+@pytest.mark.parametrize(
+    "name, loaded",
+    [("params", ["params"]), ("cli", ["cli", "params"]), ("algebra", ["algebra", "params"])],
+    ids=["params", "cli", "algebra"],
+)
+def test_a_module_name_lookup_imports_that_module_alone(name, loaded):
+    # a from-import looks the name up on the package before it imports the submodule
+    probe = (
+        f"import sys\nfrom qcawalk import {name}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('qcawalk.') or m == 'numpy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [f"qcawalk.{module}" for module in loaded]
 
 
 def test_no_name_is_listed_by_two_modules():

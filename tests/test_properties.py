@@ -8,6 +8,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcawalk.algebra import (
+    PatelParams,
+    _half_step_coins,
+    patel_coin,
+    patel_factorize,
+    verify_two_step,
+)
 from qcawalk.amplitudes import (
     PRUNE_TOLERANCE,
     AmplitudeField,
@@ -27,24 +34,20 @@ from qcawalk.coined_walks import (
     walk_step,
 )
 from qcawalk.correspondence import (
-    PatelParams,
-    _half_step_coins,
-    patel_coin,
-    patel_factorize,
     two_step_factorize,
     verify_A_correspondence,
     verify_B_correspondence,
-    verify_two_step,
 )
 from qcawalk.params import (
     RESIDUAL_TOLERANCE,
     AngleTriple,
     QcaParams,
     QcaTypeClass,
+    _symbol,
     classify,
     params_from_angles,
 )
-from qcawalk.qca_core import _evolve, _symbol, evolve_eta, qca_distribution, qca_step
+from qcawalk.qca_core import _evolve, evolve_eta, qca_distribution, qca_step
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -268,8 +271,8 @@ def test_patel_coins_are_the_two_step_coins_at_zero_phases(phi1, phi2):
     # the two-step coins with swapped columns, U1 X and U2 X, are the odd and even pair coins
     angles = AngleTriple(phi1, math.pi / 2 - phi2, math.pi / 2)
     u1, u2 = _half_step_coins(angles, 0.0, 0.0)
-    assert np.abs(u1[:, ::-1] - patel_coin(phi2)).max() <= 1e-12
-    assert np.abs(u2[:, ::-1] - patel_coin(phi1)).max() <= 1e-12
+    assert np.abs(np.array(u1)[:, ::-1] - patel_coin(phi2)).max() <= 1e-12
+    assert np.abs(np.array(u2)[:, ::-1] - patel_coin(phi1)).max() <= 1e-12
     for family in ("A", "B"):
         assert verify_two_step(angles, 0.0, 0.0, family).max_error() <= 1e-12
     assert patel_factorize(PatelParams(phi1, phi2))[1].max_error() <= 1e-12
