@@ -86,10 +86,10 @@ MUTANTS = [
            "err = max(err_coins, err_symbol)", "err = err_symbol",
            tests=("test_correspondence.py::test_patel_factorize_sees_a_fault_in_each_link",)),
     Mutant("patel_factorize composes even then odd", "algebra.py",
-           "_symbol_product(_symbol(_even_tuple(p.phi1)), _symbol(_odd_tuple(p.phi2)))",
-           "_symbol_product(_symbol(_odd_tuple(p.phi2)), _symbol(_even_tuple(p.phi1)))",
+           '_even_tuple(p.phi1), "B"), _generalized_blocks(_odd_tuple(p.phi2)',
+           '_odd_tuple(p.phi2), "B"), _generalized_blocks(_even_tuple(p.phi1)',
            tests=("test_correspondence.py::test_patel_grid_small",)),
-    Mutant("unitarity_residual ignores the P^H Q term", "algebra.py",
+    Mutant("unitarity_residual ignores the P^H Q term", "params.py",
            "_distance(_product(ph, q), _ZERO),", "0.0,",
            tests=(
                "test_coined_walks.py::test_coin_blocks_reject_a_nonzero_cross_move_term_alone",
@@ -118,11 +118,11 @@ MUTANTS = [
            "import argparse\nimport gc\n", "import argparse\nimport gc\nimport json\n",
            tests=("test_cli.py::test_only_a_json_report_loads_json",)),
     # the walk families
-    Mutant("A offset moved by one site", "algebra.py",
+    Mutant("A offset moved by one site", "params.py",
            "_Family(False, -1, R_UPPER, -1)", "_Family(False, -1, R_UPPER, 0)",
            tests=("test_correspondence.py::test_pairings_hold_for_random_draws",
                   "test_properties.py::test_walk_pairings_hold")),
-    Mutant("B blocks swap a and c", "algebra.py",
+    Mutant("B blocks swap a and c", "params.py",
            'if family == "A" else (a, c)', 'if family == "A" else (c, a)',
            tests=("test_correspondence.py::test_pairings_hold_for_random_draws",
                   "test_correspondence.py::test_type_iv_reduces_to_plain_b_walk")),
@@ -162,8 +162,14 @@ MUTANTS = [
            tests=("test_properties.py::test_evolve_walk_is_n_walk_steps",
                   "test_properties.py::test_a_symbol_jumps_exactly_when_it_is_generic_and_even")),
     Mutant("a start of any width jumps", "amplitudes.py",
-           "if 0 < width <= (2 if self._lead else 4) * n and", "if 0 < width and",
+           "if width <= (2 if self._lead else 4) * n and not", "if not",
            tests=("test_jump.py::test_a_start_wider_than_2n_cells_steps",)),
+    Mutant("evolutions never jump", "amplitudes.py",
+           "if width <= (2 if self._lead else 4) * n and not _jump_refusal(symbol):", "if False:",
+           tests=("test_jump.py::test_type_v_evolutions_take_the_jump",)),
+    Mutant("the lattice jump reads family A's blocks", "qca_core.py",
+           '_generalized_blocks(params, "B"), lambda', '_generalized_blocks(params, "A"), lambda',
+           tests=("test_jump.py::test_jump_agrees_with_stepping_within_the_budget",)),
     Mutant("two nonzero coefficients are generic enough", "amplitudes.py",
            "if generic < 3:", "if generic < 2:",
            tests=("test_properties.py::test_a_symbol_jumps_exactly_when_it_is_generic_and_even",)),
@@ -186,7 +192,7 @@ MUTANTS = [
            tests=("test_coined_walks.py::test_walk_state_prunes_each_component",
                   "test_coined_walks.py::test_walk_step_matches_dense_oracle")),
     # equivalent
-    Mutant("B offset moved by two sites", "algebra.py",
+    Mutant("B offset moved by two sites", "params.py",
            "_Family(True, 1, L_UPPER, 0)", "_Family(True, 1, L_UPPER, 2)",
            equivalent="a one-cell shift of the whole B picture: the lockstep places its "
            "lattice start through the same offset and both steps commute with the shift"),

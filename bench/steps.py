@@ -26,7 +26,7 @@ A-family walk (the long-run benchmark's walk task steps the B walk), 1000
 ``verify_B_correspondence`` at 500 and at 50 steps (``verify.A``,
 ``verify.B``, ``verify.A.50``, ``verify.B.50``: walk and lattice in
 lockstep, compared at every step) and ``verify_spectral`` at 5000
-(``verify.spectral``: the jump against 5000 ``qca_step`` calls).  A
+(``verify.spectral``: the jump against 5000 banded steps).  A
 ``verify.*`` case fails the run if its report's error is above the tree's
 ``RESIDUAL_TOLERANCE``, the pass line of ``qcawalk verify``.
 ``evolve.IV.1000`` is ``evolve_eta`` at 1000 steps on the Type IV tuple

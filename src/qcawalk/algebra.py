@@ -1,117 +1,37 @@
-"""The 2x2 block algebra of the walk families, and the certificates stated in it.
+"""The certificates stated in the 2x2 block algebra of ``params``.
 
-Pure Python over ``complex`` and ``math``, like ``params``: a 2x2 block is
-a list of two rows of two numbers, and a step's symbol is the list of its
-blocks, from the coefficient of the highest power of ``e^{ip}`` down (a
-tuple's own, ``params._symbol``, has three).  The numpy modules wrap these
-lists and keep no second copy: ``coined_walks`` builds its ``CoinBlocks``
-from the coin split and the generalized blocks here and tests them with
-``_unitarity_residual``, and ``correspondence`` builds the two-step half
-steps and Patel's half steps from the sources here.  The two identities
-that hold without evolving a state, the two-step factorization and
-Patel's even/odd factorization, are certified here, so ``qcawalk verify``
-and ``factorize`` of those kinds load no numpy.
+The two identities that hold without evolving a state, the two-step
+factorization and Patel's even/odd factorization, are certified here in pure
+Python, so ``qcawalk verify`` and ``factorize`` of those kinds load no numpy.
+``correspondence`` builds its half steps from the same sources.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
-from .params import AngleTriple, QcaParams, _reduced_phase, _symbol, params_from_angles
+from .params import (
+    _ZERO,
+    AngleTriple,
+    QcaParams,
+    _add,
+    _distance,
+    _family,
+    _generalized_blocks,
+    _product,
+    _reduced_phase,
+    _split_coin,
+    params_from_angles,
+)
 
 __all__ = [
-    "L_UPPER",
-    "R_UPPER",
     "CorrespondenceReport",
     "PatelParams",
     "verify_two_step",
     "patel_coin",
     "patel_factorize",
 ]
-
-L_UPPER = "L-upper"
-R_UPPER = "R-upper"
-_ORDERS = (L_UPPER, R_UPPER)
-
-_ZERO = ((0j, 0j), (0j, 0j))
-_IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
-
-
-def _add(x, y) -> list:
-    return [[x[i][0] + y[i][0], x[i][1] + y[i][1]] for i in range(2)]
-
-
-def _product(x, y) -> list:
-    return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
-
-
-def _adjoint(x) -> list:
-    return [[x[0][j].conjugate(), x[1][j].conjugate()] for j in range(2)]
-
-
-def _distance(x, y) -> float:
-    """Largest entry modulus of ``x - y``; inf where one overflows or is not a number."""
-    try:
-        moduli = [abs(a - b) for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)]
-    except OverflowError:
-        return math.inf
-    return math.inf if any(map(math.isnan, moduli)) else max(moduli)
-
-
-def _unitarity_residual(p, t, q) -> float:
-    """Largest entry of the three block-orthogonality defects of a P, T, Q step.
-
-    The step is unitary when ``P^H P + T^H T + Q^H Q = 1``, ``P^H T + T^H Q = 0``
-    and ``P^H Q = 0``.  inf where an entry overflows.
-    """
-    ph, th, qh = _adjoint(p), _adjoint(t), _adjoint(q)
-    gram = _add(_add(_product(ph, p), _product(th, t)), _product(qh, q))
-    return max(
-        _distance(gram, _IDENTITY),
-        _distance(_add(_product(ph, t), _product(th, q)), _ZERO),
-        _distance(_product(ph, q), _ZERO),
-    )
-
-
-# One row per walk family: whether its coin splits into P, Q by columns (else by
-# rows), the p_side and order of its generalized step and half steps, and its lattice
-# offset: walk site k holds lattice sites 2k + offset (upper component) and 2k + offset + 1.
-_Family = namedtuple("_Family", "by_columns p_side order offset")
-_FAMILIES = {"A": _Family(False, -1, R_UPPER, -1), "B": _Family(True, 1, L_UPPER, 0)}
-
-
-def _family(name: str) -> _Family:
-    try:
-        return _FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"family must be 'A' or 'B', got {name!r}") from None
-
-
-def _split_coin(u, row: _Family) -> tuple[list, list]:
-    """Move blocks P, Q with P + Q = u: P keeps the first row (or column), Q the second.
-
-    The other entries are zeros, not products with a 0/1 mask, which could
-    turn a zero entry into -0.0, which the JSON output would show.
-    """
-    if row.by_columns:
-        return [[u[0][0], 0j], [u[1][0], 0j]], [[0j, u[0][1]], [0j, u[1][1]]]
-    return [list(u[0]), [0j, 0j]], [[0j, 0j], list(u[1])]
-
-
-def _generalized_blocks(params: QcaParams, family: str) -> tuple[list, list, list]:
-    """Move/stay blocks P, T, Q whose walk, in the family's frame, is the banded step.
-
-    The move blocks split the coin ``[[d, m], [m, d]]`` and the stay block
-    is ``[[b, s], [s, b]]``: family A moves with m = c and stays with s = a,
-    family B the other way round.
-    """
-    row = _family(family)
-    a, b, c, d = params.astuple()
-    move, stay = (c, a) if family == "A" else (a, c)
-    p, q = _split_coin([[d, move], [move, d]], row)
-    return p, [[b, stay], [stay, b]], q
 
 
 def _symbol_product(later: list, first: list) -> list:
@@ -249,8 +169,10 @@ def patel_factorize(p: PatelParams) -> tuple[QcaParams, CorrespondenceReport]:
         _distance(u2, [row[::-1] for row in patel_coin(p.phi1)]),
     )
 
-    chain = _symbol_product(_symbol(_even_tuple(p.phi1)), _symbol(_odd_tuple(p.phi2)))
-    banded = [_ZERO, *_symbol(params_from_angles(angles)), _ZERO]
+    chain = _symbol_product(
+        _generalized_blocks(_even_tuple(p.phi1), "B"), _generalized_blocks(_odd_tuple(p.phi2), "B")
+    )
+    banded = [_ZERO, *_generalized_blocks(params_from_angles(angles), "B"), _ZERO]
     err_symbol = max(map(_distance, chain, banded))
     (d, _), (a, _) = chain[1]
     (b, _), (c, _) = chain[2]

@@ -418,10 +418,12 @@ class _Runs(_Sited):
         ``make_step()`` builds the step kernel; only the stepping branch calls it.
         """
         n = _step_count(n)
-        # a start over 2n cells wide steps: its ring and Horner's passes grow with it, not with n
         runs = self._runs
-        width = runs[-1][0] + runs[-1][1].shape[-1] - runs[0][0] if runs else 0
-        if 0 < width <= (2 if self._lead else 4) * n and not _jump_refusal(symbol):
+        if not runs:
+            return self
+        # a start over 2n cells wide steps: its ring and Horner's passes grow with it, not with n
+        width = runs[-1][0] + runs[-1][1].shape[-1] - runs[0][0]
+        if width <= (2 if self._lead else 4) * n and not _jump_refusal(symbol):
             return self._jumped(n, _fourier_power(n, symbol))
         return self._stepped(make_step(), n)
 
@@ -438,8 +440,6 @@ class _Runs(_Sited):
         cone entries no larger than it, with dust.
         """
         sites, values = self._flat()
-        if not sites.size:
-            return self
         cell, row = (sites, slice(None)) if self._lead else (sites >> 1, sites & 1)
         origin = int(cell[0])
         start = np.zeros((2, int(cell[-1]) - origin + 1), np.complex128)

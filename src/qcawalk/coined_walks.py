@@ -13,9 +13,8 @@ recurrences likewise differ per family:
 
 Two half steps, (P1, Q1) then (P2, Q2), are one generalized step on the
 sites 2k: P = P2 P1, T = P2 Q1 + Q2 P1 and Q = Q2 Q1.  Each family's frame
-is its ``algebra._FAMILIES`` row.  The blocks' entries, their unitarity
-test and the family rows are the 2x2 algebra of ``algebra``; the arrays
-here wrap its lists.
+is its ``params._FAMILIES`` row.  The arrays here wrap the lists of the
+2x2 algebra of ``params``: the blocks' entries and their unitarity test.
 
 ``walk_step`` and ``evolve_walk`` refuse to mix states and blocks written
 in different orderings instead of silently reordering.
@@ -29,17 +28,19 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import (
+from .amplitudes import _PACK_GAP, Distribution, _Runs
+from .params import (
     _ORDERS,
     _ZERO,
     L_UPPER,
+    RESIDUAL_TOLERANCE,
+    QcaParams,
     _family,
     _generalized_blocks,
     _split_coin,
     _unitarity_residual,
+    normalized_qubit,
 )
-from .amplitudes import _PACK_GAP, Distribution, _Runs
-from .params import RESIDUAL_TOLERANCE, QcaParams, normalized_qubit
 
 __all__ = [
     "CoinMatrix",
@@ -182,12 +183,7 @@ def plain_blocks(coin: CoinMatrix, family: str) -> CoinBlocks:
 
 
 def generalized_blocks_from_qca(params: QcaParams, family: str) -> CoinBlocks:
-    """Move/stay blocks whose walk reproduces the banded lattice step.
-
-    The move blocks split the coin ``[[d, m], [m, d]]`` and the stay block
-    is ``[[b, s], [s, b]]``: family A moves with m = c and stays with s = a,
-    family B the other way round.  The family's row frames the step.
-    """
+    """Move/stay blocks whose walk, in the family's frame, reproduces the banded step."""
     row = _family(family)
     return CoinBlocks(*_generalized_blocks(params, family), row.p_side, row.order)
 

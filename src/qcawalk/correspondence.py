@@ -1,7 +1,7 @@
 """Machine checks of the lattice/walk equivalences that evolve a state.
 
 Each walk family sits on the lattice through the offset of its row in
-``algebra._FAMILIES``; its blocks' ``order`` says which chirality is
+``params._FAMILIES``; its blocks' ``order`` says which chirality is
 the upper component.  Even half-step: 2x2 blocks on pairs (2k, 2k+1).  Odd
 half-step: blocks on pairs (2k-1, 2k).  The full step is even-after-odd.
 The identities that need no state, the two-step and the even/odd
@@ -11,18 +11,19 @@ built from the same sources there.
 
 from __future__ import annotations
 
-from .algebra import (
-    _ZERO,
-    CorrespondenceReport,
-    _even_tuple,
-    _family,
-    _half_steps,
-    _odd_tuple,
-)
+from .algebra import CorrespondenceReport, _even_tuple, _half_steps, _odd_tuple
 from .amplitudes import AmplitudeField, _jump_refusal, _mismatch, _paired_field, _step_count
-from .coined_walks import CoinBlocks, WalkState, generalized_blocks_from_qca, walk_step
-from .params import AngleTriple, QcaParams, _symbol, classify, normalized_qubit
-from .qca_core import _evolve, qca_step
+from .coined_walks import CoinBlocks, WalkState, _block_kernel, generalized_blocks_from_qca
+from .params import (
+    _ZERO,
+    AngleTriple,
+    QcaParams,
+    _family,
+    _generalized_blocks,
+    classify,
+    normalized_qubit,
+)
+from .qca_core import _banded_kernel, _evolve, qca_step
 
 __all__ = [
     "verify_A_correspondence",
@@ -48,12 +49,12 @@ def _verify_pairing(
     blocks = generalized_blocks_from_qca(params, family)
     walk = WalkState.origin(qubit, blocks.order)
     eta = _paired_field(walk, offset)
+    lattice_kernel, walk_kernel = _banded_kernel(params), _block_kernel(walk, blocks)
 
-    amp_err = 0.0
-    prob_err = 0.0
+    amp_err = prob_err = 0.0
     for _ in range(n_max):
-        eta = qca_step(eta, params)
-        walk = walk_step(walk, blocks)
+        eta = eta._stepped(lattice_kernel)
+        walk = walk._stepped(walk_kernel)
         step_amp, step_prob = _mismatch(_paired_field(walk, offset), eta)
         amp_err = max(amp_err, step_amp)
         prob_err = max(prob_err, step_prob)
@@ -78,17 +79,15 @@ def verify_spectral(params: QcaParams, qubit, n: int) -> CorrespondenceReport:
     """Certify the Fourier jump of a Type V tuple against ``n`` banded steps.
 
     Both engines evolve ``{0: alpha, 1: beta}``: once in one jump, once
-    by ``n`` calls of ``qca_step``.  Other classes never jump, so they are
-    rejected.
+    by ``n`` banded steps through the one n-step driver.  Other classes
+    never jump, so they are rejected.
     """
     n = _step_count(n)
-    if _jump_refusal(_symbol(params)):
+    if _jump_refusal(_generalized_blocks(params, "B")):
         raise ValueError(f"only Type V tuples jump; this tuple is {classify(params).value}")
     alpha, beta = normalized_qubit(qubit)
     start = AmplitudeField({0: alpha, 1: beta})
-    stepped = start
-    for _ in range(n):
-        stepped = qca_step(stepped, params)
+    stepped = start._stepped(_banded_kernel(params), n)
     amp_err, prob_err = _mismatch(_evolve(start, n, params), stepped)
     return CorrespondenceReport(amp_err, prob_err, n, "spectral")
 

@@ -1,18 +1,24 @@
-"""Coefficient tuples of the 1D QCA: validation, taxonomy, angles and the cell symbol.
+"""Coefficient tuples of the 1D QCA and the 2x2 block algebra of the walk families.
 
-Pure Python over ``complex`` and ``math``: checking and naming a tuple
-loads no numpy, so ``qcawalk classify`` runs without it.
+Pure Python over ``complex`` and ``math``: checking and naming a tuple loads
+no numpy, so ``qcawalk classify`` runs without it.  A 2x2 block is two rows
+of two numbers, and a step's symbol the list of its blocks, from the
+coefficient of the highest power of ``e^{ip}`` down; the numpy modules wrap
+these lists and keep no second copy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
     "RESIDUAL_TOLERANCE",
+    "L_UPPER",
+    "R_UPPER",
     "AngleTriple",
     "QcaParams",
     "QcaTypeClass",
@@ -167,14 +173,88 @@ def params_from_angles(angles: AngleTriple) -> QcaParams:
     )
 
 
-def _symbol(params: QcaParams) -> list:
-    """The blocks of e^{ip}, 1 and e^{-ip} in the tuple's cell symbol: the B walk's P, T and Q.
+L_UPPER = "L-upper"
+R_UPPER = "R-upper"
+_ORDERS = (L_UPPER, R_UPPER)
 
-    Each block is two rows of numbers.  The Fourier jump of ``amplitudes``
-    reads it, and ``algebra`` multiplies symbols.
+_ZERO = ((0j, 0j), (0j, 0j))
+_IDENTITY = ((1 + 0j, 0j), (0j, 1 + 0j))
+
+
+def _add(x, y) -> list:
+    return [[x[i][0] + y[i][0], x[i][1] + y[i][1]] for i in range(2)]
+
+
+def _product(x, y) -> list:
+    return [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)] for i in range(2)]
+
+
+def _adjoint(x) -> list:
+    return [[x[0][j].conjugate(), x[1][j].conjugate()] for j in range(2)]
+
+
+def _distance(x, y) -> float:
+    """Largest entry modulus of ``x - y``; inf where one overflows or is not a number."""
+    try:
+        moduli = [abs(a - b) for row_x, row_y in zip(x, y) for a, b in zip(row_x, row_y)]
+    except OverflowError:
+        return math.inf
+    return math.inf if any(map(math.isnan, moduli)) else max(moduli)
+
+
+def _unitarity_residual(p, t, q) -> float:
+    """Largest entry of the three block-orthogonality defects of a P, T, Q step.
+
+    The step is unitary when ``P^H P + T^H T + Q^H Q = 1``, ``P^H T + T^H Q = 0``
+    and ``P^H Q = 0``.  inf where an entry overflows.
     """
+    ph, th, qh = _adjoint(p), _adjoint(t), _adjoint(q)
+    gram = _add(_add(_product(ph, p), _product(th, t)), _product(qh, q))
+    return max(
+        _distance(gram, _IDENTITY),
+        _distance(_add(_product(ph, t), _product(th, q)), _ZERO),
+        _distance(_product(ph, q), _ZERO),
+    )
+
+
+# One row per walk family: whether its coin splits into P, Q by columns (else by
+# rows), the p_side and order of its generalized step and half steps, and its lattice
+# offset: walk site k holds lattice sites 2k + offset (upper component) and 2k + offset + 1.
+_Family = namedtuple("_Family", "by_columns p_side order offset")
+_FAMILIES = {"A": _Family(False, -1, R_UPPER, -1), "B": _Family(True, 1, L_UPPER, 0)}
+
+
+def _family(name: str) -> _Family:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise ValueError(f"family must be 'A' or 'B', got {name!r}") from None
+
+
+def _split_coin(u, row: _Family) -> tuple[list, list]:
+    """Move blocks P, Q with P + Q = u: P keeps the first row (or column), Q the second.
+
+    The other entries are zeros, not products with a 0/1 mask, which could
+    turn a zero entry into -0.0, which the JSON output would show.
+    """
+    if row.by_columns:
+        return [[u[0][0], 0j], [u[1][0], 0j]], [[0j, u[0][1]], [0j, u[1][1]]]
+    return [list(u[0]), [0j, 0j]], [[0j, 0j], list(u[1])]
+
+
+def _generalized_blocks(params: QcaParams, family: str) -> list:
+    """Move/stay blocks ``[P, T, Q]`` whose walk, in the family's frame, is the banded step.
+
+    The move blocks split the coin ``[[d, m], [m, d]]`` and the stay block
+    is ``[[b, s], [s, b]]``: family A moves with m = c and stays with s = a,
+    family B the other way round.  Family B's list is the tuple's cell symbol,
+    the blocks of ``e^{ip}``, 1 and ``e^{-ip}`` that the Fourier jump reads.
+    """
+    row = _family(family)
     a, b, c, d = params.astuple()
-    return [[[d, 0j], [a, 0j]], [[b, c], [c, b]], [[0j, a], [0j, d]]]
+    move, stay = (c, a) if family == "A" else (a, c)
+    p, q = _split_coin([[d, move], [move, d]], row)
+    return [p, [[b, stay], [stay, b]], q]
 
 
 def normalized_qubit(qubit) -> tuple[complex, complex]:

@@ -1,7 +1,7 @@
 """One-dimensional QCA: the banded step, and its evolution by steps or one Fourier jump.
 
-The coefficient tuples, their unitarity check and their taxonomy live in
-``params``, and so does the tuple's cell symbol, which the jump reads.
+The coefficient tuples, their checks, their taxonomy and their walks' blocks
+live in ``params``.
 The single step operator is a band-4 unitary acting on the whole integer
 lattice.  Its row pattern, pinned once here and used everywhere:
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .amplitudes import AmplitudeField, Distribution, to_distribution
-from .params import QcaParams, _symbol, normalized_qubit
+from .params import QcaParams, _generalized_blocks, normalized_qubit
 
 __all__ = [
     "qca_step",
@@ -47,7 +47,8 @@ def _banded_kernel(params: QcaParams):
 
 def _evolve(field: AmplitudeField, n: int, params: QcaParams) -> AmplitudeField:
     """``n`` steps of a start field: one Fourier jump where it can, else ``n`` banded steps."""
-    return field._evolved(n, _symbol(params), lambda: _banded_kernel(params))
+    # the tuple's cell symbol is its B family's blocks
+    return field._evolved(n, _generalized_blocks(params, "B"), lambda: _banded_kernel(params))
 
 
 def evolve_eta(m: int, n: int, params: QcaParams) -> AmplitudeField:

@@ -25,14 +25,13 @@ from qcawalk.amplitudes import (
 )
 from qcawalk.asymptotics import RescaledSample, rescaled_qca_sample
 from qcawalk.coined_walks import (
-    L_UPPER,
     WalkState,
     evolve_walk,
     generalized_blocks_from_qca,
     walk_step,
 )
 from qcawalk.correspondence import verify_A_correspondence, verify_spectral
-from qcawalk.params import AngleTriple, params_from_angles
+from qcawalk.params import L_UPPER, AngleTriple, params_from_angles
 from qcawalk.qca_core import _evolve, evolve_eta, qca_step
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)

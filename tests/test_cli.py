@@ -242,17 +242,20 @@ def test_verify_spectral_fails_on_a_phase_of_the_power(capsys, monkeypatch):
 def verify_with_scaled_walk_step(capsys, monkeypatch, kind, factor):
     """``verify --kind kind``'s JSON result with every walk step's output times ``factor``."""
     from qcawalk import correspondence
-    from qcawalk.coined_walks import WalkState
 
-    exact = correspondence.walk_step
+    exact = correspondence._block_kernel
 
     def scaled(state, blocks):
-        stepped = exact(state, blocks)
-        pairs = {site: (u * factor, v * factor) for site, (u, v) in stepped.items()}
-        return WalkState(pairs, stepped.order)
+        kernel = exact(state, blocks)
 
-    # the lockstep resolves walk_step in its own module at call time
-    monkeypatch.setattr(correspondence, "walk_step", scaled)
+        def step(lo, x):
+            out_lo, out = kernel(lo, x)
+            return out_lo, out * factor
+
+        return step
+
+    # the lockstep resolves _block_kernel in its own module at call time
+    monkeypatch.setattr(correspondence, "_block_kernel", scaled)
     code, out, err = run_inprocess(
         capsys, "verify", "--kind", kind, *REFERENCE, "--format", "json"
     )
@@ -598,8 +601,8 @@ def test_classify_usage_errors_and_import_load_no_numpy(run, argv, code):
     assert heavy == []
 
 
-# the lattice engine and numpy; the walks also load the 2x2 algebra, which is the
-# whole engine of the algebraic kinds
+# the lattice engine and numpy; the 2x2 algebra of the walks is in params, and the
+# certificates in algebra are the whole engine of the algebraic kinds
 LATTICE = {"numpy", "amplitudes", "qca_core"}
 
 
@@ -609,8 +612,7 @@ LATTICE = {"numpy", "amplitudes", "qca_core"}
         (["classify", *REFERENCE], 0, set()),
         (["classify", "--theta", "1"], 2, set()),
         (["simulate-qca", *REFERENCE, "--steps", "2"], 0, LATTICE),
-        (["simulate-qw", *REFERENCE, "--steps", "2"], 0,
-         {"numpy", "algebra", "amplitudes", "coined_walks"}),
+        (["simulate-qw", *REFERENCE, "--steps", "2"], 0, {"numpy", "amplitudes", "coined_walks"}),
         (["verify", *REFERENCE, "--steps", "2"], 0,
          {"numpy", *ENGINES} - {"asymptotics"}),
         (["factorize", "--kind", "patel"], 0, {"algebra"}),

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from dense_reference import dense_walk_matrix, walk_to_vector
-from qcawalk.algebra import L_UPPER, R_UPPER
 from qcawalk.coined_walks import (
     CoinBlocks,
     CoinMatrix,
@@ -17,7 +16,14 @@ from qcawalk.coined_walks import (
     walk_distribution,
     walk_step,
 )
-from qcawalk.params import AngleTriple, QcaParams, normalized_qubit, params_from_angles
+from qcawalk.params import (
+    L_UPPER,
+    R_UPPER,
+    AngleTriple,
+    QcaParams,
+    normalized_qubit,
+    params_from_angles,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 PATEL = QcaParams(0.5j, 0.5, 0.5j, -0.5)

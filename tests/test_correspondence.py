@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from qcawalk import algebra
 from qcawalk.algebra import (
-    L_UPPER,
-    R_UPPER,
     PatelParams,
-    _generalized_blocks,
     _half_steps,
     _two_step_residual,
     patel_coin,
@@ -35,7 +32,14 @@ from qcawalk.correspondence import (
     verify_A_correspondence,
     verify_B_correspondence,
 )
-from qcawalk.params import AngleTriple, QcaParams, params_from_angles
+from qcawalk.params import (
+    L_UPPER,
+    R_UPPER,
+    AngleTriple,
+    QcaParams,
+    _generalized_blocks,
+    params_from_angles,
+)
 from qcawalk.qca_core import qca_step
 from test_properties import PROPERTY_SETTINGS, angle, fields, qubits
 

@@ -78,7 +78,7 @@ def test_no_name_is_listed_by_two_modules():
 
 def test_removed_names_are_not_exported():
     removed = ("QubitState", "ZERO_TOLERANCE", "MASS_TOLERANCE", "norm_sq", "support",
-               "TwoStepFactors", "_UPPER_OFFSETS", "meyer_angles")
+               "TwoStepFactors", "_UPPER_OFFSETS", "meyer_angles", "_symbol")
     for name in removed:
         assert name not in qcawalk.__all__
         assert not any(hasattr(obj, name) for obj in (qcawalk, *MODULES)), name

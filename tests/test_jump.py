@@ -32,24 +32,28 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcawalk import qca_core
+from qcawalk import amplitudes, qca_core
 from qcawalk.amplitudes import (
     PRUNE_TOLERANCE,
     AmplitudeField,
     _fourier_power,
+    _paired_field,
     _sq_modulus,
     max_difference,
     to_distribution,
 )
 from qcawalk.asymptotics import rescaled_qca_sample
-from qcawalk.coined_walks import (
+from qcawalk.coined_walks import WalkState, evolve_walk, generalized_blocks_from_qca, walk_step
+from qcawalk.params import (
     L_UPPER,
-    WalkState,
-    evolve_walk,
-    generalized_blocks_from_qca,
-    walk_step,
+    RESIDUAL_TOLERANCE,
+    AngleTriple,
+    QcaParams,
+    QcaTypeClass,
+    _generalized_blocks,
+    classify,
+    params_from_angles,
 )
-from qcawalk.params import RESIDUAL_TOLERANCE, AngleTriple, QcaParams, params_from_angles
 from qcawalk.qca_core import evolve_eta, qca_distribution, qca_step
 
 EPS = float(np.finfo(np.float64).eps)
@@ -109,7 +113,7 @@ def test_jump_agrees_with_stepping_within_the_budget(params, start, n):
 
 def lattice_power(n, params):
     """The jump kernel of ``n`` lattice steps: the Fourier power of the tuple's symbol."""
-    return _fourier_power(n, qca_core._symbol(params))
+    return _fourier_power(n, _generalized_blocks(params, "B"))
 
 
 def reference_fourier_power(n, params):
@@ -180,7 +184,7 @@ def test_one_jump_step_is_one_b_walk_step(params, start, spare):
     assume(min(map(abs, params.astuple())) >= RESIDUAL_TOLERANCE)
     assume(((start == 0) | (np.abs(start) >= PRUNE_TOLERANCE)).all())
     blocks = generalized_blocks_from_qca(params, "B")
-    assert np.array_equal(qca_core._symbol(params), blocks._symbol)
+    assert _generalized_blocks(params, "B") == blocks._symbol
     ring = start.shape[1] + 2 + spare  # walk sites -1 .. m, wrapped onto the ring
     got = lattice_power(1, params)(start, ring).copy()
     walk = WalkState({k: tuple(pair) for k, pair in enumerate(start.T)}, L_UPPER)
@@ -188,6 +192,18 @@ def test_one_jump_step_is_one_b_walk_step(params, start, spare):
     for k, pair in walk_step(walk, blocks).items():
         want[:, k % ring] = pair
     assert float(np.abs(got - want).max()) <= PRUNE_TOLERANCE + 4 * EPS
+
+
+# Walk site k of the B frame is lattice cell k, and the tuple's cell symbol is its B
+# blocks' symbol: both engines take one jump on the same numbers, bit for bit.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(type_v, cells, st.integers(-50, 50), st.integers(3, 300))
+def test_the_b_walk_and_the_lattice_jump_through_one_symbol(params, start, origin, n):
+    assume(classify(params) is QcaTypeClass.TYPE_V)
+    walk = WalkState({origin + k: tuple(pair) for k, pair in enumerate(start.T)}, L_UPPER)
+    walked = evolve_walk(walk, generalized_blocks_from_qca(params, "B"), n)
+    lattice = qca_core._evolve(_paired_field(walk, 0), n, params)
+    assert _paired_field(walked, 0) == lattice
 
 
 def in_fresh_thread(run):
@@ -332,13 +348,36 @@ THREE_NONZERO = params_from_angles(AngleTriple(1.5697963271282298, 1.57079632669
 
 
 def test_type_v_evolutions_take_the_jump(monkeypatch):
-    def no_step(field, params):
-        raise AssertionError("qca_step called")
+    def no_step(self, kernel, n=1):
+        raise AssertionError("stepped")
 
-    monkeypatch.setattr(qca_core, "qca_step", no_step)
+    # the stepping branch of every evolution, lattice or walk, is the one n-step driver
+    monkeypatch.setattr(amplitudes._Runs, "_stepped", no_step)
     for params in (REFERENCE, THREE_NONZERO):
         assert abs(evolve_eta(0, 100, params).norm_sq() - 1.0) <= 1e-12
         assert abs(qca_distribution(0, "+", (0.6, 0.8j), 100, params).total() - 1.0) <= 1e-12
+        for family in ("A", "B"):
+            blocks = generalized_blocks_from_qca(params, family)
+            state = evolve_walk(WalkState.origin((0.6, 0.8j), blocks.order), blocks, 100)
+            assert abs(state.norm_sq() - 1.0) <= 1e-12
+
+
+def test_an_empty_start_takes_no_steps():
+    params = params_from_angles(AngleTriple(1.1, 0.4, 2.0))
+    blocks = generalized_blocks_from_qca(params, "B")
+    starts = [
+        (lambda start, n: evolve_walk(start, blocks, n), WalkState({}, L_UPPER)),
+        (lambda start, n: evolve_walk(start, blocks, n), WalkState({3: (0, 0)}, L_UPPER)),
+        (lambda start, n: qca_core._evolve(start, n, params), AmplitudeField()),
+        (lambda start, n: qca_core._evolve(start, n, params), AmplitudeField({3: 0})),
+    ]
+    for evolve, start in starts:
+        begin = time.perf_counter()
+        evolved = evolve(start, 10**8)
+        assert time.perf_counter() - begin < 0.1
+        assert evolved == start and len(evolved) == 0
+        with pytest.raises(ValueError, match="nonnegative"):
+            evolve(start, -1)
 
 
 COS, SIN = math.cos(0.4), math.sin(0.4)

@@ -43,7 +43,7 @@ from qcawalk.params import (
     AngleTriple,
     QcaParams,
     QcaTypeClass,
-    _symbol,
+    _generalized_blocks,
     classify,
     params_from_angles,
 )
@@ -360,4 +360,4 @@ def test_a_symbol_jumps_exactly_when_it_is_generic_and_even(row):
     jumps = p is not None and classify(p) is QcaTypeClass.TYPE_V
     assert (not _jump_refusal(blocks._symbol)) == jumps
     if p is not None:
-        assert (not _jump_refusal(_symbol(p))) == jumps
+        assert (not _jump_refusal(_generalized_blocks(p, "B"))) == jumps
