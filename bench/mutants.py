@@ -60,20 +60,22 @@ MUTANTS = [
            tests=("test_correspondence.py::test_pairing_check_measures_each_mismatch",
                   "test_cli.py::test_verify_reports_the_mass_error_of_a_scaled_walk_step")),
     Mutant("two-step check ignores P2 P1", "algebra.py",
-           "max(r_p, r_t, r_q)", "max(r_t, r_q)",
+           "[p, _ZERO, t, _ZERO, q]", "[composed[0], _ZERO, t, _ZERO, q]",
            tests=("test_correspondence.py::test_two_step_check_sees_a_fault_in_each_product",)),
     Mutant("two-step check ignores T", "algebra.py",
-           "max(r_p, r_t, r_q)", "max(r_p, r_q)",
+           "[p, _ZERO, t, _ZERO, q]", "[p, _ZERO, composed[2], _ZERO, q]",
            tests=("test_correspondence.py::test_two_step_check_sees_a_fault_in_each_product",)),
     Mutant("two-step check ignores Q2 Q1", "algebra.py",
-           "max(r_p, r_t, r_q)", "max(r_p, r_t)",
+           "[p, _ZERO, t, _ZERO, q]", "[p, _ZERO, t, _ZERO, composed[4]]",
            tests=("test_correspondence.py::test_two_step_check_sees_a_fault_in_each_product",)),
     Mutant("two-step T drops P2 Q1", "algebra.py",
-           "_add(_product(p2, q1), _product(q2, p1))", "_product(q2, p1)",
+           "[p1, _ZERO, q1])\n",
+           "[p1, _ZERO, q1])\n    composed[2] = _symbol_product([q2], [p1])[0]\n",
            tests=("test_correspondence.py::test_two_step_products_random",
                   "test_acceptance.py::test_criterion_07_two_step_factorization")),
     Mutant("two-step T drops Q2 P1", "algebra.py",
-           "_add(_product(p2, q1), _product(q2, p1))", "_product(p2, q1)",
+           "[p1, _ZERO, q1])\n",
+           "[p1, _ZERO, q1])\n    composed[2] = _symbol_product([p2], [q1])[0]\n",
            tests=("test_correspondence.py::test_two_step_products_random",
                   "test_acceptance.py::test_criterion_07_two_step_factorization")),
     Mutant("half steps leave the family's frame", "correspondence.py",
@@ -90,10 +92,16 @@ MUTANTS = [
            '_odd_tuple(p.phi2), "B"), _generalized_blocks(_even_tuple(p.phi1)',
            tests=("test_correspondence.py::test_patel_grid_small",)),
     Mutant("unitarity_residual ignores the P^H Q term", "params.py",
-           "_distance(_product(ph, q), _ZERO),", "0.0,",
+           "_symbol_gap(gram, [_ZERO, _ZERO, _IDENTITY, _ZERO, _ZERO])",
+           "_symbol_gap(gram[1:4], [_ZERO, _IDENTITY, _ZERO])",
            tests=(
                "test_coined_walks.py::test_coin_blocks_reject_a_nonzero_cross_move_term_alone",
            )),
+    Mutant("the Laurent product keeps only the first term of each coefficient", "params.py",
+           "else _add(out[i + j], term)", "else out[i + j]",
+           tests=("test_properties.py::test_unitarity_residual_is_the_hand_expanded_residual",
+                  "test_correspondence.py::test_two_step_products_random",
+                  "test_correspondence.py::test_patel_grid_small")),
     Mutant("CLI pass gate at 1e-10", "cli.py",
            "passed = report.max_error() <= RESIDUAL_TOLERANCE",
            "passed = report.max_error() <= 1e-10",
@@ -157,8 +165,7 @@ MUTANTS = [
            "if z_down:", "if False:",
            tests=("test_properties.py::test_evolve_walk_jumps_within_the_error_budget",)),
     Mutant("the evenness check is skipped", "amplitudes.py",
-           "if symbol != [[row[::-1] for row in block[::-1]] for block in symbol[::-1]]:",
-           "if False:",
+           "if flat != flat[::-1]:", "if False:",
            tests=("test_properties.py::test_evolve_walk_is_n_walk_steps",
                   "test_properties.py::test_a_symbol_jumps_exactly_when_it_is_generic_and_even")),
     Mutant("a start of any width jumps", "amplitudes.py",
@@ -168,7 +175,8 @@ MUTANTS = [
            "if width <= (2 if self._lead else 4) * n and not _jump_refusal(symbol):", "if False:",
            tests=("test_jump.py::test_type_v_evolutions_take_the_jump",)),
     Mutant("the lattice jump reads family A's blocks", "qca_core.py",
-           '_generalized_blocks(params, "B"), lambda', '_generalized_blocks(params, "A"), lambda',
+           '_generalized_blocks(params, "B"), _banded',
+           '_generalized_blocks(params, "A"), _banded',
            tests=("test_jump.py::test_jump_agrees_with_stepping_within_the_budget",)),
     Mutant("two nonzero coefficients are generic enough", "amplitudes.py",
            "if generic < 3:", "if generic < 2:",

@@ -15,13 +15,12 @@ from .params import (
     _ZERO,
     AngleTriple,
     QcaParams,
-    _add,
-    _distance,
     _family,
     _generalized_blocks,
-    _product,
     _reduced_phase,
     _split_coin,
+    _symbol_gap,
+    _symbol_product,
     params_from_angles,
 )
 
@@ -32,16 +31,6 @@ __all__ = [
     "patel_coin",
     "patel_factorize",
 ]
-
-
-def _symbol_product(later: list, first: list) -> list:
-    """The symbol of ``first``'s step followed by ``later``'s: the Laurent product."""
-    out = [None] * (len(later) + len(first) - 1)
-    for i, x in enumerate(later):
-        for j, y in enumerate(first):
-            term = _product(x, y)
-            out[i + j] = term if out[i + j] is None else _add(out[i + j], term)
-    return out
 
 
 @dataclass(frozen=True)
@@ -93,29 +82,25 @@ def _half_steps(
     return _split_coin(u1, row), _split_coin(u2, row)
 
 
-def _two_step_residual(first, second, p, t, q) -> float:
-    """Largest entry of P2 P1 - P, P2 Q1 + Q2 P1 - T and Q2 Q1 - Q."""
-    (p1, q1), (p2, q2) = first, second
-    r_p = _distance(_product(p2, p1), p)
-    r_t = _distance(_add(_product(p2, q1), _product(q2, p1)), t)
-    r_q = _distance(_product(q2, q1), q)
-    return max(r_p, r_t, r_q)
-
-
 def _two_step(
     angles: AngleTriple, theta1: float, theta2: float, family: str
 ) -> tuple[tuple, CorrespondenceReport]:
-    """The half steps' move blocks and the residual of the three product identities."""
-    halves = _half_steps(angles, theta1, theta2, family)
-    targets = _generalized_blocks(params_from_angles(angles), family)
-    err = _two_step_residual(*halves, *targets)
+    """The half steps' move blocks and the gap of their composed symbol to the generalized one.
+
+    A half step's symbol is ``[P, 0, Q]`` on its own sites, and the generalized
+    step's, read on the sites 2k, is ``[P, 0, T, 0, Q]``.
+    """
+    halves = (p1, q1), (p2, q2) = _half_steps(angles, theta1, theta2, family)
+    p, t, q = _generalized_blocks(params_from_angles(angles), family)
+    composed = _symbol_product([p2, _ZERO, q2], [p1, _ZERO, q1])
+    err = _symbol_gap(composed, [p, _ZERO, t, _ZERO, q])
     return halves, CorrespondenceReport(err, 0.0, 0, f"two-step-{family}")
 
 
 def verify_two_step(
     angles: AngleTriple, theta1: float, theta2: float, family: str
 ) -> CorrespondenceReport:
-    """Entry-wise residual of the three half-step product identities."""
+    """Entry-wise residual of P2 P1 = P, P2 Q1 + Q2 P1 = T and Q2 Q1 = Q."""
     return _two_step(angles, theta1, theta2, family)[1]
 
 
@@ -163,17 +148,14 @@ def patel_factorize(p: PatelParams) -> tuple[QcaParams, CorrespondenceReport]:
     and 1, the image of site 0.
     """
     angles = AngleTriple(p.phi1, math.pi / 2 - p.phi2, math.pi / 2)
-    u1, u2 = _half_step_coins(angles, 0.0, 0.0)
-    err_coins = max(
-        _distance(u1, [row[::-1] for row in patel_coin(p.phi2)]),
-        _distance(u2, [row[::-1] for row in patel_coin(p.phi1)]),
-    )
+    swapped = [[row[::-1] for row in patel_coin(phi)] for phi in (p.phi2, p.phi1)]
+    err_coins = _symbol_gap(_half_step_coins(angles, 0.0, 0.0), swapped)
 
     chain = _symbol_product(
         _generalized_blocks(_even_tuple(p.phi1), "B"), _generalized_blocks(_odd_tuple(p.phi2), "B")
     )
     banded = [_ZERO, *_generalized_blocks(params_from_angles(angles), "B"), _ZERO]
-    err_symbol = max(map(_distance, chain, banded))
+    err_symbol = _symbol_gap(chain, banded)
     (d, _), (a, _) = chain[1]
     (b, _), (c, _) = chain[2]
     err = max(err_coins, err_symbol)

@@ -304,10 +304,13 @@ def _jump_refusal(symbol: list) -> str:
     ``S(-p) = J S(p) J``, J swapping the components.  Generalized blocks with
     P and Q scaled by opposite phases are not even, and jumped 1.7e13 budgets off.
     """
-    generic = sum(abs(z) >= RESIDUAL_TOLERANCE for block in symbol for z, _ in block)
+    # the entries block by block, row by row, whatever holds them: every other one is
+    # the first column, and an even symbol reads the same reversed
+    flat = [z for block in symbol for row in block for z in row]
+    generic = sum(abs(z) >= RESIDUAL_TOLERANCE for z in flat[::2])
     if generic < 3:
         return f"only {generic} generic coefficients in the symbol's first column"
-    if symbol != [[row[::-1] for row in block[::-1]] for block in symbol[::-1]]:
+    if flat != flat[::-1]:
         return "the symbol is not even"
     return ""
 
@@ -412,11 +415,8 @@ class _Runs(_Sited):
                 runs = _unpacked(*kernel(lo, values), stretches)
         return self._from_runs(runs, self)
 
-    def _evolved(self, n: int, symbol: list, make_step):
-        """``n`` steps: one jump if ``_jump_refusal`` passes ``symbol``, else ``n`` steps.
-
-        ``make_step()`` builds the step kernel; only the stepping branch calls it.
-        """
+    def _evolved(self, n: int, symbol: list, step):
+        """``n`` steps: one jump if ``_jump_refusal`` passes ``symbol``, else ``n`` of ``step``."""
         n = _step_count(n)
         runs = self._runs
         if not runs:
@@ -425,7 +425,7 @@ class _Runs(_Sited):
         width = runs[-1][0] + runs[-1][1].shape[-1] - runs[0][0]
         if width <= (2 if self._lead else 4) * n and not _jump_refusal(symbol):
             return self._jumped(n, _fourier_power(n, symbol))
-        return self._stepped(make_step(), n)
+        return self._stepped(step, n)
 
     def _jumped(self, n: int, kernel):
         """This value after ``n`` steps that commute with a shift by one cell, in one call.

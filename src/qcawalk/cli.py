@@ -31,6 +31,7 @@ from .params import (
     RESIDUAL_TOLERANCE,
     AngleTriple,
     QcaParams,
+    _add,
     _reduced_phase,
     classify,
     params_from_angles,
@@ -208,7 +209,7 @@ def _run_two_step(args, engine: ModuleType) -> _Run:
     # each half step's move blocks, P1 Q1 P2 Q2, then its coin P + Q, U1 U2
     halves = tuple(zip("12", halves))
     result = {f"{m}{n}": _cmatrix(block) for n, half in halves for m, block in zip("PQ", half)}
-    result.update((f"U{n}", _cmatrix(engine._add(*half))) for n, half in halves)
+    result.update((f"U{n}", _cmatrix(_add(*half))) for n, half in halves)
     return report, payload, result
 
 

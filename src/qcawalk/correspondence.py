@@ -102,7 +102,7 @@ def two_step_factorize(
     generate.  So ``walk_step`` with ``first`` and then ``second`` is one
     generalized step, with walk site k read at site 2k: P = P2 P1,
     T = P2 Q1 + Q2 P1 and Q = Q2 Q1, for every choice of the two free phase
-    angles (``algebra.verify_two_step`` certifies the three products).
+    angles (``algebra.verify_two_step`` certifies them as one equation of symbols).
     """
     row = _family(family)
     first, second = (

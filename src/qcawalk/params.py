@@ -202,19 +202,34 @@ def _distance(x, y) -> float:
     return math.inf if any(map(math.isnan, moduli)) else max(moduli)
 
 
-def _unitarity_residual(p, t, q) -> float:
-    """Largest entry of the three block-orthogonality defects of a P, T, Q step.
+def _symbol_product(later: list, first: list) -> list:
+    """The symbol of ``first``'s step followed by ``later``'s: the Laurent product.
 
-    The step is unitary when ``P^H P + T^H T + Q^H Q = 1``, ``P^H T + T^H Q = 0``
-    and ``P^H Q = 0``.  inf where an entry overflows.
+    Each coefficient sums its terms in the order of ``later``'s blocks.
     """
-    ph, th, qh = _adjoint(p), _adjoint(t), _adjoint(q)
-    gram = _add(_add(_product(ph, p), _product(th, t)), _product(qh, q))
-    return max(
-        _distance(gram, _IDENTITY),
-        _distance(_add(_product(ph, t), _product(th, q)), _ZERO),
-        _distance(_product(ph, q), _ZERO),
-    )
+    out = [None] * (len(later) + len(first) - 1)
+    for i, x in enumerate(later):
+        for j, y in enumerate(first):
+            term = _product(x, y)
+            out[i + j] = term if out[i + j] is None else _add(out[i + j], term)
+    return out
+
+
+def _symbol_gap(x: list, y: list) -> float:
+    """Largest ``_distance`` between the blocks of two lists, such as two symbols."""
+    return max(map(_distance, x, y))
+
+
+def _unitarity_residual(p, t, q) -> float:
+    """Largest entry of the defect of ``S^H S = 1`` for a step whose symbol is ``[P, T, Q]``.
+
+    It multiplies the symbols of ``S(-p)^H`` and ``S(-p)``, ``[P^H, T^H, Q^H]`` and
+    ``[Q, T, P]``, whose coefficients sum ``P^H P + T^H T + Q^H Q``, ``P^H T + T^H Q``
+    and ``P^H Q`` in that order (the other two are adjoints): the step is unitary
+    when the first is 1 and the others 0.  inf where an entry overflows.
+    """
+    gram = _symbol_product([_adjoint(p), _adjoint(t), _adjoint(q)], [q, t, p])
+    return _symbol_gap(gram, [_ZERO, _ZERO, _IDENTITY, _ZERO, _ZERO])
 
 
 # One row per walk family: whether its coin splits into P, Q by columns (else by

@@ -48,7 +48,7 @@ def _banded_kernel(params: QcaParams):
 def _evolve(field: AmplitudeField, n: int, params: QcaParams) -> AmplitudeField:
     """``n`` steps of a start field: one Fourier jump where it can, else ``n`` banded steps."""
     # the tuple's cell symbol is its B family's blocks
-    return field._evolved(n, _generalized_blocks(params, "B"), lambda: _banded_kernel(params))
+    return field._evolved(n, _generalized_blocks(params, "B"), _banded_kernel(params))
 
 
 def evolve_eta(m: int, n: int, params: QcaParams) -> AmplitudeField:

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from qcawalk import algebra
 from qcawalk.algebra import (
     PatelParams,
-    _half_steps,
-    _two_step_residual,
     patel_coin,
     patel_factorize,
     verify_two_step,
@@ -37,7 +35,6 @@ from qcawalk.params import (
     R_UPPER,
     AngleTriple,
     QcaParams,
-    _generalized_blocks,
     params_from_angles,
 )
 from qcawalk.qca_core import qca_step
@@ -211,14 +208,19 @@ def test_two_step_products_random():
 
 @pytest.mark.parametrize("family", ["A", "B"])
 @pytest.mark.parametrize("block", ["P", "T", "Q"])
-def test_two_step_check_sees_a_fault_in_each_product(block, family):
+def test_two_step_check_sees_a_fault_in_each_product(monkeypatch, block, family):
     angles = AngleTriple(1.1, 0.4, 2.0)
-    first, second = _half_steps(angles, 0.3, 0.7, family)
-    targets = dict(zip("PTQ", _generalized_blocks(params_from_angles(angles), family)))
-    assert _two_step_residual(first, second, *targets.values()) <= 1e-12
-    # only the product identity whose target is planted can see it
-    targets[block] = [[z + 1e-9 for z in row] for row in targets[block]]
-    residual = _two_step_residual(first, second, *targets.values())
+    assert verify_two_step(angles, 0.3, 0.7, family).max_error() <= 1e-12
+    exact = algebra._generalized_blocks
+
+    def planted(params, family):
+        targets = dict(zip("PTQ", exact(params, family)))
+        targets[block] = [[z + 1e-9 for z in row] for row in targets[block]]
+        return list(targets.values())
+
+    # only the coefficient of the composed symbol whose target is planted can see it
+    monkeypatch.setattr(algebra, "_generalized_blocks", planted)
+    residual = verify_two_step(angles, 0.3, 0.7, family).max_error()
     assert residual == pytest.approx(1e-9, rel=1e-3)
 
 

@@ -39,11 +39,18 @@ from qcawalk.correspondence import (
     verify_B_correspondence,
 )
 from qcawalk.params import (
+    _IDENTITY,
+    _ZERO,
     RESIDUAL_TOLERANCE,
     AngleTriple,
     QcaParams,
     QcaTypeClass,
+    _add,
+    _adjoint,
+    _distance,
     _generalized_blocks,
+    _product,
+    _unitarity_residual,
     classify,
     params_from_angles,
 )
@@ -162,6 +169,40 @@ half_step_blocks = st.builds(
 walk_sites = st.dictionaries(
     st.integers(-30, 30), st.tuples(amplitudes, amplitudes), min_size=1, max_size=12
 )
+
+
+def hand_expanded_residual(p, t, q):
+    """The three conditions of a unitary step written out, ``_unitarity_residual``'s oracle.
+
+    ``P^H P + T^H T + Q^H Q = 1``, ``P^H T + T^H Q = 0`` and ``P^H Q = 0``.
+    """
+    ph, th, qh = _adjoint(p), _adjoint(t), _adjoint(q)
+    gram = _add(_add(_product(ph, p), _product(th, t)), _product(qh, q))
+    return max(
+        _distance(gram, _IDENTITY),
+        _distance(_add(_product(ph, t), _product(th, q)), _ZERO),
+        _distance(_product(ph, q), _ZERO),
+    )
+
+
+# The entries of a valid step's blocks, each kicked off unitarity or not, and each
+# block scaled so that products underflow, or overflow to inf and nan, or not.
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(generalized_walk_blocks, plain_walk_blocks, half_step_blocks, boosted_walk_blocks),
+    st.one_of(st.just([0j] * 12), st.lists(
+        st.one_of(st.just(0j), amplitudes.map(lambda z: 1e-9 * z), amplitudes),
+        min_size=12, max_size=12,
+    )),
+    st.one_of(st.just((1.0,) * 3), st.tuples(*[st.sampled_from([1.0, 1e-200, 1e200])] * 3)),
+)
+def test_unitarity_residual_is_the_hand_expanded_residual(blocks, kicks, scales):
+    kicks = iter(kicks)
+    p, t, q = (
+        [[scale * (z + next(kicks)) for z in row] for row in block.tolist()]
+        for block, scale in zip((blocks.P, blocks.T, blocks.Q), scales)
+    )
+    assert _unitarity_residual(p, t, q) == hand_expanded_residual(p, t, q)
 
 
 def walk_gap(u, v):
@@ -361,3 +402,15 @@ def test_a_symbol_jumps_exactly_when_it_is_generic_and_even(row):
     assert (not _jump_refusal(blocks._symbol)) == jumps
     if p is not None:
         assert (not _jump_refusal(_generalized_blocks(p, "B"))) == jumps
+
+
+# The rule reads a symbol's values, not the containers that hold them.
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.one_of(
+    st.builds(generalized_blocks_from_qca,
+              params.filter(lambda p: classify(p) is QcaTypeClass.TYPE_V), families),
+    boosted_walk_blocks,
+))
+def test_tuple_and_list_symbols_get_one_verdict(blocks):
+    tuples = tuple(tuple(map(tuple, block)) for block in blocks._symbol)
+    assert _jump_refusal(tuples) == _jump_refusal(blocks._symbol)
