@@ -115,6 +115,11 @@ MUTANTS = [
            "import math\n", "import math\n\nimport numpy\n",
            tests=("test_cli.py::test_each_command_loads_only_its_engine[verify-patel]",
                   "test_cli.py::test_each_command_loads_only_its_engine[factorize-two-step-B]")),
+    Mutant("params imports dataclasses", "params.py",
+           "from collections import namedtuple\n",
+           "from collections import namedtuple\nfrom dataclasses import dataclass\n",
+           tests=("test_cli.py::test_each_command_loads_only_its_engine[classify]",
+                  "test_cli.py::test_each_command_loads_only_its_engine[verify-patel]")),
     Mutant("a module lookup on the package imports every module", "__init__.py",
            'if name in _MODULES or name == "cli":', "if False:",
            tests=("test_exports.py::test_a_module_name_lookup_imports_that_module_alone",)),
@@ -125,6 +130,17 @@ MUTANTS = [
     Mutant("cli.py imports json at module level", "cli.py",
            "import argparse\nimport gc\n", "import argparse\nimport gc\nimport json\n",
            tests=("test_cli.py::test_only_a_json_report_loads_json",)),
+    # the records: every way of building one runs its check
+    Mutant("QcaParams._make skips the check", "params.py",
+           "    base._make = classmethod(lambda cls, values: cls(*values))\n", "",
+           tests=("test_qca_core.py::test_every_build_of_params_runs_the_unitarity_check[make]",
+                  "test_qca_core.py::test_every_build_of_params_runs_the_unitarity_check[replace]",
+                  "test_qca_core.py::test_every_build_of_angles_reduces_them")),
+    Mutant("a protocol 0 or 1 pickle skips the check", "params.py",
+           "    base.__reduce__ = lambda self: (type(self), tuple(self))\n", "",
+           tests=(
+               "test_qca_core.py::test_every_build_of_params_runs_the_unitarity_check[pickle-0]",
+           )),
     # the walk families
     Mutant("A offset moved by one site", "params.py",
            "_Family(False, -1, R_UPPER, -1)", "_Family(False, -1, R_UPPER, 0)",

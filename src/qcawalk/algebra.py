@@ -2,14 +2,13 @@
 
 The two identities that hold without evolving a state, the two-step
 factorization and Patel's even/odd factorization, are certified here in pure
-Python, so ``qcawalk verify`` and ``factorize`` of those kinds load no numpy.
+Python, so ``verify`` and ``factorize`` of those kinds load no numpy or ``dataclasses``.
 ``correspondence`` builds its half steps from the same sources.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .params import (
     _ZERO,
@@ -17,6 +16,7 @@ from .params import (
     QcaParams,
     _family,
     _generalized_blocks,
+    _record,
     _reduced_phase,
     _split_coin,
     _symbol_gap,
@@ -33,18 +33,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+_REPORT_FIELDS = "max_amplitude_error max_probability_error steps_checked identity_name"
+
+
+class CorrespondenceReport(_record("CorrespondenceReport", _REPORT_FIELDS)):
     """Outcome of one identity check.
 
     ``steps_checked`` counts evolution steps for walk/lattice checks and is
     0 for purely algebraic (matrix) identities.
     """
 
-    max_amplitude_error: float
-    max_probability_error: float
-    steps_checked: int
-    identity_name: str
+    __slots__ = ()
 
     def max_error(self) -> float:
         return max(self.max_amplitude_error, self.max_probability_error)
@@ -104,16 +103,13 @@ def verify_two_step(
     return _two_step(angles, theta1, theta2, family)[1]
 
 
-@dataclass(frozen=True)
-class PatelParams:
-    """Rotation angles of the even and odd half-step pair coins."""
+class PatelParams(_record("PatelParams", "phi1 phi2")):
+    """Rotation angles of the even and odd half-step pair coins; stored mod 2*pi."""
 
-    phi1: float
-    phi2: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("phi1", "phi2"):
-            object.__setattr__(self, name, _reduced_phase(name, getattr(self, name)))
+    def __new__(cls, phi1: float, phi2: float):
+        return super().__new__(cls, *map(_reduced_phase, cls._fields, (phi1, phi2)))
 
 
 def patel_coin(phi: float) -> list:

@@ -23,7 +23,6 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict
 from importlib import import_module
 from typing import TYPE_CHECKING
 
@@ -162,7 +161,7 @@ def _resolve_params(
 def _params_payload(params: QcaParams, angles: AngleTriple | None) -> dict:
     payload = {name: _cnum(z) for name, z in zip("abcd", params.astuple())}
     if angles is not None:
-        payload["angles"] = asdict(angles)
+        payload["angles"] = angles._asdict()
     return payload
 
 
@@ -200,7 +199,7 @@ def _run_evolution(args, engine: ModuleType) -> _Run:
 def _run_two_step(args, engine: ModuleType) -> _Run:
     _, angles = _resolve_params(args)
     payload = {
-        "angles": asdict(angles),
+        "angles": angles._asdict(),
         "theta1": _reduced_phase("theta1", args.theta1),
         "theta2": _reduced_phase("theta2", args.theta2),
         "family": args.family,

@@ -1,10 +1,11 @@
 """Coefficient tuples of the 1D QCA and the 2x2 block algebra of the walk families.
 
-Pure Python over ``complex`` and ``math``: checking and naming a tuple loads
-no numpy, so ``qcawalk classify`` runs without it.  A 2x2 block is two rows
-of two numbers, and a step's symbol the list of its blocks, from the
-coefficient of the highest power of ``e^{ip}`` down; the numpy modules wrap
-these lists and keep no second copy.
+Pure Python over ``complex`` and ``math``, with named tuples for records:
+checking and naming a tuple loads neither numpy nor ``dataclasses``, so
+``qcawalk classify`` runs without them.  A 2x2 block is two rows of two
+numbers, and a step's symbol the list of its blocks, from the coefficient of
+the highest power of ``e^{ip}`` down; the numpy modules wrap these lists and
+keep no second copy.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
@@ -67,48 +67,52 @@ def unitarity_residuals(
     return (r1, r2, r3, r4, r5)
 
 
-@dataclass(frozen=True)
-class QcaParams:
+def _record(name: str, fields: str) -> type:
+    """A named-tuple base that builds every instance by calling the class.
+
+    ``_make`` (so ``_replace``), ``pickle`` and ``copy`` call ``cls(*values)``,
+    so a subclass's ``__new__`` checks them all.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    base.__reduce__ = lambda self: (type(self), tuple(self))
+    return base
+
+
+class QcaParams(_record("QcaParams", "a b c d")):
     """Validated coefficient tuple of the banded step operator.
 
     Construction rejects tuples whose unitarity residuals exceed
     ``RESIDUAL_TOLERANCE``.
     """
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            z = complex(getattr(self, name))
+    def __new__(cls, a: complex, b: complex, c: complex, d: complex):
+        coeffs = []
+        for name, value in zip("abcd", (a, b, c, d)):
+            z = complex(value)
             if not cmath.isfinite(z):
                 raise ValueError(f"non-finite coefficient {name}={z!r}")
-            object.__setattr__(self, name, z)
-        residuals = unitarity_residuals(self.a, self.b, self.c, self.d)
-        worst = max(residuals)
+            coeffs.append(z)
+        worst = max(unitarity_residuals(*coeffs))
         if worst > RESIDUAL_TOLERANCE:
             raise ValueError(
-                f"coefficients fail unitarity (max residual {worst:.3e}): "
-                f"({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
+                f"coefficients fail unitarity (max residual {worst:.3e}): {tuple(coeffs)!r}"
             )
+        return super().__new__(cls, *coeffs)
 
     def astuple(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
 
-@dataclass(frozen=True)
-class AngleTriple:
+class AngleTriple(_record("AngleTriple", "theta phi delta")):
     """Angle parameters generating a valid coefficient tuple; stored mod 2*pi."""
 
-    theta: float
-    phi: float
-    delta: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("theta", "phi", "delta"):
-            object.__setattr__(self, name, _reduced_phase(name, getattr(self, name)))
+    def __new__(cls, theta: float, phi: float, delta: float):
+        return super().__new__(cls, *map(_reduced_phase, cls._fields, (theta, phi, delta)))
 
 
 class QcaTypeClass(Enum):
@@ -149,7 +153,7 @@ def classify(params: QcaParams) -> QcaTypeClass:
     by the tolerance, so where the nonzeros are exactly such a pair the
     smaller one counts as zero too.
     """
-    moduli = dict(zip("abcd", map(abs, params.astuple())))
+    moduli = dict(zip("abcd", map(abs, params)))
     nonzero = {name for name, r in moduli.items() if r >= RESIDUAL_TOLERANCE}
     if nonzero in ({"a", "c"}, {"b", "d"}):
         nonzero.remove(min(nonzero, key=moduli.__getitem__))
@@ -266,7 +270,7 @@ def _generalized_blocks(params: QcaParams, family: str) -> list:
     the blocks of ``e^{ip}``, 1 and ``e^{-ip}`` that the Fourier jump reads.
     """
     row = _family(family)
-    a, b, c, d = params.astuple()
+    a, b, c, d = params
     move, stay = (c, a) if family == "A" else (a, c)
     p, q = _split_coin([[d, move], [move, d]], row)
     return [p, [[b, stay], [stay, b]], q]

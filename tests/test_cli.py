@@ -612,11 +612,13 @@ LATTICE = {"numpy", "amplitudes", "qca_core"}
         (["classify", *REFERENCE], 0, set()),
         (["classify", "--theta", "1"], 2, set()),
         (["simulate-qca", *REFERENCE, "--steps", "2"], 0, LATTICE),
-        (["simulate-qw", *REFERENCE, "--steps", "2"], 0, {"numpy", "amplitudes", "coined_walks"}),
+        (["simulate-qw", *REFERENCE, "--steps", "2"], 0,
+         {"numpy", "dataclasses", "amplitudes", "coined_walks"}),
         (["verify", *REFERENCE, "--steps", "2"], 0,
-         {"numpy", *ENGINES} - {"asymptotics"}),
+         {"numpy", "dataclasses", *ENGINES} - {"asymptotics"}),
         (["factorize", "--kind", "patel"], 0, {"algebra"}),
-        (["limit-compare", "--steps", "20", "--tolerance", "1"], 0, {*LATTICE, "asymptotics"}),
+        (["limit-compare", "--steps", "20", "--tolerance", "1"], 0,
+         {*LATTICE, "dataclasses", "asymptotics"}),
         (["verify", "--kind", "patel"], 0, {"algebra"}),
         (["verify", *TWO_STEP, "A"], 0, {"algebra"}),
         (["verify", *TWO_STEP, "B"], 0, {"algebra"}),
@@ -629,12 +631,14 @@ LATTICE = {"numpy", "amplitudes", "qca_core"}
 )
 def test_each_command_loads_only_its_engine(argv, code, modules):
     # sys.modules, not -X importtime: importtime prints no line for a module
-    # that importlib.import_module loads; "numpy" stands for numpy itself
+    # that importlib.import_module loads; "numpy" stands for numpy itself, and
+    # "dataclasses" (with the inspect, ast and dis it loads) is loaded only by
+    # the numpy modules whose records hold arrays, coined_walks and asymptotics
     probe = (
         "import sys, qcawalk.cli\n"
         "code = qcawalk.cli.main(sys.argv[1:])\n"
         "print(*sorted(m.removeprefix('qcawalk.') for m in sys.modules\n"
-        "             if m.startswith('qcawalk.') or m == 'numpy'))\n"
+        "             if m.startswith('qcawalk.') or m in ('numpy', 'dataclasses')))\n"
         "sys.exit(code)\n"
     )
     result = subprocess.run(

@@ -1,6 +1,9 @@
 """Coefficient validation, taxonomy, and the banded step against a dense oracle."""
 
+import copy
 import math
+import pickle
+import re
 import time
 import tracemalloc
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 from dense_reference import dense_qca_matrix, field_to_vector
+from qcawalk.algebra import CorrespondenceReport, PatelParams
 from qcawalk.amplitudes import _RUN_GAP, AmplitudeField, max_difference
 from qcawalk.coined_walks import CoinBlocks, CoinMatrix
 from qcawalk.params import (
@@ -117,6 +121,78 @@ def test_angle_triple_reduces_mod_two_pi():
     assert 0.0 <= t.theta < 2 * math.pi
     assert 0.0 <= t.phi < 2 * math.pi
     assert t.delta == 0.0
+
+
+def unchecked(cls, *values):
+    """An instance that skipped the check, as a plain named tuple's ``_make`` builds one."""
+    return tuple.__new__(cls, values)
+
+
+UNITARITY_MESSAGE = "coefficients fail unitarity (max residual 2.400e+01): ((5+0j), 0j, 0j, 0j)"
+PICKLE_PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QcaParams(a=5, b=0, c=0, d=0),
+        lambda: QcaParams._make([5, 0, 0, 0]),
+        lambda: QcaParams(1, 0, 0, 0)._replace(a=5),
+        lambda: copy.copy(unchecked(QcaParams, 5, 0, 0, 0)),
+        lambda: copy.deepcopy(unchecked(QcaParams, 5, 0, 0, 0)),
+        *(lambda proto=proto: pickle.loads(pickle.dumps(unchecked(QcaParams, 5, 0, 0, 0), proto))
+          for proto in PICKLE_PROTOCOLS),
+    ],
+    ids=["keywords", "make", "replace", "copy", "deepcopy",
+         *(f"pickle-{proto}" for proto in PICKLE_PROTOCOLS)],
+)
+def test_every_build_of_params_runs_the_unitarity_check(build):
+    with pytest.raises(ValueError, match=re.escape(UNITARITY_MESSAGE)):
+        build()
+
+
+def test_every_build_of_angles_reduces_them():
+    theta, phi1 = 100.0 % (2 * math.pi), -1.0 % (2 * math.pi)
+    triple, pair = AngleTriple(1.0, 2.0, 3.0), PatelParams(0.5, 0.25)
+    assert triple._replace(theta=100.0) == (theta, 2.0, 3.0)
+    assert AngleTriple._make([100.0, 2.0, 3.0]) == (theta, 2.0, 3.0)
+    assert pair._replace(phi1=-1.0) == (phi1, 0.25)
+    assert PatelParams._make([-1.0, 0.25]) == (phi1, 0.25)
+    raw = unchecked(AngleTriple, 100.0, 2.0, 3.0)
+    assert copy.deepcopy(raw) == (theta, 2.0, 3.0)
+    for proto in PICKLE_PROTOCOLS:
+        assert pickle.loads(pickle.dumps(raw, proto)) == (theta, 2.0, 3.0)
+    with pytest.raises(ValueError, match=re.escape("non-finite angle phi2=inf")):
+        pair._replace(phi2=math.inf)
+
+
+# each record type and its repr; the records are named tuples of their fields
+RECORDS = [
+    (PATEL, "QcaParams(a=0.5j, b=(0.5+0j), c=0.5j, d=(-0.5+0j))"),
+    (AngleTriple(-math.pi, 0.5, 2 * math.pi),
+     "AngleTriple(theta=3.141592653589793, phi=0.5, delta=0.0)"),
+    (PatelParams(math.pi / 4, -math.pi / 4),
+     "PatelParams(phi1=0.7853981633974483, phi2=5.497787143782138)"),
+    (CorrespondenceReport(1e-13, 0.0, 50, "A-type"),
+     "CorrespondenceReport(max_amplitude_error=1e-13, max_probability_error=0.0, "
+     "steps_checked=50, identity_name='A-type')"),
+]
+
+
+@pytest.mark.parametrize("record,text", RECORDS, ids=[type(r).__name__ for r, _ in RECORDS])
+def test_records_are_immutable_named_tuples(record, text):
+    assert repr(record) == text
+    assert record == tuple(record) and len(record) == len(record._fields)
+    assert hash(record) == hash(tuple(record))
+    for proto in PICKLE_PROTOCOLS:
+        again = pickle.loads(pickle.dumps(record, proto))
+        assert type(again) is type(record) and again == record
+    again = copy.deepcopy(record)
+    assert type(again) is type(record) and again == record
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.extra = 0
 
 
 # ---------------------------------------------------------------------------
